@@ -11,8 +11,8 @@ lock.  The fast path replaces all three stages:
   the body (zero copies, no per-value objects),
 * **locate + bin** — one fused flat-offset ``np.bincount`` bins every
   attribute of a batch in a single vectorized pass,
-* **accumulate** — striped per-thread shard buffers, so the hot path
-  never contends on a lock.
+* **accumulate** — one locked add of the binned batch into the shard's
+  counts buffer; locate and bin run before the lock is taken.
 
 This benchmark replays identical pre-encoded request bodies through
 both wire paths exactly as the HTTP handler would (decode + ingest,

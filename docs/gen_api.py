@@ -94,17 +94,26 @@ def _docstring_block(obj) -> str:
 
 
 def _methods(cls) -> list:
-    """Public methods/properties defined by ``cls`` itself, source order."""
+    """Public methods/properties of ``cls``, source order.
+
+    Members ``cls`` inherits from private (underscore-named) base
+    classes follow its own, since those bases have no section of their
+    own.
+    """
     members = []
-    for name, obj in vars(cls).items():
-        if name.startswith("_"):
-            continue
-        if isinstance(obj, property):
-            members.append((name, obj, "property"))
-        elif isinstance(obj, (staticmethod, classmethod)):
-            members.append((name, obj.__func__, type(obj).__name__))
-        elif inspect.isfunction(obj):
-            members.append((name, obj, "method"))
+    names = set()
+    private_bases = [b for b in cls.__mro__[1:] if b.__name__.startswith("_")]
+    for klass in (cls, *private_bases):
+        for name, obj in vars(klass).items():
+            if name.startswith("_") or name in names:
+                continue
+            names.add(name)
+            if isinstance(obj, property):
+                members.append((name, obj, "property"))
+            elif isinstance(obj, (staticmethod, classmethod)):
+                members.append((name, obj.__func__, type(obj).__name__))
+            elif inspect.isfunction(obj):
+                members.append((name, obj, "method"))
     return members
 
 

@@ -7,9 +7,9 @@ that server's aggregation tier:
 * :mod:`repro.service.shards` — :class:`HistogramShard` /
   :class:`ShardSet`: mergeable noise-expanded histogram partials with a
   fused flat-offset bincount (:class:`ColumnLayout` /
-  :class:`PreparedBatch`) and striped per-thread accumulators, so N
-  ingestion workers accumulate without contention and a refresh merges
-  in O(shards x bins),
+  :class:`PreparedBatch`) computed outside the lock, so N ingestion
+  workers hold a shard's one lock only for an O(bins) add, and a
+  refresh merges in O(shards x bins),
 * :mod:`repro.service.wire` — the ``application/x-ppdm-columns`` binary
   columnar wire format (:func:`encode_columns` / :func:`decode_columns`
   / :func:`iter_frames`): raw little-endian float64 columns decoded
@@ -32,10 +32,10 @@ that server's aggregation tier:
   (``POST /train`` / ``GET /model`` / ``ppdm train``),
 * :mod:`repro.service.support` — :class:`SupportShard` /
   :class:`SupportShardSet`: the mining workload's accumulators — joint
-  bit-pattern counts of MASK-randomized baskets with the same
-  stripe/lock/merge machinery as the histogram shards, marginalizable
-  to any itemset's observed pattern counts bit-identically at any
-  shard count,
+  bit-pattern counts of MASK-randomized baskets on the same shard core
+  and shard set as the histogram shards, marginalizable to any
+  itemset's observed pattern counts bit-identically at any shard
+  count,
 * :mod:`repro.service.mining` — :class:`MiningService`: level-wise
   MASK Apriori over the service-held pattern counts, bit-identical to
   the offline :class:`~repro.mining.MaskMiner` pipeline
@@ -64,8 +64,8 @@ that server's aggregation tier:
 
 Estimates are bit-identical to a single-stream
 :class:`~repro.core.streaming.StreamingReconstructor` fed the same
-disclosures — sharding, striping, class partitioning, and wire format
-change the ingestion topology, never the math — and service-trained
+disclosures — sharding, class partitioning, and wire format change
+the ingestion topology, never the math — and service-trained
 trees are bit-identical to the offline training pipeline fed the same
 randomized rows.
 """
@@ -91,11 +91,7 @@ from repro.service.shards import (
     PreparedBatch,
     ShardSet,
 )
-from repro.service.support import (
-    PreparedBaskets,
-    SupportShard,
-    SupportShardSet,
-)
+from repro.service.support import SupportShard, SupportShardSet
 from repro.service.training import TrainedModel, TrainingService
 from repro.service.wire import (
     compress_payload,
@@ -129,7 +125,6 @@ __all__ = [
     "MinedRules",
     "MiningService",
     "PartialShipper",
-    "PreparedBaskets",
     "PreparedBatch",
     "RestartBudget",
     "ShardSet",

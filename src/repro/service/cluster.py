@@ -1,8 +1,8 @@
 """The coordinator + worker cluster tier: multi-node scale-out.
 
-One ``ppdm serve`` process scales to the cores of one machine (striped
-shards, e20); this module scales *out*: ``ppdm serve --workers N``
-spawns N worker processes, each a full
+One ``ppdm serve`` process scales to the cores of one machine (shards
+binned outside their locks, e20); this module scales *out*:
+``ppdm serve --workers N`` spawns N worker processes, each a full
 :class:`~repro.service.AggregationService` ingesting independently on
 its own port, and one coordinator process that serves every
 ``/estimate`` and ``/train`` over the union of their state.  The paper

@@ -5,9 +5,9 @@ complete collection endpoint — providers POST randomized disclosures,
 analysts GET reconstructed distributions — with the sharded service
 behind it.  The threading server gives each connection its own handler
 thread; connections are HTTP/1.1 keep-alive, so a bulk client streams
-batch after batch over one socket.  Ingestion is contention-free by
-construction (striped shard accumulators) and estimation is serialized
-by the service itself.
+batch after batch over one socket.  Ingestion locates and bins each
+batch before taking a shard's lock, so writers hold it only for an
+O(bins) add, and estimation is serialized by the service itself.
 
 ``POST /ingest`` negotiates its wire format via ``Content-Type``:
 

@@ -34,11 +34,8 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.mining.apriori import association_rules, candidate_itemsets
 from repro.mining.mask import RandomizedResponse, support_from_pattern_counts
-from repro.service.support import (
-    PreparedBaskets,
-    SupportShardSet,
-    marginal_pattern_counts,
-)
+from repro.service.shards import PreparedBatch
+from repro.service.support import SupportShardSet, marginal_pattern_counts
 from repro.utils.validation import check_fraction
 
 __all__ = ["MinedRules", "MiningService", "mining_from_spec"]
@@ -163,7 +160,7 @@ class MiningService:
     # ------------------------------------------------------------------
     # Ingestion (randomized baskets, already MASK-disclosed client-side)
     # ------------------------------------------------------------------
-    def prepare(self, baskets: object) -> PreparedBaskets:
+    def prepare(self, baskets: object) -> PreparedBatch:
         """Pack a randomized basket matrix into codes, outside any lock."""
         return self._shards.prepare(baskets)
 
@@ -172,9 +169,9 @@ class MiningService:
         return self._shards.ingest(baskets, shard=shard)
 
     def ingest_prepared(
-        self, prepared: PreparedBaskets, *, shard: int | None = None
+        self, prepared: PreparedBatch, *, shard: int | None = None
     ) -> int:
-        """Absorb a :class:`PreparedBaskets`; return transactions added."""
+        """Absorb a :class:`PreparedBatch` of baskets; return transactions added."""
         return self._shards.ingest_prepared(prepared, shard=shard)
 
     # ------------------------------------------------------------------
@@ -331,6 +328,6 @@ def mining_from_spec(section: dict) -> MiningService:
     return MiningService(
         RandomizedResponse(keep_prob=keep_prob),
         n_items,
-        n_shards=int(section.get("shards", 1)),
+        n_shards=section.get("shards", 1),
         max_size=int(section.get("max_size", 3)),
     )

@@ -249,13 +249,13 @@ class AggregationService:
 
         O(batch) work: each attribute's values are located on its
         noise-expanded grid and all attributes of the batch are binned
-        in one fused ``np.bincount`` into the routed shard's striped
-        accumulators (see :mod:`repro.service.shards`).  ``shard`` pins
-        the batch to a specific shard (one-worker-per-shard ingestion);
-        otherwise batches round-robin.  ``classes`` — one integer label
-        per record, shared by every column — bins the batch into its
-        per-class stripes (requires a service built with
-        ``classes >= 1``).
+        in one fused ``np.bincount``, then added to the routed shard's
+        counts buffer under its lock (see :mod:`repro.service.shards`).
+        ``shard`` pins the batch to a specific shard
+        (one-worker-per-shard ingestion); otherwise batches round-robin.
+        ``classes`` — one integer label per record, shared by every
+        column — bins the batch into its per-class blocks (requires a
+        service built with ``classes >= 1``).
         """
         return self._shards.ingest(batch, shard=shard, classes=classes)
 
@@ -385,7 +385,7 @@ class AggregationService:
                 # class-aware services persist one block per partition
                 # (unlabeled + each class) so training state survives;
                 # n_seen derives from the same single counts read (a
-                # second pass over the stripes could interleave with a
+                # second pass over the shards could interleave with a
                 # concurrent ingest and write a snapshot the restore-side
                 # counts/n_seen cross-check would reject)
                 counts = self._shards.merged_by_class(name)
@@ -622,6 +622,6 @@ def service_from_spec(spec: dict) -> AggregationService:
         specs.append(AttributeSpec(name, partition, randomizer))
     return AggregationService(
         specs,
-        n_shards=int(spec.get("shards", 1)),
+        n_shards=spec.get("shards", 1),
         classes=int(spec.get("classes", 0)),
     )

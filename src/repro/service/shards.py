@@ -25,10 +25,11 @@ The hot path is built for memory bandwidth, not Python speed:
 * :meth:`HistogramShard.ingest_prepared` accepts those pre-located
   indices (:class:`PreparedBatch`, built once per batch outside any
   lock), and
-* each shard accumulates into **striped per-thread buffers**: a writer
-  thread owns its stripe, so its stripe lock is uncontended on the hot
-  path and reads (:meth:`HistogramShard.partial`) merge the stripes —
-  exact, because integer-valued float64 sums are associative,
+* each shard holds **one** flat counts buffer, one record-counter
+  vector and one lock: the ``np.bincount`` runs before the lock is
+  taken, so a writer holds it only for the O(bins) add, and reads
+  (:meth:`HistogramShard.partial`) copy under the same lock in O(bins)
+  however many threads have written,
 * layouts built with ``n_classes >= 1`` replicate the flat buffer into
   per-class *blocks* (plus one for unlabeled records), and a labeled
   batch's class column folds into the same fused ``np.bincount``, so
@@ -37,6 +38,8 @@ The hot path is built for memory bandwidth, not Python speed:
 
 :class:`ShardSet` is the fixed-size collection of shards over one
 attribute schema, with round-robin routing and the O(bins) merge.  The
+same shard core and shard set hold the mining tier's pattern counts
+(:mod:`repro.service.support`), which differ only in their layout.  The
 control plane (engine, warm-started estimates, persistence) lives in
 :class:`repro.service.AggregationService`.
 """
@@ -228,7 +231,8 @@ class ColumnLayout:
         if self is other:
             return True
         return (
-            self._names == other._names
+            isinstance(other, ColumnLayout)
+            and self._names == other._names
             and self.n_classes == other.n_classes
             and all(
                 np.array_equal(
@@ -374,14 +378,14 @@ class ColumnLayout:
 
 
 class PreparedBatch:
-    """A batch located into fused flat bin indices, ready to accumulate.
+    """A batch located into flat cell indices, ready to accumulate.
 
-    Produced by :meth:`ColumnLayout.prepare` (or the ``prepare`` methods
-    of :class:`HistogramShard` / :class:`ShardSet` /
-    :class:`~repro.service.AggregationService`); consumed by
-    ``ingest_prepared``.  Splitting ingestion this way keeps the O(batch)
-    locate work outside every lock and lets one prepared batch be binned
-    with a single fused ``np.bincount``.
+    Produced by :meth:`ColumnLayout.prepare` (fused bin indices) or
+    :meth:`~repro.service.support.PatternLayout.prepare` (basket pattern
+    codes), or by the ``prepare`` methods of the shards, shard sets and
+    services built on them; consumed by ``ingest_prepared``.  Splitting
+    ingestion this way keeps the O(batch) locate work outside every lock
+    and lets one prepared batch be binned with a single ``np.bincount``.
 
     Examples
     --------
@@ -402,29 +406,80 @@ class PreparedBatch:
         self.total = int(total)
 
 
-class _Stripe:
-    """One writer thread's private accumulator within a shard."""
+class _Shard:
+    """One shard: a float64 counts buffer, int64 record counters, one lock.
 
-    __slots__ = ("counts", "seen", "lock")
+    The core under :class:`HistogramShard` and
+    :class:`~repro.service.SupportShard`.  Locating a batch and its
+    ``np.bincount`` run outside the lock, so the lock covers only the
+    O(bins) add itself (:meth:`_add`), and every read copies under the
+    same lock, so it never sees half a batch.  ``n_counters`` sizes the
+    record counters: one per attribute, or one for all transactions.
+    """
 
-    def __init__(self, total_bins: int, n_attributes: int) -> None:
-        self.counts = np.zeros(total_bins)
-        self.seen = np.zeros(n_attributes, dtype=np.int64)
-        # owned by one writer thread, so acquiring it on the hot path
-        # never contends; readers take it briefly while merging stripes
-        self.lock = threading.Lock()
+    def __init__(self, layout, n_counters: int) -> None:
+        self._layout = layout
+        self._counts = np.zeros(layout.total_bins)
+        self._seen = np.zeros(n_counters, dtype=np.int64)
+        self._lock = threading.Lock()
+
+    @property
+    def layout(self):
+        """The layout this shard accumulates on (shared by its shard set)."""
+        return self._layout
+
+    def _add(self, counts, seen, cells=slice(None)) -> None:
+        """Add ``counts`` into ``cells`` and ``seen`` into the counters."""
+        with self._lock:
+            self._counts[cells] += counts
+            self._seen += seen
+
+    def _read(self) -> tuple:
+        """Copies of the counts buffer and the counters, in one locked read."""
+        with self._lock:
+            return self._counts.copy(), self._seen.copy()
+
+    def _mismatch(self, layout) -> str:
+        """The error for a batch prepared on an incompatible ``layout``."""
+        return "prepared batch was built on a different schema/grid layout"
+
+    def ingest_prepared(self, prepared: PreparedBatch) -> int:
+        """Absorb a :class:`PreparedBatch`; return records added.
+
+        The hot half of ingestion: one fused ``np.bincount`` bins the
+        whole batch outside the lock, then one locked add folds it into
+        the shard, keeping each batch atomic with respect to readers.
+        """
+        if not isinstance(prepared, PreparedBatch):
+            raise ValidationError(
+                "ingest_prepared() takes a PreparedBatch (from prepare()); "
+                f"got {type(prepared).__name__}"
+            )
+        if not self._layout.compatible_with(prepared.layout):
+            raise ValidationError(self._mismatch(prepared.layout))
+        if prepared.total == 0:
+            return 0
+        binned = np.bincount(prepared.flat, minlength=self._layout.total_bins)
+        self._add(binned, prepared.seen)
+        return prepared.total
+
+    def clear(self) -> None:
+        """Zero all counts and record counters."""
+        with self._lock:
+            self._counts[:] = 0.0
+            self._seen[:] = 0
 
 
-class HistogramShard:
+class HistogramShard(_Shard):
     """One worker's running histogram partials, one per attribute.
 
     ``ingest`` buckets a batch of randomized values into the attribute's
     noise-expanded histogram — O(batch) work.  Bucketing happens outside
-    any lock (it is pure); the accumulate lands in the calling thread's
-    private *stripe*, so concurrent ingestion into the *same* shard
-    never contends either: each writer owns its stripe, and reads merge
-    the stripes (bit-exact — integer counts in float64 sum exactly in
-    any order).
+    any lock (it is pure); the accumulate is one add into the shard's
+    single flat buffer under the shard lock, so concurrent writers into
+    the *same* shard hold it only for an O(bins) vector add, and reads
+    copy under the same lock (bit-exact — integer counts in float64 sum
+    exactly in any order).
 
     Examples
     --------
@@ -448,37 +503,12 @@ class HistogramShard:
             if not y_partitions:
                 raise ValidationError("a shard needs at least one attribute")
             layout = ColumnLayout(y_partitions, n_classes=n_classes)
-        self._layout = layout
-        self._stripes: dict = {}
-        self._stripes_lock = threading.Lock()
-
-    @property
-    def layout(self) -> ColumnLayout:
-        """The shared flat-offset layout this shard accumulates on."""
-        return self._layout
+        super().__init__(layout, len(layout.names))
 
     @property
     def attributes(self) -> tuple:
         """Attribute names this shard accumulates, in schema order."""
         return self._layout.names
-
-    def _stripe(self) -> _Stripe:
-        """The calling thread's stripe, created on first use."""
-        ident = threading.get_ident()
-        stripe = self._stripes.get(ident)
-        if stripe is None:
-            with self._stripes_lock:
-                stripe = self._stripes.get(ident)
-                if stripe is None:
-                    stripe = _Stripe(
-                        self._layout.total_bins, len(self._layout.names)
-                    )
-                    self._stripes[ident] = stripe
-        return stripe
-
-    def _stripes_snapshot(self) -> tuple:
-        with self._stripes_lock:
-            return tuple(self._stripes.values())
 
     def prepare(self, batch, classes=None) -> PreparedBatch:
         """Locate a batch into fused flat indices (see :class:`ColumnLayout`)."""
@@ -488,95 +518,40 @@ class HistogramShard:
         """Absorb ``{attribute: randomized values}``; return records added.
 
         ``classes`` (one integer label per record) bins the batch into
-        its per-class stripes; without it records land in the unlabeled
+        its per-class blocks; without it records land in the unlabeled
         partition.
         """
         return self.ingest_prepared(self._layout.prepare(batch, classes))
 
-    def ingest_prepared(self, prepared: PreparedBatch) -> int:
-        """Absorb a :class:`PreparedBatch`; return records added.
-
-        The hot half of ingestion: one fused ``np.bincount`` bins every
-        attribute of the batch, then the calling thread's stripe absorbs
-        the binned counts under its (uncontended) stripe lock, keeping
-        each batch atomic with respect to readers.
-        """
-        if not isinstance(prepared, PreparedBatch):
-            raise ValidationError(
-                "ingest_prepared() takes a PreparedBatch (from prepare()); "
-                f"got {type(prepared).__name__}"
-            )
-        if not prepared.layout.compatible_with(self._layout):
-            raise ValidationError(
-                "prepared batch was built on a different schema/grid layout"
-            )
-        if prepared.total == 0:
-            return 0
-        binned = np.bincount(prepared.flat, minlength=self._layout.total_bins)
-        stripe = self._stripe()
-        with stripe.lock:
-            stripe.counts += binned
-            stripe.seen += prepared.seen
-        return prepared.total
-
     def n_seen(self, name: str) -> int:
         """Records absorbed so far for ``name``."""
         k = self._layout.index_of(name)
-        total = 0
-        for stripe in self._stripes_snapshot():
-            with stripe.lock:
-                total += int(stripe.seen[k])
-        return total
+        with self._lock:
+            return int(self._seen[k])
 
     def partial(self, name: str) -> tuple:
-        """Merged ``(counts copy, n_seen)`` over this shard's stripes.
+        """``(counts copy, n_seen)`` of ``name``, in one locked read.
 
         Counts sum the attribute's class blocks (unlabeled plus every
         class), so class-aware shards serve the same all-records
         histogram as before — integer counts in float64 sum exactly in
         any order.
         """
-        slices = self._layout.class_slices(name)
-        k = self._layout.index_of(name)
-        counts = np.zeros(slices[0].stop - slices[0].start)
-        seen = 0
-        for stripe in self._stripes_snapshot():
-            with stripe.lock:
-                for sl in slices:
-                    counts += stripe.counts[sl]
-                seen += int(stripe.seen[k])
-        return counts, seen
+        sl, k = self._layout.slice_of(name), self._layout.index_of(name)
+        with self._lock:
+            blocks = self._counts.reshape(self._layout.n_classes + 1, -1)
+            return blocks[:, sl].sum(axis=0), int(self._seen[k])
 
     def partial_by_class(self, name: str) -> np.ndarray:
-        """Merged per-block counts of ``name``: ``(n_classes + 1, bins)``.
+        """Per-block counts of ``name``: ``(n_classes + 1, bins)``.
 
         Row 0 is the unlabeled partition; row ``c + 1`` is class ``c``.
         A class-less shard returns a single row (the plain histogram).
         """
-        slices = self._layout.class_slices(name)
-        out = np.zeros((len(slices), slices[0].stop - slices[0].start))
-        for stripe in self._stripes_snapshot():
-            with stripe.lock:
-                for block, sl in enumerate(slices):
-                    out[block] += stripe.counts[sl]
-        return out
-
-    def _flat_partial(self) -> tuple:
-        """Merged ``(flat counts, seen vector)`` over all stripes."""
-        counts = np.zeros(self._layout.total_bins)
-        seen = np.zeros(len(self._layout.names), dtype=np.int64)
-        for stripe in self._stripes_snapshot():
-            with stripe.lock:
-                counts += stripe.counts
-                seen += stripe.seen
-        return counts, seen
-
-    def _absorb_flat(self, counts: np.ndarray, seen: np.ndarray) -> None:
-        """Fold pre-merged flat totals into the calling thread's stripe."""
-        stripe = self._stripe()
-        with stripe.lock:
-            stripe.counts += counts
-            stripe.seen += seen
+        sl = self._layout.slice_of(name)
+        with self._lock:
+            blocks = self._counts.reshape(self._layout.n_classes + 1, -1)
+            return blocks[:, sl].copy()
 
     def absorb_counts(
         self, name: str, counts, n_seen: int, *, class_block: int = 0
@@ -593,10 +568,9 @@ class HistogramShard:
                 f"counts for {name!r} must have {sl.stop - sl.start} bins, "
                 f"got {counts.size}"
             )
-        stripe = self._stripe()
-        with stripe.lock:
-            stripe.counts[sl] += counts
-            stripe.seen[self._layout.index_of(name)] += int(n_seen)
+        seen = np.zeros(len(self._layout.names), dtype=np.int64)
+        seen[self._layout.index_of(name)] = int(n_seen)
+        self._add(counts, seen, sl)
 
     def replace_with(self, partials: dict) -> int:
         """Clear this shard, then absorb pre-merged per-class partials.
@@ -617,67 +591,114 @@ class HistogramShard:
             raise ValidationError(
                 "partials must map attribute -> (n_classes + 1, bins) counts"
             )
-        checked = []
+        flat = np.zeros(self._layout.total_bins)
+        blocks = flat.reshape(self._layout.n_classes + 1, -1)
+        seen = np.zeros(len(self._layout.names), dtype=np.int64)
         for name, counts in partials.items():
-            slices = self._layout.class_slices(name)
+            sl = self._layout.slice_of(name)
             matrix = np.asarray(counts, dtype=float)
-            bins = slices[0].stop - slices[0].start
-            if matrix.shape != (len(slices), bins):
+            if matrix.shape != blocks[:, sl].shape:
                 raise ValidationError(
                     f"partials[{name!r}] must have shape "
-                    f"({len(slices)}, {bins}), got {matrix.shape}"
+                    f"{blocks[:, sl].shape}, got {matrix.shape}"
                 )
-            checked.append((name, matrix))
+            blocks[:, sl] = matrix
+            seen[self._layout.index_of(name)] = sum(int(r.sum()) for r in matrix)
         self.clear()
-        total = 0
-        for name, matrix in checked:
-            for block, row in enumerate(matrix):
-                row_seen = int(row.sum())
-                if row_seen:
-                    self.absorb_counts(name, row, row_seen, class_block=block)
-                total += row_seen
-        return total
+        self._add(flat, seen)
+        return int(seen.sum())
 
     def merge_from(self, other: "HistogramShard") -> "HistogramShard":
-        """Fold another shard's partials into this one (same schema)."""
+        """Fold another shard's partials into this one (same schema).
+
+        ``other``'s counts and record totals are copied in one locked
+        read, so a concurrent ingest lands in both or in neither.
+        """
+        if other._layout.names != self._layout.names:
+            raise ValidationError("cannot merge shards with different schemas")
         if not other._layout.compatible_with(self._layout):
-            if other._layout.names != self._layout.names:
-                raise ValidationError(
-                    "cannot merge shards with different schemas"
-                )
-            raise ValidationError(
-                "cannot merge shards bucketed on different grids"
-            )
-        counts, seen = other._flat_partial()
-        self._absorb_flat(counts, seen)
+            raise ValidationError("cannot merge shards bucketed on different grids")
+        self._add(*other._read())
         return self
 
-    def clear(self) -> None:
-        """Zero all partials."""
-        for stripe in self._stripes_snapshot():
-            with stripe.lock:
-                stripe.counts[:] = 0.0
-                stripe.seen[:] = 0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        total = int(self._flat_partial()[1].sum())
+        total = int(self._read()[1].sum())
         return (
             f"HistogramShard(attributes={len(self._layout.names)}, "
             f"records={total})"
         )
 
 
-class ShardSet:
+class _ShardSet:
+    """A fixed number of shards over one layout, routed round-robin.
+
+    The routing, shard lookup and write half shared by :class:`ShardSet`
+    and :class:`~repro.service.SupportShardSet`; ``make_shard(layout)``
+    builds each shard on the shared layout.
+    """
+
+    def __init__(self, layout, n_shards: int, make_shard) -> None:
+        if isinstance(n_shards, bool) or not isinstance(n_shards, (int, np.integer)):
+            raise ValidationError(
+                f"n_shards must be an integer, got {type(n_shards).__name__}"
+            )
+        if n_shards < 1:
+            raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
+        self._layout = layout
+        self._shards = tuple(make_shard(layout) for _ in range(int(n_shards)))
+        self._route = 0
+        self._route_lock = threading.Lock()
+
+    @property
+    def layout(self):
+        """The layout shared by every shard."""
+        return self._layout
+
+    @property
+    def n_shards(self) -> int:
+        return len(self._shards)
+
+    def shard(self, index: int):
+        """The ``index``-th shard (for one-worker-per-shard deployments)."""
+        if not 0 <= index < len(self._shards):
+            raise ValidationError(
+                f"shard index {index} out of range [0, {len(self._shards)})"
+            )
+        return self._shards[index]
+
+    def __iter__(self):
+        return iter(self._shards)
+
+    def __len__(self) -> int:
+        return len(self._shards)
+
+    def ingest_prepared(
+        self, prepared: PreparedBatch, *, shard: int | None = None
+    ) -> int:
+        """Route a :class:`PreparedBatch` to a shard and accumulate it."""
+        if shard is None:
+            with self._route_lock:
+                shard = self._route
+                self._route = (self._route + 1) % len(self._shards)
+        return self.shard(shard).ingest_prepared(prepared)
+
+    def clear(self) -> None:
+        """Zero every shard."""
+        for shard in self._shards:
+            shard.clear()
+
+
+class ShardSet(_ShardSet):
     """A fixed number of :class:`HistogramShard` over one schema.
 
     Workers either address a shard explicitly (``shard=i`` — the
     one-worker-per-shard deployment) or let the set route round-robin;
-    either way the accumulate itself is contention-free (striped per
-    writer thread, see :class:`HistogramShard`).  ``merged`` sums the
-    per-shard partials in O(shards x bins): because histogram counts are
-    exact integers in float64, the merged counts are bit-identical to
-    bucketing the whole stream into a single histogram, at any shard
-    count, thread count, and batch interleaving.
+    either way a writer holds a shard's lock only for the O(bins) add
+    of an already-binned batch (see :class:`HistogramShard`).
+    ``merged`` sums the per-shard partials in O(shards x bins): because
+    histogram counts are exact integers in float64, the merged counts
+    are bit-identical to bucketing the whole stream into a single
+    histogram, at any shard count, thread count, and batch interleaving.
 
     Examples
     --------
@@ -700,24 +721,11 @@ class ShardSet:
     def __init__(
         self, y_partitions, n_shards: int = 1, *, n_classes: int = 0
     ) -> None:
-        if n_shards < 1:
-            raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
-        self._layout = ColumnLayout(y_partitions, n_classes=n_classes)
-        self._shards = tuple(
-            HistogramShard(None, layout=self._layout)
-            for _ in range(int(n_shards))
+        super().__init__(
+            ColumnLayout(y_partitions, n_classes=n_classes),
+            n_shards,
+            lambda layout: HistogramShard(None, layout=layout),
         )
-        self._route = 0
-        self._route_lock = threading.Lock()
-
-    @property
-    def layout(self) -> ColumnLayout:
-        """The flat-offset layout shared by every shard."""
-        return self._layout
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
 
     @property
     def n_classes(self) -> int:
@@ -729,20 +737,6 @@ class ShardSet:
         """Attribute names, in schema order."""
         return self._layout.names
 
-    def shard(self, index: int) -> HistogramShard:
-        """The ``index``-th shard (for one-worker-per-shard deployments)."""
-        if not 0 <= index < len(self._shards):
-            raise ValidationError(
-                f"shard index {index} out of range [0, {len(self._shards)})"
-            )
-        return self._shards[index]
-
-    def __iter__(self):
-        return iter(self._shards)
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
     def prepare(self, batch, classes=None) -> PreparedBatch:
         """Locate a batch into fused flat indices, outside any lock."""
         return self._layout.prepare(batch, classes)
@@ -753,26 +747,10 @@ class ShardSet:
             self._layout.prepare(batch, classes), shard=shard
         )
 
-    def ingest_prepared(
-        self, prepared: PreparedBatch, *, shard: int | None = None
-    ) -> int:
-        """Route a :class:`PreparedBatch` to a shard and accumulate it."""
-        if shard is None:
-            with self._route_lock:
-                shard = self._route
-                self._route = (self._route + 1) % len(self._shards)
-        return self.shard(shard).ingest_prepared(prepared)
-
     def merged(self, name: str) -> tuple:
         """Merged ``(counts, n_seen)`` for one attribute — O(shards x bins)."""
-        self._layout.require(name)
-        counts = np.zeros(self._layout.partition(name).n_intervals)
-        seen = 0
-        for shard in self._shards:
-            partial, partial_seen = shard.partial(name)
-            counts += partial
-            seen += partial_seen
-        return counts, seen
+        partials = [shard.partial(name) for shard in self._shards]
+        return sum(p[0] for p in partials), sum(p[1] for p in partials)
 
     def merged_by_class(self, name: str) -> np.ndarray:
         """Merged per-class counts of ``name``: ``(n_classes + 1, bins)``.
@@ -780,16 +758,7 @@ class ShardSet:
         Row 0 is the unlabeled partition, row ``c + 1`` class ``c``;
         rows sum (exactly) to :meth:`merged`'s all-records histogram.
         """
-        self._layout.require(name)
-        out = np.zeros(
-            (
-                self._layout.n_classes + 1,
-                self._layout.partition(name).n_intervals,
-            )
-        )
-        for shard in self._shards:
-            out += shard.partial_by_class(name)
-        return out
+        return sum(shard.partial_by_class(name) for shard in self._shards)
 
     def merge(self) -> dict:
         """Merged partials for every attribute: ``{name: (counts, n_seen)}``."""
@@ -805,11 +774,6 @@ class ShardSet:
             self._layout.require(name)
             return sum(shard.n_seen(name) for shard in self._shards)
         return {attr: self.n_seen(attr) for attr in self._layout.names}
-
-    def clear(self) -> None:
-        """Zero every shard."""
-        for shard in self._shards:
-            shard.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -18,29 +18,29 @@ can therefore discover candidates *after* ingestion — the service never
 needs to know the itemsets in advance — and estimates agree bit for bit
 with the offline :class:`~repro.mining.MaskMiner` at any shard count.
 
-Concurrency follows :class:`~repro.service.shards.HistogramShard`
-exactly: locating a batch (packing rows into pattern codes) is pure and
-happens outside every lock; the accumulate lands in the calling
-thread's private *stripe* under its uncontended stripe lock; readers
-merge the stripes.  Merges are associative and commutative — shards are
-just partial sums.
+The shards are the histogram shards' own core over a different layout:
+:class:`PatternLayout` packs rows into pattern codes outside every lock,
+and :class:`SupportShard` / :class:`SupportShardSet` reuse the shard
+core and round-robin shard set of :mod:`repro.service.shards`, so one
+locked add folds a binned batch into the shard's single counts buffer
+and readers copy under the same lock.  Merges are associative and
+commutative — shards are just partial sums.
 
 The ``2^n_items`` table is why :data:`MAX_TRACKED_ITEMS` caps the item
-universe at 16 (65536 float64 counters = 512 KiB per stripe); wider
+universe at 16 (65536 float64 counters = 512 KiB per shard); wider
 catalogues need the offline miner or an item-bucketing front end.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.service.shards import PreparedBatch, _Shard, _ShardSet
 
 __all__ = [
     "MAX_TRACKED_ITEMS",
-    "PreparedBaskets",
+    "PatternLayout",
     "SupportShard",
     "SupportShardSet",
     "marginal_pattern_counts",
@@ -61,24 +61,6 @@ def _check_n_items(n_items: int) -> int:
             f"(2^n_items counters), got {n_items}"
         )
     return int(n_items)
-
-
-def _check_basket_matrix(baskets: object, n_items: int) -> np.ndarray:
-    matrix = np.asarray(baskets)
-    if matrix.ndim != 2:
-        raise ValidationError(
-            f"baskets must be a 2-D boolean matrix, got shape {matrix.shape}"
-        )
-    if matrix.dtype != np.bool_:
-        raise ValidationError(
-            f"baskets must be a boolean matrix, got dtype {matrix.dtype}"
-        )
-    if matrix.shape[1] != n_items:
-        raise ValidationError(
-            f"baskets have {matrix.shape[1]} item column(s); this shard "
-            f"tracks {n_items}"
-        )
-    return matrix
 
 
 def marginal_pattern_counts(full, n_items: int, itemset) -> np.ndarray:
@@ -128,48 +110,59 @@ def marginal_pattern_counts(full, n_items: int, itemset) -> np.ndarray:
     return np.bincount(projected, weights=counts, minlength=1 << k)
 
 
-class PreparedBaskets:
-    """A basket batch located into full-row pattern codes (pure stage).
+class PatternLayout:
+    """Full-row pattern codes of an ``n_items`` basket universe.
 
-    The mining twin of :class:`~repro.service.shards.PreparedBatch`:
-    ``codes`` holds one MSB-first ``n_items``-bit integer per
-    transaction, ready for the fused ``np.bincount`` accumulate.  Built
-    outside every lock by :meth:`SupportShard.prepare`.
+    The mining twin of :class:`~repro.service.shards.ColumnLayout`:
+    :meth:`prepare` packs each transaction into one MSB-first
+    ``n_items``-bit code (item 0 in the top bit), so the shard core's
+    fused ``np.bincount`` tallies a batch into ``2^n_items`` cells,
+    exactly as it bins a histogram batch into its flat grid.
 
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.service import SupportShard
-    >>> shard = SupportShard(2)
-    >>> prepared = shard.prepare(np.array([[True, True], [False, True]]))
-    >>> prepared.codes.tolist()  # MSB-first row patterns: 0b11, 0b01
+    >>> from repro.service.support import PatternLayout, SupportShard
+    >>> layout = PatternLayout(2)
+    >>> prepared = layout.prepare(np.array([[True, True], [False, True]]))
+    >>> prepared.flat.tolist()  # MSB-first row patterns: 0b11, 0b01
     [3, 1]
-    >>> shard.ingest_prepared(prepared)
+    >>> SupportShard(2).ingest_prepared(prepared)
     2
     """
 
-    __slots__ = ("n_items", "codes", "total")
+    __slots__ = ("n_items", "total_bins")
 
-    def __init__(self, n_items: int, codes: np.ndarray, total: int) -> None:
-        self.n_items = n_items
-        self.codes = codes
-        self.total = total
+    def __init__(self, n_items: int) -> None:
+        self.n_items = _check_n_items(n_items)
+        self.total_bins = 1 << self.n_items
+
+    def compatible_with(self, other: object) -> bool:
+        """Same item universe (merge/ingest compatibility)."""
+        return isinstance(other, PatternLayout) and other.n_items == self.n_items
+
+    def prepare(self, baskets: object) -> PreparedBatch:
+        """Pack a basket batch into pattern codes, outside any lock."""
+        matrix = np.asarray(baskets)
+        if matrix.ndim != 2:
+            raise ValidationError(
+                f"baskets must be a 2-D boolean matrix, got shape {matrix.shape}"
+            )
+        if matrix.dtype != np.bool_:
+            raise ValidationError(
+                f"baskets must be a boolean matrix, got dtype {matrix.dtype}"
+            )
+        if matrix.shape[1] != self.n_items:
+            raise ValidationError(
+                f"baskets have {matrix.shape[1]} item column(s); this shard "
+                f"tracks {self.n_items}"
+            )
+        bits = 1 << np.arange(self.n_items - 1, -1, -1, dtype=np.int64)
+        total = matrix.shape[0]
+        return PreparedBatch(self, matrix @ bits, np.array([total]), total)
 
 
-class _SupportStripe:
-    """One writer thread's private pattern-count accumulator."""
-
-    __slots__ = ("counts", "seen", "lock")
-
-    def __init__(self, n_patterns: int) -> None:
-        self.counts = np.zeros(n_patterns)
-        self.seen = 0
-        # owned by one writer thread, so acquiring it on the hot path
-        # never contends; readers take it briefly while merging stripes
-        self.lock = threading.Lock()
-
-
-class SupportShard:
+class SupportShard(_Shard):
     """One worker's running pattern counts over randomized baskets.
 
     Examples
@@ -184,128 +177,69 @@ class SupportShard:
     """
 
     def __init__(self, n_items: int) -> None:
-        self._n_items = _check_n_items(n_items)
-        self._stripes: dict = {}
-        self._stripes_lock = threading.Lock()
+        super().__init__(PatternLayout(n_items), 1)
 
     @property
     def n_items(self) -> int:
         """Size of the item universe this shard tracks patterns over."""
-        return self._n_items
+        return self._layout.n_items
 
-    def _stripe(self) -> _SupportStripe:
-        """The calling thread's stripe, created on first use."""
-        ident = threading.get_ident()
-        stripe = self._stripes.get(ident)
-        if stripe is None:
-            with self._stripes_lock:
-                stripe = self._stripes.get(ident)
-                if stripe is None:
-                    stripe = _SupportStripe(1 << self._n_items)
-                    self._stripes[ident] = stripe
-        return stripe
+    def _mismatch(self, layout) -> str:
+        if not isinstance(layout, PatternLayout):
+            return super()._mismatch(layout)
+        return (
+            f"prepared baskets were packed over {layout.n_items} "
+            f"item(s); this shard tracks {self.n_items}"
+        )
 
-    def _stripes_snapshot(self) -> tuple:
-        with self._stripes_lock:
-            return tuple(self._stripes.values())
-
-    def prepare(self, baskets: object) -> PreparedBaskets:
+    def prepare(self, baskets: object) -> PreparedBatch:
         """Pack a basket batch into pattern codes, outside any lock."""
-        matrix = _check_basket_matrix(baskets, self._n_items)
-        codes = np.zeros(matrix.shape[0], dtype=np.int64)
-        for item in range(self._n_items):
-            codes |= matrix[:, item].astype(np.int64) << (
-                self._n_items - 1 - item
-            )
-        return PreparedBaskets(self._n_items, codes, matrix.shape[0])
+        return self._layout.prepare(baskets)
 
     def ingest(self, baskets: object) -> int:
         """Absorb a boolean basket matrix; return transactions added."""
-        return self.ingest_prepared(self.prepare(baskets))
-
-    def ingest_prepared(self, prepared: PreparedBaskets) -> int:
-        """Absorb a :class:`PreparedBaskets`; return transactions added.
-
-        One fused ``np.bincount`` tallies the batch's patterns, then the
-        calling thread's stripe absorbs them under its (uncontended)
-        stripe lock, keeping each batch atomic with respect to readers.
-        """
-        if not isinstance(prepared, PreparedBaskets):
-            raise ValidationError(
-                "ingest_prepared() takes a PreparedBaskets (from prepare()); "
-                f"got {type(prepared).__name__}"
-            )
-        if prepared.n_items != self._n_items:
-            raise ValidationError(
-                f"prepared baskets were packed over {prepared.n_items} "
-                f"item(s); this shard tracks {self._n_items}"
-            )
-        if prepared.total == 0:
-            return 0
-        binned = np.bincount(prepared.codes, minlength=1 << self._n_items)
-        stripe = self._stripe()
-        with stripe.lock:
-            stripe.counts += binned
-            stripe.seen += prepared.total
-        return prepared.total
+        return self.ingest_prepared(self._layout.prepare(baskets))
 
     @property
     def n_seen(self) -> int:
         """Transactions absorbed so far."""
-        total = 0
-        for stripe in self._stripes_snapshot():
-            with stripe.lock:
-                total += stripe.seen
-        return total
+        with self._lock:
+            return int(self._seen[0])
 
     def pattern_counts(self) -> np.ndarray:
-        """Merged ``2^n_items`` pattern counts (a copy) over the stripes."""
-        counts = np.zeros(1 << self._n_items)
-        for stripe in self._stripes_snapshot():
-            with stripe.lock:
-                counts += stripe.counts
-        return counts
+        """The ``2^n_items`` pattern counts (a copy), read under the lock."""
+        return self._read()[0]
 
     def merge_from(self, other: "SupportShard") -> "SupportShard":
         """Fold another shard's pattern counts into this one.
 
         The merge is a vector sum, so it is associative, commutative,
         and has the fresh shard as identity — shards are partial sums.
+        ``other``'s counts and transaction total are copied in one
+        locked read, so a concurrent ingest lands in both or in neither.
         """
         if not isinstance(other, SupportShard):
             raise ValidationError(
                 f"can only merge SupportShard, got {type(other).__name__}"
             )
-        if other._n_items != self._n_items:
+        if other.n_items != self.n_items:
             raise ValidationError(
                 f"cannot merge shards over different item universes "
-                f"({other._n_items} vs {self._n_items})"
+                f"({other.n_items} vs {self.n_items})"
             )
-        counts = other.pattern_counts()
-        seen = other.n_seen
-        stripe = self._stripe()
-        with stripe.lock:
-            stripe.counts += counts
-            stripe.seen += seen
+        self._add(*other._read())
         return self
 
-    def clear(self) -> None:
-        """Zero all pattern counts."""
-        for stripe in self._stripes_snapshot():
-            with stripe.lock:
-                stripe.counts[:] = 0.0
-                stripe.seen = 0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SupportShard(n_items={self._n_items}, records={self.n_seen})"
+        return f"SupportShard(n_items={self.n_items}, records={self.n_seen})"
 
 
-class SupportShardSet:
+class SupportShardSet(_ShardSet):
     """A fixed number of :class:`SupportShard` over one item universe.
 
     Writers either address a shard explicitly (``shard=i``) or let the
-    set route round-robin; either way the accumulate is contention-free
-    (striped per writer thread).  :meth:`merged_patterns` sums the
+    set route round-robin, exactly as :class:`~repro.service.ShardSet`
+    routes histogram batches.  :meth:`merged_patterns` sums the
     per-shard tables in O(shards x 2^n_items), and
     :meth:`pattern_counts_for` marginalizes the merged table down to one
     itemset's ``2^k`` observed counts — **bit-identical**, at any shard
@@ -328,55 +262,24 @@ class SupportShardSet:
     """
 
     def __init__(self, n_items: int, n_shards: int = 1) -> None:
-        if not isinstance(n_shards, (int, np.integer)) or n_shards < 1:
-            raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
-        self._n_items = _check_n_items(n_items)
-        self._shards = tuple(
-            SupportShard(self._n_items) for _ in range(int(n_shards))
+        super().__init__(
+            PatternLayout(n_items),
+            n_shards,
+            lambda layout: SupportShard(layout.n_items),
         )
-        self._route = 0
-        self._route_lock = threading.Lock()
 
     @property
     def n_items(self) -> int:
         """Size of the shared item universe."""
-        return self._n_items
+        return self._layout.n_items
 
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    def shard(self, index: int) -> SupportShard:
-        """The ``index``-th shard (for one-worker-per-shard deployments)."""
-        if not 0 <= index < len(self._shards):
-            raise ValidationError(
-                f"shard index {index} out of range [0, {len(self._shards)})"
-            )
-        return self._shards[index]
-
-    def __iter__(self):
-        return iter(self._shards)
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def prepare(self, baskets: object) -> PreparedBaskets:
+    def prepare(self, baskets: object) -> PreparedBatch:
         """Pack a basket batch into pattern codes, outside any lock."""
-        return self._shards[0].prepare(baskets)
+        return self._layout.prepare(baskets)
 
     def ingest(self, baskets: object, *, shard: int | None = None) -> int:
         """Route a basket batch to a shard (round-robin unless pinned)."""
-        return self.ingest_prepared(self.prepare(baskets), shard=shard)
-
-    def ingest_prepared(
-        self, prepared: PreparedBaskets, *, shard: int | None = None
-    ) -> int:
-        """Route a :class:`PreparedBaskets` to a shard and accumulate it."""
-        if shard is None:
-            with self._route_lock:
-                shard = self._route
-                self._route = (self._route + 1) % len(self._shards)
-        return self.shard(shard).ingest_prepared(prepared)
+        return self.ingest_prepared(self._layout.prepare(baskets), shard=shard)
 
     @property
     def n_seen(self) -> int:
@@ -385,10 +288,7 @@ class SupportShardSet:
 
     def merged_patterns(self) -> np.ndarray:
         """Merged full-pattern counts over every shard (a copy)."""
-        counts = np.zeros(1 << self._n_items)
-        for shard in self._shards:
-            counts += shard.pattern_counts()
-        return counts
+        return sum(shard.pattern_counts() for shard in self._shards)
 
     def pattern_counts_for(self, itemset) -> np.ndarray:
         """An itemset's ``2^k`` observed pattern counts, MSB-first.
@@ -400,16 +300,11 @@ class SupportShardSet:
         :func:`repro.mining.support_from_pattern_counts`.
         """
         return marginal_pattern_counts(
-            self.merged_patterns(), self._n_items, itemset
+            self.merged_patterns(), self.n_items, itemset
         )
-
-    def clear(self) -> None:
-        """Zero every shard."""
-        for shard in self._shards:
-            shard.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SupportShardSet(n_items={self._n_items}, "
+            f"SupportShardSet(n_items={self.n_items}, "
             f"n_shards={len(self._shards)}, records={self.n_seen})"
         )

@@ -116,7 +116,7 @@ class TrainingService:
 
     Labeled rows enter through :meth:`ingest` (or the HTTP front end's
     labeled wire frames): the batch lands in the service's per-class
-    shard stripes *and* in the training buffer.  Training rows must
+    shard blocks *and* in the training buffer.  Training rows must
     carry every attribute — trees route records on full rows.
 
     Examples
@@ -351,7 +351,7 @@ class TrainingService:
             labels = np.concatenate(
                 [block_labels for _, block_labels in blocks]
             )
-            # one stripe merge per attribute (minus the pre-existing
+            # one shard merge per attribute (minus the pre-existing
             # baseline), shared by the consistency check and the
             # reconstructions below
             matrices = {

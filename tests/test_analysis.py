@@ -500,14 +500,14 @@ class TestRealTree:
         original = project.module(shards_path)
         assert original is not None
         guarded = (
-            "        with stripe.lock:\n"
-            "            stripe.counts += binned\n"
-            "            stripe.seen += prepared.seen\n"
+            "        with self._lock:\n"
+            "            self._counts[cells] += counts\n"
+            "            self._seen += seen\n"
         )
         moved = (
-            "        with stripe.lock:\n"
-            "            stripe.seen += prepared.seen\n"
-            "        stripe.counts += binned\n"
+            "        with self._lock:\n"
+            "            self._seen += seen\n"
+            "        self._counts[cells] += counts\n"
         )
         assert original.source.count(guarded) == 1
         patched = parse_source(
@@ -522,7 +522,7 @@ class TestRealTree:
             if f.rule == "L001" and f.path == shards_path
         ]
         assert races, "moved guarded mutation was not flagged by L001"
-        assert any("'counts'" in f.message for f in races)
+        assert any("'_counts'" in f.message for f in races)
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,9 @@ class TestShardSet:
 
     def test_rejects_bad_shard_count(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
-        with pytest.raises(ValidationError):
-            ShardSet({"x": y_part}, n_shards=0)
+        for bad in (0, 1.5, "2", True):
+            with pytest.raises(ValidationError):
+                ShardSet({"x": y_part}, n_shards=bad)
 
     def test_merged_equals_single_histogram(self, part, noise):
         """The acceptance contract at the histogram level: merged shard
@@ -334,7 +335,7 @@ class TestQuantizedColumns:
 
 class TestStripedAccumulators:
     def test_stripes_merge_to_exact_counts(self, part, noise):
-        """Many writer threads -> many stripes; partial() is still the
+        """Six writer threads into one shard; partial() is still the
         exact histogram of everything ingested."""
         y_part = part.expanded(noise.support_half_width())
         shard = HistogramShard({"x": y_part})
@@ -349,7 +350,6 @@ class TestStripedAccumulators:
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             list(pool.map(worker, range(6)))
-        assert len(shard._stripes) >= 1  # striped, not a single buffer
         counts, seen = shard.partial("x")
         assert np.array_equal(counts, y_part.histogram(w))
         assert seen == w.size
@@ -406,6 +406,9 @@ class TestAggregationServiceBasics:
             AggregationService([spec], stopping="sometimes")
         with pytest.raises(ValidationError):
             AggregationService([spec], max_iterations=0)
+        for bad in (0, 1.5, "2", True):
+            with pytest.raises(ValidationError):
+                AggregationService([spec], n_shards=bad)
 
     def test_estimate_requires_data(self, spec):
         service = AggregationService([spec])
@@ -941,3 +944,7 @@ class TestServiceFromSpec:
                     ]
                 }
             )
+        attributes = [{"name": "x", "low": 0, "high": 1}]
+        for bad in (0, 1.5, "x", True):
+            with pytest.raises(ValidationError):
+                service_from_spec({"shards": bad, "attributes": attributes})

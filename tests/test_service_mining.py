@@ -18,6 +18,8 @@ these are the deterministic, known-answer complements.
 from __future__ import annotations
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -87,6 +89,32 @@ class TestSupportShard:
     def test_merge_rejects_mismatched_universe(self):
         with pytest.raises(ValidationError):
             SupportShard(3).merge_from(SupportShard(4))
+
+    def test_merge_racing_writers_copies_counts_and_total_together(self):
+        """Four writers share one shard buffer: no update is lost, and a
+        merge racing them copies counts and transaction total in one
+        read, so the merged counts always sum to the merged total."""
+        source = SupportShard(3)
+        batch = np.ones((16, 3), dtype=bool)
+
+        def writer():
+            for _ in range(2_000):
+                source.ingest(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                writers = [pool.submit(writer) for _ in range(4)]
+                while not all(w.done() for w in writers):
+                    merged = SupportShard(3).merge_from(source)
+                    assert merged.pattern_counts().sum() == merged.n_seen
+                for w in writers:
+                    w.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert source.n_seen == 4 * 2_000 * 16
+        assert source.pattern_counts()[-1] == 4 * 2_000 * 16
 
     def test_clear(self, rng):
         shard = SupportShard(3)
@@ -187,8 +215,9 @@ class TestSupportShardSet:
         assert shards.merged_patterns().sum() == 0.0
 
     def test_rejects_bad_shard_count(self):
-        with pytest.raises(ValidationError):
-            SupportShardSet(3, n_shards=0)
+        for bad in (0, 1.5, "2", True):
+            with pytest.raises(ValidationError):
+                SupportShardSet(3, n_shards=bad)
 
 
 class TestMiningService:
@@ -285,6 +314,9 @@ class TestMiningFromSpec:
             mining_from_spec({"items": 5})
         with pytest.raises(ValidationError):
             mining_from_spec({"items": 5, "keep_prob": 0.5})
+        for bad in (0, 1.5, "x", True):
+            with pytest.raises(ValidationError):
+                mining_from_spec({"items": 5, "keep_prob": 0.9, "shards": bad})
 
 
 class TestMinedRulesSnapshot:
