@@ -17,26 +17,25 @@ serving disciplines on identical pre-encoded columnar bodies:
 * **deferred, 1/2/4 workers** — batches fan out round-robin to the
   workers and the coordinator reconstructs once at the end.
 
-Asserted:
+Asserted: coordinator estimates are **bit-identical** to a
+single-process service fed the same disclosures and refreshed at the
+same points (eager leg: refresh per batch; deferred legs: one final
+refresh).
 
-* coordinator estimates are **bit-identical** to a single-process
-  service fed the same disclosures and refreshed at the same points
-  (eager leg: refresh per batch; deferred legs: one final refresh), and
-* the 4-worker deferred cluster ingests at >= 2x the eager leg's rate.
-
-On a single core the worker counts roughly tie (processes compete for
-the same CPU; scale-out is about using *more machines*, which a CI
-runner does not have) — the asserted >= 2x win is architectural:
+Recorded: the 4-worker deferred cluster's rate over the eager leg's as
+``timing.speedup_4_workers``, whose declared floor ``ppdm bench
+compare`` checks.  On a single core the worker counts roughly tie
+(processes compete for the same CPU; scale-out is about using *more
+machines*, which a CI runner does not have) — the win is architectural:
 deferred O(bins) partial merges instead of per-batch reconstruction
 sweeps.  The deferred 4-vs-1-worker ratio is recorded as an
-informational metric without a floor.
+informational timing without a floor.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import os
 import time
 from urllib.parse import urlparse
 
@@ -61,13 +60,6 @@ SPEC = {
         for j in range(N_ATTRIBUTES)
     ],
 }
-
-
-def _throughput_floor_scale() -> float:
-    """Scales the wall-clock throughput threshold (parity asserts are
-    unaffected).  Shared CI runners set this below 1 so a noisy neighbour
-    cannot flake the build while a real regression still fails."""
-    return float(os.environ.get("PPDM_E23_THROUGHPUT_FLOOR", "1.0"))
 
 
 def _reference_service():
@@ -176,6 +168,7 @@ def _assert_parity(reference, estimates, n_records_per_attribute) -> None:
     title="Multi-worker cluster ingest throughput",
     tags=("service", "cluster", "smoke"),
     seed=7,
+    floors={"speedup_4_workers": 1.0},
 )
 def run_e23(ctx):
     n_per_attribute = ctx.scaled(48_000)
@@ -258,9 +251,6 @@ def run_e23(ctx):
             for k, v in deferred_seconds.items()
         },
     )
-
-    floor = 2.0 * _throughput_floor_scale()
-    assert speedup >= floor, f"expected >= {floor:.2f}x, got {speedup:.2f}x"
 
     return {
         "bit_identical": True,

@@ -17,12 +17,14 @@ Asserted, at 1 and 4 shards:
 
 Measured: batched ingest wall time into the support shards and the
 mine-after-ingest latency (merge + marginalize + invert + rules), per
-shard count.
+shard count.  Mine-after-ingest is O(2^n_items), independent of n, so
+it stays far below re-mining the basket matrix: ``ppdm bench compare``
+checks the declared floor of ``timing.{k}_shards_mine_headroom``, which
+is ``max(5 x offline_s, 2 s) / mine_s``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -43,14 +45,6 @@ MIN_SUPPORT = 0.15
 MIN_CONFIDENCE = 0.4
 SHARD_COUNTS = (1, 4)
 N_BATCHES = 64
-
-
-def _latency_floor_scale() -> float:
-    """Scales the wall-clock latency thresholds (parity asserts are
-    unaffected).  Shared CI runners set this below 1 so a noisy
-    neighbour cannot flake the build while a real regression still
-    fails."""
-    return float(os.environ.get("PPDM_E24_LATENCY_FLOOR", "1.0"))
 
 
 def _canonical(rule):
@@ -78,6 +72,7 @@ def _service_mine(disclosed, n_shards: int):
     title="Association mining over the live service (parity + latency)",
     tags=("service", "mining", "smoke"),
     seed=2400,
+    floors={f"{k}_shards_mine_headroom": 0.5 for k in SHARD_COUNTS},
 )
 def run_e24(ctx):
     n = ctx.scaled(20_000)
@@ -99,7 +94,6 @@ def run_e24(ctx):
     assert frozenset({0, 1}) in offline_sets
     assert frozenset({2, 3, 4}) in offline_sets
 
-    scale = _latency_floor_scale()
     rows = []
     timing = {"offline_mine_ms": offline_seconds * 1e3}
     metrics = {
@@ -116,9 +110,6 @@ def run_e24(ctx):
             offline_rules, key=_canonical
         ), f"service rules diverge at {n_shards} shard(s)"
         assert result.n_baskets == n
-        # mine-after-ingest latency is O(2^n_items), independent of n —
-        # it must stay far below re-mining the full basket matrix
-        assert result.mine_seconds < max(offline_seconds * 5, 2.0) / scale
         rows.append(
             (
                 str(n_shards),
@@ -132,6 +123,9 @@ def run_e24(ctx):
         )
         timing[f"{n_shards}_shards_ingest_ms"] = ingest_seconds * 1e3
         timing[f"{n_shards}_shards_mine_ms"] = result.mine_seconds * 1e3
+        timing[f"{n_shards}_shards_mine_headroom"] = (
+            max(offline_seconds * 5, 2.0) / result.mine_seconds
+        )
 
     table = format_table(
         (

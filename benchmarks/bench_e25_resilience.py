@@ -19,21 +19,19 @@ real HTTP server:
   it with :func:`~repro.service.resilience.recover_service` (timed) —
   the window a crashed server stays dark before serving again.
 
-Asserted:
+Asserted: the chaos leg's estimate is **bit-identical** to the
+fault-free leg's and to a single-process reference (refreshed once
+each), and so is the estimate of the recovered service.
 
-* the chaos leg's estimate is **bit-identical** to the fault-free leg's
-  and to a single-process reference (refreshed once each), and so is
-  the estimate of the recovered service;
-* chaos-leg throughput stays within an architectural floor of the
-  fault-free rate — retries cost the injected fraction, not an
-  order of magnitude.
+Recorded: the chaos leg's throughput over the fault-free rate as
+``timing.chaos_vs_clean``, whose declared floor ``ppdm bench compare``
+checks — retries cost the injected fraction, not an order of magnitude.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import os
 import tempfile
 import threading
 import time
@@ -59,13 +57,6 @@ SPEC = {
          "noise": "uniform", "privacy": 1.0},
     ],
 }
-
-
-def _throughput_floor_scale() -> float:
-    """Scales the wall-clock throughput threshold (parity asserts are
-    unaffected).  Shared CI runners set this below 1 so a noisy neighbour
-    cannot flake the build while a real regression still fails."""
-    return float(os.environ.get("PPDM_E25_THROUGHPUT_FLOOR", "1.0"))
 
 
 def _disclosures(n_records: int, seed: int):
@@ -145,6 +136,7 @@ def _assert_parity(estimate: dict, expected, n_records: int) -> None:
     title="Ingest under faults + crash recovery cost",
     tags=("service", "resilience", "smoke"),
     seed=11,
+    floors={"chaos_vs_clean": 0.15},
 )
 def run_e25(ctx):
     n_records = ctx.scaled(32_000)
@@ -245,12 +237,6 @@ def run_e25(ctx):
         persist_ms=persist_seconds * 1e3,
         recover_ms=recover_seconds * 1e3,
         chaos_vs_clean=ratio,
-    )
-
-    floor = 0.3 * _throughput_floor_scale()
-    assert ratio >= floor, (
-        f"chaos-leg throughput {ratio:.2f}x of fault-free is below the "
-        f"{floor:.2f}x floor"
     )
 
     return {

@@ -30,6 +30,7 @@ __all__ = [
     "BenchArtifact",
     "artifact_path",
     "check_metrics",
+    "check_timing",
     "host_info",
     "load_artifact",
     "load_artifact_dir",
@@ -68,6 +69,22 @@ def check_metrics(metrics, *, label: str = "metrics") -> dict:
                 f"(bool/int/float/str/None), got {type(value).__name__}"
             )
     return dict(metrics)
+
+
+def check_timing(timing, *, label: str = "timing") -> dict:
+    """Validate a flat ``{str: number}`` mapping and return it as a dict.
+
+    Timings are measurements — seconds, kilobytes, speedup ratios — that
+    the comparator divides and checks against floors, so unlike metrics
+    they admit only ``int`` and ``float`` values (``bool`` excluded).
+    """
+    timing = check_metrics(timing, label=label)
+    for key, value in timing.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise BenchmarkError(
+                f"{label}[{key!r}] must be a number, got {type(value).__name__}"
+            )
+    return timing
 
 
 #: encoding of non-finite floats in the JSON documents.  ``json.dumps``
@@ -201,7 +218,10 @@ class BenchArtifact:
         for section in ("params", "metrics", "timing"):
             doc[section] = _decode_nonfinite(doc[section])
         check_metrics(doc["metrics"], label=f"{source} metrics")
-        return cls(**doc)
+        artifact = cls(**doc)
+        check_metrics(artifact.params, label=f"{source} params")
+        check_timing(artifact.timing, label=f"{source} timing")
+        return artifact
 
 
 def artifact_path(directory, experiment_id: str) -> Path:

@@ -9,6 +9,11 @@
 * **wall clock** is judged against a slack factor
   (``--fail-on-regression 1.3x``), and can be demoted to a warning on
   shared CI runners where neighbours distort timings;
+* **floors** declared on ``@experiment(floors=...)`` are checked on
+  every candidate artifact, with or without a baseline: a ``timing``
+  value below its floor, or a declared key the run did not record, is
+  always a failure — ``--wall-warn-only`` demotes only the baseline
+  wall ratio;
 * a baseline experiment missing from the candidate is a failure
   (deleting a benchmark must be explicit), a new candidate experiment is
   informational.
@@ -68,7 +73,7 @@ class Finding:
     """One comparator observation about one experiment."""
 
     experiment_id: str
-    kind: str  # missing | added | failed | config | metric | wall
+    kind: str  # missing | added | failed | config | metric | wall | floor
     severity: str  # info | warn | fail
     detail: str
 
@@ -156,6 +161,18 @@ def _compare_metrics(base: dict, cand: dict, rtol: float) -> list:
     return problems
 
 
+def _floor_misses(artifact, floors: dict) -> list:
+    """Descriptions of the declared floors ``artifact`` does not meet."""
+    misses = []
+    for key, minimum in sorted(floors.items()):
+        value = artifact.timing.get(key)
+        if value is None:
+            misses.append(f"floor key {key!r} was not recorded")
+        elif not value >= minimum:  # NaN misses too
+            misses.append(f"{key} = {value:.3g} is below its floor {minimum:g}")
+    return misses
+
+
 def compare_artifacts(
     baseline: dict,
     candidate: dict,
@@ -163,12 +180,15 @@ def compare_artifacts(
     wall_factor: float = 1.3,
     metric_rtol: float = 1e-9,
     wall_action: str = "fail",
+    floors: dict = None,
 ) -> ComparisonReport:
     """Compare two id-keyed artifact mappings.
 
     ``wall_action`` is ``"fail"`` or ``"warn"`` — the severity a
     wall-clock regression beyond ``wall_factor`` is reported at (metric
-    drift is always a failure).
+    drift is always a failure).  ``floors`` maps an experiment id to its
+    declared ``{timing key: minimum}``; every candidate artifact is
+    checked against it, and a miss always fails.
     """
     if wall_action not in ("fail", "warn"):
         raise BenchmarkError(
@@ -176,6 +196,7 @@ def compare_artifacts(
         )
     wall_factor = parse_wall_factor(wall_factor)
     report = ComparisonReport(wall_factor=wall_factor, metric_rtol=metric_rtol)
+    floors = floors or {}
 
     for experiment_id in sorted(set(baseline) | set(candidate), key=_natural_key):
         base = baseline.get(experiment_id)
@@ -191,6 +212,9 @@ def compare_artifacts(
             )
             report.rows.append((experiment_id, _wall(base), "-", "-", "missing"))
             continue
+        misses = _floor_misses(cand, floors.get(experiment_id, {}))
+        for miss in misses:
+            report.findings.append(Finding(experiment_id, "floor", "fail", miss))
         if base is None:
             report.findings.append(
                 Finding(
@@ -200,10 +224,11 @@ def compare_artifacts(
                     "new experiment (no baseline to compare against)",
                 )
             )
-            report.rows.append((experiment_id, "-", _wall(cand), "-", "new"))
+            verdict = "below-floor" if misses else "new"
+            report.rows.append((experiment_id, "-", _wall(cand), "-", verdict))
             continue
 
-        verdict = "ok"
+        verdict = "below-floor" if misses else "ok"
         if cand.status != "ok":
             detail = f"candidate run status is {cand.status!r}"
             if cand.error:
@@ -285,6 +310,7 @@ def compare_dirs(
     wall_factor: float = 1.3,
     metric_rtol: float = 1e-9,
     wall_action: str = "fail",
+    floors: dict = None,
 ) -> ComparisonReport:
     """Load two artifact directories and compare them."""
     return compare_artifacts(
@@ -293,4 +319,5 @@ def compare_dirs(
         wall_factor=wall_factor,
         metric_rtol=metric_rtol,
         wall_action=wall_action,
+        floors=floors,
     )

@@ -5,11 +5,12 @@ function decorated with :func:`experiment`:
 
 .. code-block:: python
 
-    @experiment("e19", title="Engine batching", tags=("engine", "smoke"),
-                seed=7)
-    def run_e19(ctx):
+    @experiment("e20", title="Service throughput", tags=("service", "smoke"),
+                seed=7, floors={"speedup_4_shards": 1.0})
+    def run_e20(ctx):
         ...
-        return {"speedup": speedup}
+        ctx.record_timing(speedup_4_shards=speedup)
+        return {"bit_identical": True}
 
 Importing the module registers the experiment; :func:`discover` imports
 every ``bench_e*.py`` under a benchmarks directory in a deterministic
@@ -20,18 +21,25 @@ The registered function takes one argument, an
 :class:`~repro.bench.runner.ExperimentContext`, and returns a flat dict
 of JSON-scalar metrics; the runner turns that into a schema-versioned
 ``BENCH_<id>.json`` artifact (:mod:`repro.bench.artifacts`).
+
+Wall-clock expectations are declared, never asserted: ``floors`` maps
+keys the body records with ``ctx.record_timing`` to their minimum, and
+only ``ppdm bench compare`` (:mod:`repro.bench.compare`) checks them.
+The body itself asserts only what is deterministic at a fixed seed.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import util as importlib_util
 from pathlib import Path
 from typing import Callable
 
+from repro.bench.artifacts import check_timing
 from repro.exceptions import BenchmarkError
 
 __all__ = [
@@ -96,6 +104,11 @@ class Experiment:
         given, and falls back to this otherwise.
     module:
         Name of the module that registered the experiment.
+    floors:
+        Minimum values for keys of the artifact's ``timing`` section,
+        e.g. ``{"speedup_4_shards": 1.0}``.  ``ppdm bench compare``
+        fails a candidate whose recorded value is below its floor, or
+        that did not record the key at all.
     """
 
     id: str
@@ -104,6 +117,7 @@ class Experiment:
     tags: tuple = ()
     seed: int = 7
     module: str = ""
+    floors: dict = field(default_factory=dict, hash=False)
 
 
 class ExperimentRegistry:
@@ -124,6 +138,7 @@ class ExperimentRegistry:
                 f"invalid experiment id {spec.id!r}: ids are alphanumeric "
                 "plus '_', '.', '-'"
             )
+        _check_floors(spec)
         if spec.id in self._specs:
             other = self._specs[spec.id]
             site = _definition_site(spec.fn)
@@ -184,6 +199,17 @@ class ExperimentRegistry:
         self._specs.clear()
 
 
+def _check_floors(spec: Experiment) -> None:
+    """Reject floors that could never gate: bad keys, non-positive minima."""
+    label = f"experiment {spec.id!r} floors"
+    for key, minimum in check_timing(spec.floors, label=label).items():
+        if not key or not (math.isfinite(minimum) and minimum > 0):
+            raise BenchmarkError(
+                f"{label}[{key!r}] = {minimum!r}: keys must be non-empty, "
+                "minima finite and > 0"
+            )
+
+
 #: process-global registry the :func:`experiment` decorator writes to
 REGISTRY = ExperimentRegistry()
 
@@ -194,13 +220,15 @@ def experiment(
     title: str = "",
     tags: tuple = (),
     seed: int = 7,
+    floors: dict = None,
     registry: ExperimentRegistry = None,
 ) -> Callable:
     """Register the decorated function as a benchmark experiment.
 
     The function keeps working as a plain callable (the pytest wrappers
     call it directly); registration only adds it to ``registry``
-    (default: the process-global :data:`REGISTRY`).
+    (default: the process-global :data:`REGISTRY`).  ``floors`` declares
+    the experiment's wall-clock floors (see :class:`Experiment`).
     """
     target = REGISTRY if registry is None else registry
 
@@ -212,6 +240,7 @@ def experiment(
             tags=tuple(tags),
             seed=seed,
             module=getattr(fn, "__module__", ""),
+            floors=dict(floors or {}),
         )
         target.register(spec)
         fn.experiment = spec

@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.bench.artifacts import (
     BenchArtifact,
     check_metrics,
+    check_timing,
     host_info,
     write_artifact,
 )
@@ -68,8 +69,8 @@ class ExperimentContext:
     timings:
         Extra *volatile* measurements declared via :meth:`record_timing`
         (e.g. a measured speedup); merged into the artifact's ``timing``
-        section, which the comparator treats with slack rather than the
-        exact-match rule it applies to ``metrics``.
+        section, which the comparator never matches exactly: it checks
+        these keys only against the experiment's declared floors.
     """
 
     def __init__(
@@ -104,8 +105,8 @@ class ExperimentContext:
         self.params.update(check_metrics(params, label="params"))
 
     def record_timing(self, **timings) -> None:
-        """Attach volatile measurements (never compared exactly)."""
-        self.timings.update(check_metrics(timings, label="timings"))
+        """Attach volatile numeric measurements (never compared exactly)."""
+        self.timings.update(check_timing(timings, label="timings"))
 
     def report(self, text: str, *, name: str = None) -> None:
         """Render one ASCII table: collect, optionally print and persist.

@@ -275,14 +275,18 @@ def _cmd_bench_list(args) -> int:
 
 
 def _cmd_bench_compare(args) -> int:
-    from repro.bench import compare_dirs
+    from repro.bench import REGISTRY, compare_dirs, discover
 
+    # floors are declared on @experiment: discover the registry the same
+    # way `bench run` does and check every candidate against it
+    discover()
     report = compare_dirs(
         args.baseline,
         args.candidate,
         wall_factor=args.fail_on_regression,
         metric_rtol=args.metric_rtol,
         wall_action="warn" if args.wall_warn_only else "fail",
+        floors={spec.id: spec.floors for spec in REGISTRY.select()},
     )
     print(report.format())
     return 0 if report.passed else 1
@@ -1524,7 +1528,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument(
         "--wall-warn-only", action="store_true",
-        help="report wall-clock regressions as warnings (shared CI runners)",
+        help="report baseline wall-clock regressions as warnings (shared CI "
+        "runners); declared floors still fail",
     )
     b.set_defaults(func=_cmd_bench_compare)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -11,11 +12,17 @@ from repro.bench import (
     ARTIFACT_PREFIX,
     SCHEMA_VERSION,
     BenchArtifact,
+    compare_dirs,
     load_artifact,
     load_artifact_dir,
     write_artifact,
 )
-from repro.bench.artifacts import artifact_path, check_metrics, host_info
+from repro.bench.artifacts import (
+    artifact_path,
+    check_metrics,
+    check_timing,
+    host_info,
+)
 from repro.exceptions import BenchmarkError
 
 
@@ -133,6 +140,47 @@ class TestSchemaValidation:
         with pytest.raises(BenchmarkError, match="does not exist"):
             load_artifact(tmp_path / "BENCH_ghost.json")
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("timing", []),
+            ("timing", {"wall_seconds": "slow"}),
+            ("timing", {"speedup": True}),
+            ("timing", {"speedup": None}),
+            ("params", {"n": {"nested": 1}}),
+            ("params", ["n"]),
+        ],
+        ids=[
+            "timing-list",
+            "timing-str",
+            "timing-bool",
+            "timing-none",
+            "params-nested",
+            "params-list",
+        ],
+    )
+    def test_malformed_section_rejected_naming_the_file(
+        self, tmp_path, section, value
+    ):
+        path = write_artifact(_artifact(), tmp_path)
+        doc = json.loads(path.read_text())
+        doc[section] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BenchmarkError, match=re.escape(str(path))):
+            load_artifact(path)
+
+    @pytest.mark.parametrize(
+        "timing", [[], {"wall_seconds": "slow"}], ids=["list", "str-wall"]
+    )
+    def test_compare_rejects_malformed_timing_cleanly(self, tmp_path, timing):
+        write_artifact(_artifact(), tmp_path / "base")
+        path = write_artifact(_artifact(), tmp_path / "cand")
+        doc = json.loads(path.read_text())
+        doc["timing"] = timing
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BenchmarkError, match="timing"):
+            compare_dirs(tmp_path / "base", tmp_path / "cand")
+
 
 class TestCheckMetrics:
     def test_accepts_scalars(self):
@@ -150,6 +198,17 @@ class TestCheckMetrics:
     def test_rejects_non_dict(self):
         with pytest.raises(BenchmarkError, match="must be a dict"):
             check_metrics([1, 2])
+
+
+class TestCheckTiming:
+    def test_accepts_numbers(self):
+        timing = {"wall_seconds": 0.5, "peak_rss_kb": 100, "ratio": math.nan}
+        assert check_timing(timing) == timing
+
+    @pytest.mark.parametrize("value", ["slow", True, None, [1.0]])
+    def test_rejects_non_numbers(self, value):
+        with pytest.raises(BenchmarkError, match="timing"):
+            check_timing({"speedup": value})
 
 
 class TestDirectoryLoading:

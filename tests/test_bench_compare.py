@@ -169,6 +169,68 @@ class TestCompare:
         assert "result: FAIL" in text
 
 
+class TestFloors:
+    FLOORS = {"e1": {"speedup": 2.0}}
+
+    @staticmethod
+    def _timed(speedup=None, **kwargs):
+        timing = {"wall_seconds": 1.0, "peak_rss_kb": 1000}
+        if speedup is not None:
+            timing["speedup"] = speedup
+        return _artifact(timing=timing, **kwargs)
+
+    def test_floor_miss_fails_even_when_wall_only_warns(self):
+        report = compare_artifacts(
+            {"e1": self._timed(3.0)},
+            {"e1": self._timed(1.5)},
+            wall_action="warn",
+            floors=self.FLOORS,
+        )
+        assert not report.passed
+        assert [f.kind for f in report.failures] == ["floor"]
+        assert "below its floor 2" in report.failures[0].detail
+        assert report.rows[0][-1] == "below-floor"
+
+    def test_met_floor_passes(self):
+        report = compare_artifacts(
+            {"e1": self._timed(3.0)},
+            {"e1": self._timed(2.0)},
+            floors=self.FLOORS,
+        )
+        assert report.passed
+        assert report.rows[0][-1] == "ok"
+
+    def test_missing_floor_key_fails(self):
+        report = compare_artifacts(
+            {"e1": self._timed(3.0)},
+            {"e1": self._timed()},
+            wall_action="warn",
+            floors=self.FLOORS,
+        )
+        assert not report.passed
+        assert "'speedup' was not recorded" in report.failures[0].detail
+
+    def test_nan_misses_the_floor(self):
+        report = compare_artifacts(
+            {"e1": self._timed(3.0)},
+            {"e1": self._timed(float("nan"))},
+            floors=self.FLOORS,
+        )
+        assert [f.kind for f in report.failures] == ["floor"]
+
+    def test_experiment_without_baseline_is_floor_checked(self):
+        cand = {"e1": self._timed(1.0), "e2": self._timed(1.0, experiment_id="e2")}
+        report = compare_artifacts(
+            {"e2": self._timed(1.0, experiment_id="e2")},
+            cand,
+            floors=self.FLOORS,
+        )
+        assert [(f.experiment_id, f.kind) for f in report.failures] == [
+            ("e1", "floor")
+        ]
+        assert report.rows[0] == ("e1", "-", "1.000", "-", "below-floor")
+
+
 class TestCompareDirs:
     def test_round_trip_through_disk(self, tmp_path):
         base_dir, cand_dir = tmp_path / "base", tmp_path / "cand"

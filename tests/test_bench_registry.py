@@ -128,6 +128,59 @@ class TestDecorator:
         assert run_toy(None) == {"x": 1}
 
 
+class TestFloors:
+    def test_decorator_stores_floors(self):
+        registry = ExperimentRegistry()
+
+        @experiment("toy", floors={"speedup": 1.5}, registry=registry)
+        def run_toy(ctx):
+            return {}
+
+        assert registry.get("toy").floors == {"speedup": 1.5}
+        assert _spec("e1").floors == {}
+
+    @pytest.mark.parametrize(
+        "floors",
+        [
+            {"": 1.0},
+            {1: 1.0},
+            {"speedup": True},
+            {"speedup": float("nan")},
+            {"speedup": float("inf")},
+            {"speedup": 0},
+            {"speedup": -0.5},
+            {"speedup": "1.0"},
+            ["speedup"],
+        ],
+    )
+    def test_invalid_floors_rejected(self, floors):
+        registry = ExperimentRegistry()
+        with pytest.raises(BenchmarkError, match="floors"):
+            registry.register(_spec("e1", floors=floors))
+        assert "e1" not in registry
+
+    def test_real_floors_sit_at_the_ci_bounds(self):
+        discover()
+        declared = {
+            spec.id: spec.floors for spec in REGISTRY.select() if spec.floors
+        }
+        assert declared == {
+            "e19_byclass": {"speedup": 1.0},
+            "e19_local": {"speedup": 0.75},
+            "e20": {"speedup_4_shards": 1.0},
+            "e21": {"speedup_4_shards": 1.5},
+            "e23": {"speedup_4_workers": 1.0},
+            "e24": {
+                "1_shards_mine_headroom": 0.5,
+                "4_shards_mine_headroom": 0.5,
+            },
+            "e25": {"chaos_vs_clean": 0.15},
+            "e26": {"quantized_vs_float_rate_4_shards": 0.3},
+        }
+        # every floored experiment is in the smoke set CI gates
+        assert all("smoke" in REGISTRY.get(i).tags for i in declared)
+
+
 class TestNaturalKey:
     def test_orders_numbers_numerically(self):
         ids = ["e10", "e9", "e1", "e19_byclass", "e19_local"]

@@ -932,6 +932,38 @@ class TestBenchCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bench_compare_floor_miss_fails_under_wall_warn_only(
+        self, capsys, tmp_path
+    ):
+        from repro.bench import BenchArtifact, write_artifact
+
+        def e20(timing):
+            return BenchArtifact(
+                experiment_id="e20",
+                seed=7,
+                scale=1.0,
+                timing={"wall_seconds": 1.0, **timing},
+            )
+
+        base, met, missed, unrecorded = (
+            tmp_path / name for name in ("base", "met", "missed", "unrecorded")
+        )
+        write_artifact(e20({"speedup_4_shards": 2.5}), base)
+        write_artifact(e20({"speedup_4_shards": 1.0}), met)
+        write_artifact(e20({"speedup_4_shards": 0.5}), missed)
+        write_artifact(e20({}), unrecorded)
+
+        def compare(candidate):
+            return main(
+                ["bench", "compare", str(base), str(candidate), "--wall-warn-only"]
+            )
+
+        assert compare(met) == 0
+        assert compare(missed) == 1
+        assert "speedup_4_shards = 0.5 is below its floor 1" in capsys.readouterr().out
+        assert compare(unrecorded) == 1
+        assert "'speedup_4_shards' was not recorded" in capsys.readouterr().out
+
     def test_bench_run_then_compare_round_trip(self, capsys, tmp_path):
         base = tmp_path / "base"
         assert main(
