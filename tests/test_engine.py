@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.core import (
     BayesReconstructor,
@@ -22,6 +23,7 @@ from repro.core.engine import (
     KernelCache,
     ReconstructionEngine,
     ReconstructionProblem,
+    _chi2_fit,
     _run_bayes_batch,
 )
 from repro.core.reconstruction import _prepare, _run_bayes
@@ -379,3 +381,36 @@ class TestBatchBehaviour:
     def test_rejects_non_config(self):
         with pytest.raises(ValidationError):
             ReconstructionEngine(config={"max_iterations": 5})
+
+
+class TestChi2Threshold:
+    """The stopping test's critical value is bitwise ``scipy.stats.chi2.ppf``.
+
+    The engine evaluates it with ``scipy.special`` so that importing the
+    engine does not load ``scipy.stats``; this pins the values against a
+    future scipy release, on the memoized path and the uncached one.
+    """
+
+    MAX_DOF = 2000
+
+    @staticmethod
+    def _threshold(dof: int, ppf_cache) -> float:
+        # dof + 1 equal cells, each expecting 10 >= 5, so nothing is pooled
+        counts = np.full(dof + 1, 10.0)
+        return _chi2_fit(counts, counts, ppf_cache=ppf_cache)[1]
+
+    def test_uncached_matches_scipy_stats(self):
+        dofs = range(1, self.MAX_DOF + 1)
+        ours = [self._threshold(dof, None) for dof in dofs]
+        theirs = [float(stats.chi2.ppf(0.95, dof)) for dof in dofs]
+        assert np.array_equal(ours, theirs)
+
+    def test_memoized_matches_scipy_stats(self):
+        cache: dict = {}
+        dofs = range(1, self.MAX_DOF + 1)
+        ours = [self._threshold(dof, cache) for dof in dofs]
+        theirs = [float(stats.chi2.ppf(0.95, dof)) for dof in dofs]
+        assert np.array_equal(ours, theirs)
+        assert cache == dict(zip(dofs, theirs))
+        # A second pass is served from the memo with the same bits.
+        assert [self._threshold(dof, cache) for dof in dofs] == theirs

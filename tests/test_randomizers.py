@@ -121,6 +121,66 @@ class TestGaussianRandomizer:
             GaussianRandomizer(sigma=1.0).support_half_width(1.0)
 
 
+#: sigmas spanning the float range, down to 1e-300 and up to 1e300
+EXTREME_SIGMAS = (1e-300, 1e-150, 1e-5, 0.3, 1.0, 25.5, 1e150, 1e300)
+#: confidence levels in (0, 1), including both ends' extremes
+CONFIDENCE_GRID = (1e-9, *np.linspace(0.01, 0.99, 99).tolist(), 0.999, 1 - 1e-9)
+
+
+def _delta_grid(sigma: float) -> np.ndarray:
+    """Offsets with signed zeros, infinities, NaN, a subnormal and +-1e308."""
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308]
+    spread = np.random.default_rng(0).standard_normal(2000)
+    return np.concatenate([edges, spread, spread * sigma, spread * 1e-300])
+
+
+class TestGaussianMatchesScipyStats:
+    """The Gaussian randomizer is bitwise what ``scipy.stats.norm`` returns.
+
+    The randomizer calls the ``scipy.special`` kernels directly so that
+    importing it does not load ``scipy.stats``; these tests pin that the
+    values did not move, on this scipy and on any later one.
+    """
+
+    @pytest.mark.parametrize("sigma", EXTREME_SIGMAS)
+    def test_noise_pdf(self, sigma):
+        delta = _delta_grid(sigma)
+        with np.errstate(all="ignore"):
+            ours = GaussianRandomizer(sigma=sigma).noise_pdf(delta)
+            theirs = stats.norm.pdf(delta, scale=sigma)
+        assert np.array_equal(ours, theirs, equal_nan=True)
+
+    @pytest.mark.parametrize("sigma", EXTREME_SIGMAS)
+    def test_noise_cdf(self, sigma):
+        delta = _delta_grid(sigma)
+        with np.errstate(all="ignore"):
+            ours = GaussianRandomizer(sigma=sigma).noise_cdf(delta)
+            theirs = stats.norm.cdf(delta, scale=sigma)
+        assert np.array_equal(ours, theirs, equal_nan=True)
+
+    def test_from_privacy(self):
+        ours = [
+            GaussianRandomizer.from_privacy(1.5, 80.0, confidence=c).sigma
+            for c in CONFIDENCE_GRID
+        ]
+        theirs = [
+            1.5 * 80.0 / (2.0 * stats.norm.ppf(0.5 + c / 2.0)) for c in CONFIDENCE_GRID
+        ]
+        assert np.array_equal(ours, theirs)
+
+    def test_privacy_interval_width(self):
+        r = GaussianRandomizer(sigma=3.7)
+        ours = [r.privacy_interval_width(c) for c in CONFIDENCE_GRID]
+        theirs = [2.0 * stats.norm.ppf(0.5 + c / 2.0) * 3.7 for c in CONFIDENCE_GRID]
+        assert np.array_equal(ours, theirs)
+
+    def test_support_half_width(self):
+        r = GaussianRandomizer(sigma=3.7)
+        ours = [r.support_half_width(c) for c in CONFIDENCE_GRID]
+        theirs = [float(stats.norm.ppf(0.5 + c / 2.0) * 3.7) for c in CONFIDENCE_GRID]
+        assert np.array_equal(ours, theirs)
+
+
 class TestValueClassMembership:
     def test_discloses_midpoints(self, unit_partition):
         r = ValueClassMembership(unit_partition)
