@@ -681,6 +681,108 @@ class TestQuantizedFrames:
                 decode_labeled(frame[:cut])
 
 
+class TestGoldenBytes:
+    """v2-v5 frames pinned to bytes built by hand from the layouts in the
+    wire module docstring.  A round trip alone would still pass if the
+    encoder and decoder drifted together; these fail instead."""
+
+    def test_labeled_v2_frame_with_shard_pin(self):
+        frame = encode_columns(
+            {"ab": [0.5, -1.25], "c": [3.0, 1e-300]}, classes=[1, 0], shard=3
+        )
+        expected = (
+            struct.pack("<4sHHi", MAGIC, WIRE_VERSION_CLASSES, 2, 3)
+            + struct.pack("<Q", 2)  # class row count
+            + struct.pack("<H", 2) + b"ab" + struct.pack("<Q", 2)
+            + struct.pack("<H", 1) + b"c" + struct.pack("<Q", 2)
+            + struct.pack("<2i", 1, 0)  # class column
+            + struct.pack("<2d", 0.5, -1.25)
+            + struct.pack("<2d", 3.0, 1e-300)
+        )
+        assert frame == expected
+        ((batch, classes, shard),) = iter_labeled_frames(expected)
+        assert batch["ab"].tolist() == [0.5, -1.25]
+        assert batch["c"].tolist() == [3.0, 1e-300]
+        assert classes.tolist() == [1, 0]
+        assert shard == 3
+
+    def test_labeled_v5_frame_mixing_int8_int16_and_float64(self):
+        frame = encode_quantized(
+            {
+                "q": np.array([0, 5, 127], dtype=np.int8),
+                "w": np.array([1, 300, 0]),  # narrows to int16
+                "f": [0.25, 1.5, -3.0],
+            },
+            classes=[2, 0, 1],
+            shard=0,
+        )
+        expected = (
+            struct.pack("<4sHHi", MAGIC, WIRE_VERSION_QUANTIZED, 3, 0)
+            + struct.pack("<Q", 3)  # class row count
+            + struct.pack("<H", 1) + b"q" + struct.pack("<QB", 3, 1)
+            + struct.pack("<H", 1) + b"w" + struct.pack("<QB", 3, 2)
+            + struct.pack("<H", 1) + b"f" + struct.pack("<QB", 3, 0)
+            + struct.pack("<3i", 2, 0, 1)  # class column
+            + struct.pack("<3b", 0, 5, 127)
+            + struct.pack("<3h", 1, 300, 0)
+            + struct.pack("<3d", 0.25, 1.5, -3.0)
+        )
+        assert frame == expected
+        ((batch, classes, shard),) = iter_labeled_frames(expected)
+        assert [batch[n].dtype.str for n in "qwf"] == ["|i1", "<i2", "<f8"]
+        assert batch["w"].tolist() == [1, 300, 0]
+        assert classes.tolist() == [2, 0, 1]
+        assert shard == 0
+
+    def test_two_block_v3_partial_frame(self):
+        from repro.service.wire import (
+            WIRE_VERSION_PARTIAL,
+            encode_partial,
+            split_partial,
+        )
+
+        partials = {
+            "x": np.array([[1.0, 0.0, 3.0], [2.0, 5.0, 0.0]]),
+            "yy": np.array([[4.0, 4.0], [0.0, 1.0]]),
+        }
+        expected = (
+            struct.pack("<4sHHi", MAGIC, WIRE_VERSION_PARTIAL, 2, 2)
+            + struct.pack("<H", 1) + b"x" + struct.pack("<Q", 3)
+            + struct.pack("<H", 2) + b"yy" + struct.pack("<Q", 2)
+            + struct.pack("<6d", 1.0, 0.0, 3.0, 2.0, 5.0, 0.0)
+            + struct.pack("<4d", 4.0, 4.0, 0.0, 1.0)
+        )
+        assert encode_partial(partials) == expected
+        decoded, rest = split_partial(expected)
+        assert bytes(rest) == b""
+        assert list(decoded) == ["x", "yy"]
+        for name, matrix in partials.items():
+            assert np.array_equal(decoded[name], matrix)
+
+    def test_v4_basket_frames_with_multi_byte_varints(self):
+        first = np.zeros((3, 200), dtype=bool)
+        first[0, [150, 151]] = True  # two-byte varint ids
+        first[2, [0, 2]] = True  # row 1 stays empty
+        second = np.zeros((1, 200), dtype=bool)
+        second[0, 199] = True
+        body = encode_baskets(first, shard=1) + encode_baskets(second)
+        expected = (
+            struct.pack("<4sHHi", MAGIC, WIRE_VERSION_BASKETS, 200, 1)
+            + b"\x03"  # 3 transactions
+            + b"\x04\x00\x02"  # payload bytes per transaction
+            + b"\x96\x01\x97\x01"  # items 150, 151 (LEB128)
+            + b"\x00\x02"  # items 0, 2
+            + struct.pack("<4sHHi", MAGIC, WIRE_VERSION_BASKETS, 200, -1)
+            + b"\x01"  # 1 transaction
+            + b"\x02"  # 2 payload bytes
+            + b"\xc7\x01"  # item 199
+        )
+        assert body == expected
+        (m1, s1), (m2, s2) = iter_basket_frames(expected)
+        assert np.array_equal(m1, first) and s1 == 1
+        assert np.array_equal(m2, second) and s2 is None
+
+
 class TestFrameCellCap:
     """The shared decode-bomb guard across columnar and partial frames."""
 
