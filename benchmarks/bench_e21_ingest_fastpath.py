@@ -40,7 +40,7 @@ from _common import (
 )
 
 from repro.experiments.reporting import format_table
-from repro.service.wire import WIRE_VERSION, encode_columns, iter_frames
+from repro.service.wire import WIRE_VERSION, encode_columns, iter_labeled_frames
 
 N_ATTRIBUTES = 4
 N_BATCHES = 64
@@ -72,8 +72,8 @@ def _ingest_json(service, body: bytes, shard: int) -> None:
 
 def _ingest_columns(service, body: bytes, shard: int) -> None:
     """What the handler does for ``application/x-ppdm-columns``."""
-    for batch, _ in iter_frames(body):
-        service.ingest_prepared(service.prepare(batch), shard=shard)
+    for batch, classes, _ in iter_labeled_frames(body):
+        service.ingest_prepared(service.prepare(batch, classes), shard=shard)
 
 
 @experiment(

@@ -16,7 +16,7 @@ independent angles:
 
 This benchmark encodes identical disclosures through every
 (encoding x codec) leg, replays the bodies decode-first as the handler
-would (decompress + iter_frames + prepare + ingest) with 4 worker
+would (decompress + iter_labeled_frames + prepare + ingest) with 4 worker
 threads at 1 and 4 shards, and asserts:
 
 * estimates for **every** leg and shard count are bit-identical to a
@@ -54,7 +54,7 @@ from repro.service.wire import (
     decompress_payload,
     encode_columns,
     encode_quantized,
-    iter_frames,
+    iter_labeled_frames,
     supported_codecs,
 )
 
@@ -88,8 +88,8 @@ def _ingest_body(service, body: bytes, shard: int, codec: str) -> None:
     """What the handler does: bounded decompress, decode, fused ingest."""
     if codec != "identity":
         body = decompress_payload(body, codec, max_decoded=MAX_DECODED)
-    for batch, _ in iter_frames(body):
-        service.ingest_prepared(service.prepare(batch), shard=shard)
+    for batch, classes, _ in iter_labeled_frames(body):
+        service.ingest_prepared(service.prepare(batch, classes), shard=shard)
 
 
 @experiment(

@@ -11,8 +11,8 @@ that server's aggregation tier:
   workers hold a shard's one lock only for an O(bins) add, and a
   refresh merges in O(shards x bins),
 * :mod:`repro.service.wire` — the ``application/x-ppdm-columns`` binary
-  columnar wire format (:func:`encode_columns` / :func:`decode_columns`
-  / :func:`iter_frames`): raw little-endian float64 columns decoded
+  columnar wire format (:func:`encode_columns` /
+  :func:`iter_labeled_frames`): raw little-endian float64 columns decoded
   zero-copy via ``np.frombuffer``, quantized int8/int16 bin-index
   columns (:func:`encode_quantized`, wire v5), per-body compression
   negotiated over ``Content-Encoding`` (:func:`compress_payload` /
@@ -95,17 +95,12 @@ from repro.service.support import SupportShard, SupportShardSet
 from repro.service.training import TrainedModel, TrainingService
 from repro.service.wire import (
     compress_payload,
-    decode_baskets,
-    decode_columns,
-    decode_labeled,
-    decode_partial,
     decompress_payload,
     encode_baskets,
     encode_columns,
     encode_partial,
     encode_quantized,
     iter_basket_frames,
-    iter_frames,
     iter_labeled_frames,
     iter_labeled_ndjson,
     resolve_codec,
@@ -137,17 +132,12 @@ __all__ = [
     "mining_from_spec",
     "service_from_spec",
     "compress_payload",
-    "decode_baskets",
-    "decode_columns",
-    "decode_labeled",
-    "decode_partial",
     "decompress_payload",
     "encode_baskets",
     "encode_columns",
     "encode_partial",
     "encode_quantized",
     "iter_basket_frames",
-    "iter_frames",
     "iter_labeled_frames",
     "iter_labeled_ndjson",
     "resolve_codec",

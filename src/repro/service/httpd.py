@@ -94,6 +94,7 @@ from repro.service.wire import (
     CONTENT_TYPE_PARTIAL,
     WIRE_CODEC_IDENTITY,
     _has_quantized_columns,
+    _read_record,
     decompress_payload,
     iter_basket_frames,
     iter_labeled_frames,
@@ -473,18 +474,7 @@ class ServiceHTTPServer:
                     "error": "the coordinator does not ingest; POST "
                     "/ingest to a worker (GET /cluster lists them)"
                 }
-            if not isinstance(payload, dict) or "batch" not in payload:
-                return 400, {"error": 'body must be {"batch": {name: [values]}}'}
-            batch = payload["batch"]
-            if not isinstance(batch, dict):
-                return 400, {"error": "'batch' must map attribute -> values"}
-            shard = payload.get("shard")
-            if shard is not None and not isinstance(shard, int):
-                return 400, {"error": "'shard' must be an integer"}
-            classes = payload.get("classes")
-            if classes is not None and not isinstance(classes, list):
-                return 400, {"error": "'classes' must be a list of labels"}
-            ingested, _ = self._absorb_frames([(batch, classes, shard)])
+            ingested, _ = self._absorb_frames([_read_record(payload, "body")])
             return 200, {
                 "ingested": ingested,
                 "records": sum(self.service.n_seen().values()),

@@ -212,13 +212,6 @@ class ColumnLayout:
         offset = class_block * self.base_bins + self._offsets[name]
         return slice(offset, offset + self._partitions[name].n_intervals)
 
-    def class_slices(self, name: str) -> tuple:
-        """All of ``name``'s class-block slices: unlabeled, then classes."""
-        self.require(name)
-        return tuple(
-            self.slice_of(name, block) for block in range(self.n_classes + 1)
-        )
-
     def require(self, name: str) -> None:
         """Raise :class:`ValidationError` unless ``name`` is in the schema."""
         if name not in self._partitions:

@@ -141,12 +141,18 @@ decoded size) raises :class:`~repro.exceptions.DecodedSizeError`
 instead of exhausting memory.
 
 Frames are self-delimiting, so a request body may concatenate any
-number of them (:func:`iter_frames` / :func:`iter_labeled_frames` /
+number of them (:func:`iter_labeled_frames` /
 :func:`iter_basket_frames`) and a persistent connection can stream
 batch after batch.  The NDJSON fallback (``application/x-ndjson``)
 keeps the same many-batches-per-body shape curl-able: one
 ``{"batch": ..., "shard": ..., "classes": ...}`` JSON object per line
-(``classes`` optional).
+(``shard`` and ``classes`` optional) — the record a JSON
+``POST /ingest`` body carries, checked by the same reader.
+
+A shard pin is ``None`` (unpinned) or an integer in ``[0, 2**31)``:
+encoders raise :class:`~repro.exceptions.ValidationError` for anything
+else, JSON records must not pin a boolean, and decoders treat an i32
+pin below ``-1`` as a malformed frame.
 
 Malformed frames raise :class:`~repro.exceptions.ValidationError`
 (decode bombs and codec corruption the sharper
@@ -157,6 +163,7 @@ front end maps to status 400 (413 for decoded-size-cap hits).
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 import zlib
 
@@ -185,10 +192,6 @@ __all__ = [
     "WIRE_VERSION_PARTIAL",
     "WIRE_VERSION_QUANTIZED",
     "compress_payload",
-    "decode_baskets",
-    "decode_columns",
-    "decode_labeled",
-    "decode_partial",
     "decompress_payload",
     "encode_baskets",
     "encode_columns",
@@ -196,10 +199,8 @@ __all__ = [
     "encode_partial",
     "encode_quantized",
     "iter_basket_frames",
-    "iter_frames",
     "iter_labeled_frames",
     "iter_labeled_ndjson",
-    "iter_ndjson",
     "resolve_codec",
     "split_partial",
     "supported_codecs",
@@ -247,6 +248,48 @@ _CODE_BY_DTYPE = {_F8: 0, _I1: 1, _I2: 2}
 #: decode-bomb guard shared by every frame decoder: a single frame may not
 #: expand past this many cells, however plausible its byte length looks
 _MAX_FRAME_CELLS = 1 << 28
+#: per frame content type: its name in error messages, the versions it carries
+_FRAME_KINDS = {
+    CONTENT_TYPE_COLUMNS: (
+        "columnar",
+        (WIRE_VERSION, WIRE_VERSION_CLASSES, WIRE_VERSION_QUANTIZED),
+    ),
+    CONTENT_TYPE_PARTIAL: ("partial", (WIRE_VERSION_PARTIAL,)),
+    CONTENT_TYPE_BASKETS: ("basket", (WIRE_VERSION_BASKETS,)),
+}
+
+
+def _shard_pin(shard) -> int:
+    """The i32 header slot for an encoder's ``shard`` (``-1`` = unpinned)."""
+    if shard is None:
+        return -1
+    if isinstance(shard, bool) or not isinstance(shard, numbers.Integral):
+        raise ValidationError(
+            f"shard must be None or an integer, got {type(shard).__name__}"
+        )
+    if not 0 <= shard < 2**31:
+        raise ValidationError(f"shard {shard} is outside [0, 2**31)")
+    return int(shard)
+
+
+def _decoded_pin(slot: int) -> int | None:
+    """A decoded i32 shard slot as a pin (``None`` when unpinned)."""
+    if slot < -1:
+        raise ValidationError(
+            f"malformed shard pin {slot}: frames carry -1 (unpinned) or a "
+            "shard index"
+        )
+    return None if slot == -1 else slot
+
+
+def _encoded_name(name) -> bytes:
+    """The u16 length and UTF-8 bytes opening an attribute-table entry."""
+    if not isinstance(name, str) or not name:
+        raise ValidationError("attribute names must be non-empty strings")
+    encoded = name.encode("utf-8")
+    if len(encoded) > 0xFFFF:
+        raise ValidationError(f"attribute name {name!r} is too long")
+    return _NAME_LEN.pack(len(encoded)) + encoded
 
 
 def _encode_class_column(classes) -> np.ndarray:
@@ -257,6 +300,82 @@ def _encode_class_column(classes) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=_I4)
 
 
+def _wire_column(name: str, values, quantized: bool) -> np.ndarray:
+    """One batch column as the array its record frame ships.
+
+    Raw float64 values, except that a quantized (v5) frame ships an
+    integer column as bin indices at the narrower of int8 and int16.
+    """
+    arr = np.asarray(values)
+    if not quantized or arr.dtype.kind not in "iu":
+        arr = np.ascontiguousarray(values, dtype=_F8)
+    if arr.ndim != 1:
+        raise ValidationError(
+            f"batch[{name!r}] must be 1-dimensional, got shape {arr.shape}"
+        )
+    if arr.dtype == _F8:
+        return arr
+    if arr.size and int(arr.min()) < 0:
+        raise ValidationError(
+            f"batch[{name!r}] holds negative bin indices; quantized "
+            "columns carry locations on the attribute grid"
+        )
+    if arr.size and int(arr.max()) > 0x7FFF:
+        raise ValidationError(
+            f"batch[{name!r}] holds bin index {int(arr.max())}; "
+            "quantized columns cap indices at 32767 (int16)"
+        )
+    if arr.dtype in (_I1, _I2):
+        return arr
+    return arr.astype(_I1 if (not arr.size or int(arr.max()) <= 0x7F) else _I2)
+
+
+def _encode_records(batch, shard, classes, quantized: bool) -> bytes:
+    """Encode one record frame: v5 when ``quantized``, else v1 or v2."""
+    if not isinstance(batch, dict):
+        raise ValidationError("batch must map attribute -> values")
+    if len(batch) > 0xFFFF:
+        raise ValidationError("a frame holds at most 65535 attributes")
+    pin = _shard_pin(shard)
+    class_column = None
+    if classes is not None:
+        class_column = _encode_class_column(classes)
+        if class_column.size == 0:
+            # an empty class column carries no labels: emit the plain
+            # unlabeled v1 frame (empty != mismatched)
+            class_column = None
+    table = []
+    columns = []
+    for name, values in batch.items():
+        entry = _encoded_name(name)
+        arr = _wire_column(name, values, quantized)
+        if class_column is not None and arr.size != class_column.size:
+            raise ValidationError(
+                f"batch[{name!r}] has {arr.size} row(s) but the class "
+                f"column has {class_column.size}; labeled frames need one "
+                "class label per record"
+            )
+        entry += _ROW_COUNT.pack(arr.size)
+        if quantized:
+            entry += _DTYPE_CODE.pack(_CODE_BY_DTYPE[arr.dtype])
+        table.append(entry)
+        columns.append(arr.tobytes())
+    if quantized:
+        version = WIRE_VERSION_QUANTIZED
+    elif class_column is None:
+        version = WIRE_VERSION
+    else:
+        version = WIRE_VERSION_CLASSES
+    frame = [_HEADER.pack(MAGIC, version, len(batch), pin)]
+    if version != WIRE_VERSION:
+        n_labels = 0 if class_column is None else class_column.size
+        frame.append(_CLASS_COUNT.pack(n_labels))
+    frame += table
+    if class_column is not None:
+        frame.append(class_column.tobytes())
+    return b"".join(frame + columns)
+
+
 def encode_columns(batch, *, shard: int | None = None, classes=None) -> bytes:
     """Encode one ``{attribute: values}`` batch as a columnar frame.
 
@@ -265,8 +384,8 @@ def encode_columns(batch, *, shard: int | None = None, classes=None) -> bytes:
     batch:
         Mapping of attribute name to a 1-D sequence of float values.
     shard:
-        Optional shard pin carried in the frame header (``None`` routes
-        round-robin on the server).
+        Optional shard pin, an integer in ``[0, 2**31)`` carried in the
+        frame header (``None`` routes round-robin on the server).
     classes:
         Optional class column: one integer label per record.  Every
         attribute column must then have exactly that many rows, and the
@@ -278,72 +397,19 @@ def encode_columns(batch, *, shard: int | None = None, classes=None) -> bytes:
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.service.wire import decode_columns, decode_labeled, encode_columns
+    >>> from repro.service.wire import encode_columns, iter_labeled_frames
     >>> frame = encode_columns({"age": [31.5, 47.0]}, shard=2)
     >>> frame[:4]
     b'PPDM'
-    >>> batch, shard = decode_columns(frame)
-    >>> batch["age"].tolist(), shard
-    ([31.5, 47.0], 2)
+    >>> [(batch, classes, shard)] = iter_labeled_frames(frame)
+    >>> batch["age"].tolist(), classes, shard
+    ([31.5, 47.0], None, 2)
     >>> labeled = encode_columns({"age": [31.5, 47.0]}, classes=[0, 1])
-    >>> batch, classes, shard = decode_labeled(labeled)
+    >>> [(batch, classes, shard)] = iter_labeled_frames(labeled)
     >>> classes.tolist(), shard
     ([0, 1], None)
     """
-    if not isinstance(batch, dict):
-        raise ValidationError("batch must map attribute -> values")
-    class_column = None
-    if classes is not None:
-        class_column = _encode_class_column(classes)
-        if class_column.size == 0:
-            # an empty class column carries no labels: emit the plain
-            # unlabeled v1 frame (empty != mismatched)
-            class_column = None
-    columns = []
-    table = []
-    for name, values in batch.items():
-        if not isinstance(name, str) or not name:
-            raise ValidationError("attribute names must be non-empty strings")
-        encoded_name = name.encode("utf-8")
-        if len(encoded_name) > 0xFFFF:
-            raise ValidationError(f"attribute name {name!r} is too long")
-        arr = np.ascontiguousarray(values, dtype=_F8)
-        if arr.ndim != 1:
-            raise ValidationError(
-                f"batch[{name!r}] must be 1-dimensional, got shape {arr.shape}"
-            )
-        if class_column is not None and arr.size != class_column.size:
-            raise ValidationError(
-                f"batch[{name!r}] has {arr.size} row(s) but the class "
-                f"column has {class_column.size}; labeled frames need one "
-                "class label per record"
-            )
-        table.append(
-            _NAME_LEN.pack(len(encoded_name))
-            + encoded_name
-            + _ROW_COUNT.pack(arr.size)
-        )
-        columns.append(arr.tobytes())
-    if len(batch) > 0xFFFF:
-        raise ValidationError("a frame holds at most 65535 attributes")
-    if class_column is None:
-        header = _HEADER.pack(
-            MAGIC, WIRE_VERSION, len(batch), -1 if shard is None else int(shard)
-        )
-        return header + b"".join(table) + b"".join(columns)
-    header = _HEADER.pack(
-        MAGIC,
-        WIRE_VERSION_CLASSES,
-        len(batch),
-        -1 if shard is None else int(shard),
-    )
-    return (
-        header
-        + _CLASS_COUNT.pack(class_column.size)
-        + b"".join(table)
-        + class_column.tobytes()
-        + b"".join(columns)
-    )
+    return _encode_records(batch, shard, classes, quantized=False)
 
 
 def encode_quantized(batch, *, shard: int | None = None, classes=None) -> bytes:
@@ -372,143 +438,74 @@ def encode_quantized(batch, *, shard: int | None = None, classes=None) -> bytes:
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.service.wire import decode_labeled, encode_quantized
+    >>> from repro.service.wire import encode_quantized, iter_labeled_frames
     >>> frame = encode_quantized({"age": np.array([0, 3, 1], dtype=np.int8)})
     >>> frame[:4], frame[4]
     (b'PPDM', 5)
-    >>> batch, classes, shard = decode_labeled(frame)
+    >>> [(batch, classes, shard)] = iter_labeled_frames(frame)
     >>> batch["age"].tolist(), batch["age"].dtype.name
     ([0, 3, 1], 'int8')
     """
-    if not isinstance(batch, dict):
-        raise ValidationError("batch must map attribute -> values")
-    if len(batch) > 0xFFFF:
-        raise ValidationError("a frame holds at most 65535 attributes")
-    class_column = None
-    if classes is not None:
-        class_column = _encode_class_column(classes)
-        if class_column.size == 0:
-            class_column = None
-    columns = []
-    table = []
-    for name, values in batch.items():
-        if not isinstance(name, str) or not name:
-            raise ValidationError("attribute names must be non-empty strings")
-        encoded_name = name.encode("utf-8")
-        if len(encoded_name) > 0xFFFF:
-            raise ValidationError(f"attribute name {name!r} is too long")
-        arr = np.asarray(values)
-        if arr.dtype.kind in "iu":
-            if arr.ndim != 1:
-                raise ValidationError(
-                    f"batch[{name!r}] must be 1-dimensional, got shape "
-                    f"{arr.shape}"
-                )
-            if arr.size and int(arr.min()) < 0:
-                raise ValidationError(
-                    f"batch[{name!r}] holds negative bin indices; quantized "
-                    "columns carry locations on the attribute grid"
-                )
-            if arr.size and int(arr.max()) > 0x7FFF:
-                raise ValidationError(
-                    f"batch[{name!r}] holds bin index {int(arr.max())}; "
-                    "quantized columns cap indices at 32767 (int16)"
-                )
-            if arr.dtype not in (_I1, _I2):
-                narrow = _I1 if (not arr.size or int(arr.max()) <= 0x7F) else _I2
-                arr = arr.astype(narrow)
-        else:
-            arr = np.ascontiguousarray(values, dtype=_F8)
-            if arr.ndim != 1:
-                raise ValidationError(
-                    f"batch[{name!r}] must be 1-dimensional, got shape "
-                    f"{arr.shape}"
-                )
-        if class_column is not None and arr.size != class_column.size:
-            raise ValidationError(
-                f"batch[{name!r}] has {arr.size} row(s) but the class "
-                f"column has {class_column.size}; labeled frames need one "
-                "class label per record"
-            )
-        code = _CODE_BY_DTYPE[arr.dtype]
-        table.append(
-            _NAME_LEN.pack(len(encoded_name))
-            + encoded_name
-            + _ROW_COUNT.pack(arr.size)
-            + _DTYPE_CODE.pack(code)
-        )
-        columns.append(np.ascontiguousarray(arr, dtype=_DTYPE_BY_CODE[code]).tobytes())
-    header = _HEADER.pack(
-        MAGIC,
-        WIRE_VERSION_QUANTIZED,
-        len(batch),
-        -1 if shard is None else int(shard),
-    )
-    return (
-        header
-        + _CLASS_COUNT.pack(0 if class_column is None else class_column.size)
-        + b"".join(table)
-        + (b"" if class_column is None else class_column.tobytes())
-        + b"".join(columns)
-    )
+    return _encode_records(batch, shard, classes, quantized=True)
 
 
-def _decode_frame(view: memoryview, offset: int) -> tuple:
-    """Decode one frame at ``offset``.
+def _read_header(view: memoryview, offset: int, content_type: str) -> tuple:
+    """Check the frame header at ``offset``; return ``(version, count, slot)``.
 
-    Returns ``(batch, shard, classes, next_offset)`` — ``classes`` is
-    ``None`` for frames without a class column.
+    ``count`` is the header's u16 (attributes or items) and ``slot`` its
+    raw i32 (a shard pin or a block count); ``content_type`` names the
+    body and so the wire versions it may carry.
     """
-    end = len(view)
-    if end - offset < _HEADER.size:
+    kind, versions = _FRAME_KINDS[content_type]
+    left = len(view) - offset
+    if left < _HEADER.size:
         raise ValidationError(
-            f"truncated columnar frame: {end - offset} byte(s) left, "
-            f"header needs {_HEADER.size}"
+            f"truncated {kind} frame: {left} byte(s) left, header needs "
+            f"{_HEADER.size}"
         )
-    magic, version, n_attributes, shard = _HEADER.unpack_from(view, offset)
+    magic, version, count, slot = _HEADER.unpack_from(view, offset)
     if magic != MAGIC:
         raise ValidationError(
             f"bad frame magic {bytes(magic)!r}; expected {MAGIC!r} "
-            f"(is the body really {CONTENT_TYPE_COLUMNS}?)"
+            f"(is the body really {content_type}?)"
         )
-    if version not in (WIRE_VERSION, WIRE_VERSION_CLASSES, WIRE_VERSION_QUANTIZED):
+    if version not in versions:
         raise ValidationError(
-            f"unsupported wire version {version}; this server speaks "
-            f"versions {WIRE_VERSION}, {WIRE_VERSION_CLASSES}, and "
-            f"{WIRE_VERSION_QUANTIZED}"
+            f"unsupported wire version {version} in a {content_type} body; "
+            f"expected version {' or '.join(map(str, versions))}"
         )
-    offset += _HEADER.size
-    class_rows = 0
-    if version in (WIRE_VERSION_CLASSES, WIRE_VERSION_QUANTIZED):
-        if end - offset < _CLASS_COUNT.size:
-            raise ValidationError(
-                f"truncated columnar frame: version {version} header needs "
-                "a class row count"
-            )
-        (class_rows,) = _CLASS_COUNT.unpack_from(view, offset)
-        offset += _CLASS_COUNT.size
-    names = []
-    rows = []
-    dtypes = []
+    return version, count, slot
+
+
+def _read_table(
+    view: memoryview, offset: int, n_attributes: int, kind: str, coded: bool
+):
+    """Yield ``(name, count, dtype, next_offset)`` per attribute-table entry.
+
+    An entry is a u16-length UTF-8 name and a u64 count (rows or bins),
+    then, when ``coded`` (wire v5), a u8 dtype code; a repeated name is
+    malformed.  Callers check each count as it arrives, before later
+    entries are read.
+    """
+    end = len(view)
+    tail = _ROW_COUNT.size + (_DTYPE_CODE.size if coded else 0)
+    seen = set()
     for _ in range(n_attributes):
         if end - offset < _NAME_LEN.size:
-            raise ValidationError("truncated columnar frame attribute table")
+            raise ValidationError(f"truncated {kind} frame attribute table")
         (name_len,) = _NAME_LEN.unpack_from(view, offset)
         offset += _NAME_LEN.size
-        entry_tail = _ROW_COUNT.size
-        if version == WIRE_VERSION_QUANTIZED:
-            entry_tail += _DTYPE_CODE.size
-        if end - offset < name_len + entry_tail:
-            raise ValidationError("truncated columnar frame attribute table")
+        if end - offset < name_len + tail:
+            raise ValidationError(f"truncated {kind} frame attribute table")
         try:
             name = str(view[offset : offset + name_len], "utf-8")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"attribute name is not UTF-8: {exc}") from exc
         offset += name_len
-        (row_count,) = _ROW_COUNT.unpack_from(view, offset)
+        (count,) = _ROW_COUNT.unpack_from(view, offset)
         offset += _ROW_COUNT.size
         dtype = _F8
-        if version == WIRE_VERSION_QUANTIZED:
+        if coded:
             (code,) = _DTYPE_CODE.unpack_from(view, offset)
             offset += _DTYPE_CODE.size
             dtype = _DTYPE_BY_CODE.get(code)
@@ -518,17 +515,54 @@ def _decode_frame(view: memoryview, offset: int) -> tuple:
                     f"dtype code {code}; this server speaks codes "
                     f"{sorted(_DTYPE_BY_CODE)}"
                 )
-        if name in names:
+        if name in seen:
             raise ValidationError(f"duplicate attribute {name!r} in frame")
+        seen.add(name)
+        yield name, count, dtype, offset
+
+
+def _read_array(view: memoryview, offset: int, count: int, dtype, what: str):
+    """Zero-copy view of ``count`` values at ``offset``, and the next offset."""
+    nbytes = count * dtype.itemsize
+    if len(view) - offset < nbytes:
+        raise ValidationError(
+            f"truncated {what} declares {count} value(s) but only "
+            f"{len(view) - offset} byte(s) remain"
+        )
+    array = np.frombuffer(view, dtype=dtype, count=count, offset=offset)
+    return array, offset + nbytes
+
+
+def _decode_frame(view: memoryview, offset: int) -> tuple:
+    """Decode one record frame at ``offset``.
+
+    Returns ``(batch, classes, shard, next_offset)`` — ``classes`` is
+    ``None`` for frames without a class column.
+    """
+    version, n_attributes, slot = _read_header(view, offset, CONTENT_TYPE_COLUMNS)
+    offset += _HEADER.size
+    class_rows = 0
+    if version != WIRE_VERSION:
+        if len(view) - offset < _CLASS_COUNT.size:
+            raise ValidationError(
+                f"truncated columnar frame: version {version} header needs "
+                "a class row count"
+            )
+        (class_rows,) = _CLASS_COUNT.unpack_from(view, offset)
+        offset += _CLASS_COUNT.size
+    table = []
+    total_cells = class_rows
+    coded = version == WIRE_VERSION_QUANTIZED
+    for name, row_count, dtype, offset in _read_table(
+        view, offset, n_attributes, "columnar", coded
+    ):
         if class_rows and row_count != class_rows:
             raise ValidationError(
                 f"labeled frame: column {name!r} declares {row_count} "
                 f"row(s) but the class column has {class_rows}"
             )
-        names.append(name)
-        rows.append(row_count)
-        dtypes.append(dtype)
-    total_cells = class_rows + sum(rows)
+        table.append((name, row_count, dtype))
+        total_cells += row_count
     if total_cells > _MAX_FRAME_CELLS:
         raise WireFormatError(
             f"columnar frame declares {total_cells} cells across "
@@ -537,100 +571,15 @@ def _decode_frame(view: memoryview, offset: int) -> tuple:
         )
     classes = None
     if class_rows:
-        nbytes = class_rows * _I4.itemsize
-        if end - offset < nbytes:
-            raise ValidationError(
-                f"truncated columnar frame: the class column declares "
-                f"{class_rows} rows but only {end - offset} byte(s) remain"
-            )
-        classes = np.frombuffer(view, dtype=_I4, count=class_rows, offset=offset)
-        offset += nbytes
+        classes, offset = _read_array(
+            view, offset, class_rows, _I4, "columnar frame: the class column"
+        )
     batch = {}
-    for name, row_count, dtype in zip(names, rows, dtypes):
-        nbytes = row_count * dtype.itemsize
-        if end - offset < nbytes:
-            raise ValidationError(
-                f"truncated columnar frame: column {name!r} declares "
-                f"{row_count} rows but only {end - offset} byte(s) remain"
-            )
-        batch[name] = np.frombuffer(view, dtype=dtype, count=row_count, offset=offset)
-        offset += nbytes
-    return batch, (None if shard < 0 else shard), classes, offset
-
-
-def decode_columns(payload) -> tuple:
-    """Decode a single unlabeled columnar frame; return ``(batch, shard)``.
-
-    The inverse of :func:`encode_columns`.  Columns come back as
-    read-only ``float64`` views into ``payload`` — no bytes are copied.
-    Trailing bytes after the frame are an error; bodies carrying several
-    concatenated frames go through :func:`iter_frames`.  Frames carrying
-    a class column are rejected (decode those with
-    :func:`decode_labeled`, which returns the classes too).
-
-    Examples
-    --------
-    >>> from repro.service.wire import decode_columns, encode_columns
-    >>> batch, shard = decode_columns(encode_columns({"x": [0.5]}))
-    >>> batch["x"].tolist(), shard
-    ([0.5], None)
-    """
-    batch, classes, shard = decode_labeled(payload)
-    if classes is not None:
-        raise ValidationError(
-            "frame carries a class column; decode it with decode_labeled()"
+    for name, row_count, dtype in table:
+        batch[name], offset = _read_array(
+            view, offset, row_count, dtype, f"columnar frame: column {name!r}"
         )
-    return batch, shard
-
-
-def decode_labeled(payload) -> tuple:
-    """Decode a single columnar frame; return ``(batch, classes, shard)``.
-
-    Accepts record wire versions 1, 2, and 5: ``classes`` is a
-    read-only int32 view for frames carrying a class column and
-    ``None`` otherwise.  Version 5 (quantized) columns come back at
-    their declared width — int8/int16 bin indices stay narrow.
-
-    Examples
-    --------
-    >>> from repro.service.wire import decode_labeled, encode_columns
-    >>> frame = encode_columns({"x": [0.5, 0.9]}, classes=[1, 0], shard=2)
-    >>> batch, classes, shard = decode_labeled(frame)
-    >>> batch["x"].tolist(), classes.tolist(), shard
-    ([0.5, 0.9], [1, 0], 2)
-    """
-    view = memoryview(payload)
-    batch, shard, classes, offset = _decode_frame(view, 0)
-    if offset != len(view):
-        raise ValidationError(
-            f"{len(view) - offset} trailing byte(s) after the frame; "
-            "multi-frame bodies decode with iter_frames()"
-        )
-    return batch, classes, shard
-
-
-def iter_frames(payload):
-    """Yield ``(batch, shard)`` for every concatenated frame in ``payload``.
-
-    The unlabeled decode loop: each column is a zero-copy
-    ``np.frombuffer`` view.  Labeled frames (version 2 with a class
-    column) are rejected so their classes can never be silently dropped
-    — iterate those with :func:`iter_labeled_frames`.
-
-    Examples
-    --------
-    >>> from repro.service.wire import encode_columns, iter_frames
-    >>> body = encode_columns({"x": [0.1]}) + encode_columns({"x": [0.9]}, shard=1)
-    >>> [(b["x"].tolist(), s) for b, s in iter_frames(body)]
-    [([0.1], None), ([0.9], 1)]
-    """
-    for batch, classes, shard in iter_labeled_frames(payload):
-        if classes is not None:
-            raise ValidationError(
-                "frame carries a class column; iterate with "
-                "iter_labeled_frames()"
-            )
-        yield batch, shard
+    return batch, classes, _decoded_pin(slot), offset
 
 
 def iter_labeled_frames(payload):
@@ -655,9 +604,8 @@ def iter_labeled_frames(payload):
     view = memoryview(payload)
     offset = 0
     while offset < len(view):
-        batch, shard, classes, offset = _decode_frame(view, offset)
+        batch, classes, shard, offset = _decode_frame(view, offset)
         yield batch, classes, shard
-
 
 def encode_partial(partials) -> bytes:
     """Encode merged per-class histogram partials as one version 3 frame.
@@ -672,12 +620,13 @@ def encode_partial(partials) -> bytes:
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.service.wire import decode_partial, encode_partial
+    >>> from repro.service.wire import encode_partial, split_partial
     >>> frame = encode_partial({"age": np.array([[2.0, 1.0], [0.0, 3.0]])})
     >>> frame[:4]
     b'PPDM'
-    >>> decode_partial(frame)["age"].tolist()
-    [[2.0, 1.0], [0.0, 3.0]]
+    >>> partials, rest = split_partial(frame)
+    >>> partials["age"].tolist(), bytes(rest)
+    ([[2.0, 1.0], [0.0, 3.0]], b'')
     """
     if not isinstance(partials, dict) or not partials:
         raise ValidationError(
@@ -690,11 +639,7 @@ def encode_partial(partials) -> bytes:
     table = []
     blocks = []
     for name, counts in partials.items():
-        if not isinstance(name, str) or not name:
-            raise ValidationError("attribute names must be non-empty strings")
-        encoded_name = name.encode("utf-8")
-        if len(encoded_name) > 0xFFFF:
-            raise ValidationError(f"attribute name {name!r} is too long")
+        entry = _encoded_name(name)
         matrix = np.ascontiguousarray(counts, dtype=_F8)
         if matrix.ndim != 2 or matrix.shape[0] < 1:
             raise ValidationError(
@@ -709,11 +654,7 @@ def encode_partial(partials) -> bytes:
                 f"other attributes have {n_blocks} — one schema per frame"
             )
         _check_partial_counts(name, matrix)
-        table.append(
-            _NAME_LEN.pack(len(encoded_name))
-            + encoded_name
-            + _ROW_COUNT.pack(matrix.shape[1])
-        )
+        table.append(entry + _ROW_COUNT.pack(matrix.shape[1]))
         blocks.append(matrix.tobytes())
     if n_blocks is None or n_blocks > 0x7FFFFFFF:
         raise ValidationError(f"partial frame cannot hold {n_blocks} blocks")
@@ -745,7 +686,8 @@ def split_partial(payload) -> tuple:
     optionally followed by concatenated labeled record frames (a
     training worker's row buffer).  ``remainder`` is the bytes after the
     partial frame (empty when the body is the frame alone), ready for
-    :func:`iter_labeled_frames`.
+    :func:`iter_labeled_frames`.  Every count comes back validated
+    finite, non-negative, and integer-valued.
 
     Examples
     --------
@@ -757,23 +699,7 @@ def split_partial(payload) -> tuple:
     ([[1.0, 0.0]], b'tail')
     """
     view = memoryview(payload)
-    end = len(view)
-    if end < _HEADER.size:
-        raise ValidationError(
-            f"truncated partial frame: {end} byte(s), header needs "
-            f"{_HEADER.size}"
-        )
-    magic, version, n_attributes, n_blocks = _HEADER.unpack_from(view, 0)
-    if magic != MAGIC:
-        raise ValidationError(
-            f"bad frame magic {bytes(magic)!r}; expected {MAGIC!r} "
-            f"(is the body really {CONTENT_TYPE_PARTIAL}?)"
-        )
-    if version != WIRE_VERSION_PARTIAL:
-        raise ValidationError(
-            f"expected a version {WIRE_VERSION_PARTIAL} partial frame, "
-            f"got version {version}"
-        )
+    _, n_attributes, n_blocks = _read_header(view, 0, CONTENT_TYPE_PARTIAL)
     if n_attributes < 1:
         raise ValidationError("a partial frame needs at least one attribute")
     if n_blocks < 1:
@@ -781,79 +707,32 @@ def split_partial(payload) -> tuple:
             f"partial frame declares {n_blocks} class block(s); needs >= 1"
         )
     offset = _HEADER.size
-    names = []
-    bins = []
-    for _ in range(n_attributes):
-        if end - offset < _NAME_LEN.size:
-            raise ValidationError("truncated partial frame attribute table")
-        (name_len,) = _NAME_LEN.unpack_from(view, offset)
-        offset += _NAME_LEN.size
-        if end - offset < name_len + _ROW_COUNT.size:
-            raise ValidationError("truncated partial frame attribute table")
-        try:
-            name = str(view[offset : offset + name_len], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"attribute name is not UTF-8: {exc}") from exc
-        offset += name_len
-        (bin_count,) = _ROW_COUNT.unpack_from(view, offset)
-        offset += _ROW_COUNT.size
-        if name in names:
-            raise ValidationError(f"duplicate attribute {name!r} in frame")
+    table = []
+    for name, bin_count, _, offset in _read_table(
+        view, offset, n_attributes, "partial", False
+    ):
         if bin_count < 1:
             raise ValidationError(
                 f"partial frame: attribute {name!r} declares 0 bins"
             )
-        names.append(name)
-        bins.append(bin_count)
-    total_cells = n_blocks * sum(bins)
-    if total_cells > _MAX_FRAME_CELLS:
+        table.append((name, bin_count))
+    total_bins = sum(bins for _, bins in table)
+    if n_blocks * total_bins > _MAX_FRAME_CELLS:
         raise WireFormatError(
-            f"partial frame declares {n_blocks} block(s) x {sum(bins)} "
-            f"bin(s) = {total_cells} cells; the decoder caps frames at "
-            f"{_MAX_FRAME_CELLS}"
+            f"partial frame declares {n_blocks} block(s) x {total_bins} "
+            f"bin(s) = {n_blocks * total_bins} cells; the decoder caps "
+            f"frames at {_MAX_FRAME_CELLS}"
         )
     partials = {}
-    for name, bin_count in zip(names, bins):
-        n_values = n_blocks * bin_count
-        nbytes = n_values * _F8.itemsize
-        if end - offset < nbytes:
-            raise ValidationError(
-                f"truncated partial frame: attribute {name!r} declares "
-                f"{n_blocks} x {bin_count} counts but only {end - offset} "
-                "byte(s) remain"
-            )
-        flat = np.frombuffer(view, dtype=_F8, count=n_values, offset=offset)
+    for name, bin_count in table:
+        flat, offset = _read_array(
+            view, offset, n_blocks * bin_count, _F8,
+            f"partial frame: attribute {name!r}",
+        )
         matrix = flat.reshape(n_blocks, bin_count)
         _check_partial_counts(name, matrix)
         partials[name] = matrix
-        offset += nbytes
     return partials, view[offset:]
-
-
-def decode_partial(payload) -> dict:
-    """Decode a body holding exactly one version 3 partial frame.
-
-    The inverse of :func:`encode_partial`: returns the
-    ``{attribute: (n_blocks, bins) counts}`` mapping, with every count
-    validated finite, non-negative, and integer-valued.  Trailing bytes
-    are an error — bodies that append labeled record frames after the
-    partial go through :func:`split_partial`.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.service.wire import decode_partial, encode_partial
-    >>> partials = decode_partial(encode_partial({"x": np.eye(2)}))
-    >>> sorted(partials), partials["x"].shape
-    (['x'], (2, 2))
-    """
-    partials, rest = split_partial(payload)
-    if len(rest):
-        raise ValidationError(
-            f"{len(rest)} trailing byte(s) after the partial frame; "
-            "partial-plus-rows bodies decode with split_partial()"
-        )
-    return partials
 
 
 #: a varint never needs more than 10 bytes (70 value bits > 64)
@@ -911,15 +790,16 @@ def encode_baskets(baskets, *, shard: int | None = None) -> bytes:
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.service.wire import decode_baskets, encode_baskets
+    >>> from repro.service.wire import encode_baskets, iter_basket_frames
     >>> matrix = np.array([[True, False, True], [False, False, False]])
     >>> frame = encode_baskets(matrix, shard=1)
     >>> frame[:4]
     b'PPDM'
-    >>> decoded, shard = decode_baskets(frame)
+    >>> [(decoded, shard)] = iter_basket_frames(frame)
     >>> decoded.tolist(), shard
     ([[True, False, True], [False, False, False]], 1)
     """
+    pin = _shard_pin(shard)
     matrix = np.asarray(baskets)
     if matrix.ndim != 2:
         raise ValidationError(
@@ -944,9 +824,7 @@ def encode_baskets(baskets, *, shard: int | None = None) -> bytes:
         )
         index.append(_encode_varint(len(encoded)))
         payload.append(encoded)
-    header = _HEADER.pack(
-        MAGIC, WIRE_VERSION_BASKETS, n_items, -1 if shard is None else int(shard)
-    )
+    header = _HEADER.pack(MAGIC, WIRE_VERSION_BASKETS, n_items, pin)
     return (
         header
         + _encode_varint(n_transactions)
@@ -961,23 +839,7 @@ def _decode_basket_frame(view: memoryview, offset: int) -> tuple:
     Returns ``(matrix, shard, next_offset)``.
     """
     end = len(view)
-    if end - offset < _HEADER.size:
-        raise ValidationError(
-            f"truncated basket frame: {end - offset} byte(s) left, "
-            f"header needs {_HEADER.size}"
-        )
-    magic, version, n_items, shard = _HEADER.unpack_from(view, offset)
-    if magic != MAGIC:
-        raise ValidationError(
-            f"bad frame magic {bytes(magic)!r}; expected {MAGIC!r} "
-            f"(is the body really {CONTENT_TYPE_BASKETS}?)"
-        )
-    if version != WIRE_VERSION_BASKETS:
-        raise ValidationError(
-            f"expected a version {WIRE_VERSION_BASKETS} basket frame, "
-            f"got version {version} (record frames go through "
-            f"{CONTENT_TYPE_COLUMNS})"
-        )
+    _, n_items, slot = _read_header(view, offset, CONTENT_TYPE_BASKETS)
     if n_items < 1:
         raise ValidationError("basket frame declares an empty item universe")
     offset += _HEADER.size
@@ -1022,32 +884,7 @@ def _decode_basket_frame(view: memoryview, offset: int) -> tuple:
                 )
             matrix[i, item] = True
             previous = item
-    return matrix, (None if shard < 0 else shard), offset
-
-
-def decode_baskets(payload) -> tuple:
-    """Decode a single basket frame; return ``(matrix, shard)``.
-
-    The inverse of :func:`encode_baskets`.  Trailing bytes after the
-    frame are an error; bodies carrying several concatenated frames go
-    through :func:`iter_basket_frames`.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.service.wire import decode_baskets, encode_baskets
-    >>> matrix, shard = decode_baskets(encode_baskets(np.eye(2, dtype=bool)))
-    >>> matrix.tolist(), shard
-    ([[True, False], [False, True]], None)
-    """
-    view = memoryview(payload)
-    matrix, shard, offset = _decode_basket_frame(view, 0)
-    if offset != len(view):
-        raise ValidationError(
-            f"{len(view) - offset} trailing byte(s) after the basket frame; "
-            "multi-frame bodies decode with iter_basket_frames()"
-        )
-    return matrix, shard
+    return matrix, _decoded_pin(slot), offset
 
 
 def iter_basket_frames(payload):
@@ -1109,41 +946,46 @@ def encode_ndjson(frames) -> bytes:
             }
         }
         if shard is not None:
-            payload["shard"] = int(shard)
+            payload["shard"] = _shard_pin(shard)
         lines.append(json.dumps(payload).encode())
     return b"\n".join(lines) + (b"\n" if lines else b"")
 
 
-def iter_ndjson(payload):
-    """Yield ``(batch, shard)`` for every line of an NDJSON body.
+def _read_record(record, where: str) -> tuple:
+    """Check one JSON ingest record; return ``(batch, classes, shard)``.
 
-    Blank lines are skipped, so trailing newlines and curl-assembled
-    bodies are fine.  Each line must carry a ``"batch"`` object; an
-    optional integer ``"shard"`` pins the batch.  Lines carrying a
-    ``"classes"`` column are rejected so labels can never be silently
-    dropped — iterate those with :func:`iter_labeled_ndjson`.
-
-    Examples
-    --------
-    >>> from repro.service.wire import iter_ndjson
-    >>> list(iter_ndjson(b'{"batch": {"x": [0.5]}, "shard": 0}\\n'))
-    [({'x': [0.5]}, 0)]
+    The shape of a JSON ``POST /ingest`` body and of every NDJSON line:
+    a ``"batch"`` object, an optional integer (not boolean) ``"shard"``,
+    and an optional ``"classes"`` list.  ``where`` names the record in
+    error messages.
     """
-    for batch, classes, shard in iter_labeled_ndjson(payload):
-        if classes is not None:
-            raise ValidationError(
-                "NDJSON line carries a 'classes' column; iterate with "
-                "iter_labeled_ndjson()"
-            )
-        yield batch, shard
+    if not isinstance(record, dict) or "batch" not in record:
+        raise ValidationError(f'{where} must be {{"batch": {{name: [values]}}}}')
+    batch = record["batch"]
+    if not isinstance(batch, dict):
+        raise ValidationError(f"{where}: 'batch' must map attribute -> values")
+    shard = record.get("shard")
+    if shard is not None and (isinstance(shard, bool) or not isinstance(shard, int)):
+        raise ValidationError(
+            f"{where}: 'shard' must be an integer, got {type(shard).__name__}"
+        )
+    classes = record.get("classes")
+    if classes is not None and not isinstance(classes, list):
+        raise ValidationError(
+            f"{where}: 'classes' must be a list of integer labels, got "
+            f"{type(classes).__name__}"
+        )
+    return batch, classes, shard
 
 
 def iter_labeled_ndjson(payload):
     """Yield ``(batch, classes, shard)`` for every line of an NDJSON body.
 
-    Like :func:`iter_ndjson`, plus an optional ``"classes"`` key per
-    line: a JSON list with one integer class label per record
-    (``None`` when absent — the unlabeled partition).
+    Blank lines are skipped, so trailing newlines and curl-assembled
+    bodies are fine.  Each line must carry a ``"batch"`` object; an
+    optional integer ``"shard"`` pins the batch, and an optional
+    ``"classes"`` key is a JSON list with one integer class label per
+    record (``None`` when absent — the unlabeled partition).
 
     Examples
     --------
@@ -1161,28 +1003,7 @@ def iter_labeled_ndjson(payload):
             raise ValidationError(
                 f"NDJSON line {lineno} is not valid JSON: {exc}"
             ) from exc
-        if not isinstance(record, dict) or "batch" not in record:
-            raise ValidationError(
-                f'NDJSON line {lineno} must be {{"batch": {{name: [values]}}}}'
-            )
-        batch = record["batch"]
-        if not isinstance(batch, dict):
-            raise ValidationError(
-                f"NDJSON line {lineno}: 'batch' must map attribute -> values"
-            )
-        shard = record.get("shard")
-        if shard is not None and not isinstance(shard, int):
-            raise ValidationError(
-                f"NDJSON line {lineno}: 'shard' must be an integer, "
-                f"got {type(shard).__name__}"
-            )
-        classes = record.get("classes")
-        if classes is not None and not isinstance(classes, list):
-            raise ValidationError(
-                f"NDJSON line {lineno}: 'classes' must be a list of "
-                f"integer labels, got {type(classes).__name__}"
-            )
-        yield batch, classes, shard
+        yield _read_record(record, f"NDJSON line {lineno}")
 
 
 def supported_codecs() -> tuple:

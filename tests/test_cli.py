@@ -503,6 +503,19 @@ class TestServeIngestCommands:
         assert code == 2
         assert ">= 1" in capsys.readouterr().err
 
+    def test_ingest_rejects_shard_past_the_wire_pin(self, capsys, tmp_path):
+        """The i32 header slot cannot carry 2**31: a clean error line, not
+        a traceback, and nothing is sent."""
+        values = tmp_path / "ages.json"
+        values.write_text("[40.0]")
+        code = main(
+            ["ingest", str(values), "--attribute", "age",
+             "--url", "http://127.0.0.1:1", "--already-randomized",
+             "--wire", "columns", "--shard", str(2**31)]
+        )
+        assert code == 2
+        assert "error: shard 2147483648" in capsys.readouterr().err
+
     def test_ingest_json_values_against_live_server(self, capsys, tmp_path, spec_file):
         """Full loop: background server, URL-mode ingest, estimate."""
         import json

@@ -26,7 +26,6 @@ from repro.service import (
     PartialShipper,
     ServiceHTTPServer,
     TrainingService,
-    decode_partial,
     encode_partial,
     export_sync_body,
     split_partial,
@@ -79,7 +78,8 @@ class TestPartialWire:
             "x": np.array([[1.0, 0.0, 3.0], [2.0, 5.0, 0.0]]),
             "y": np.array([[4.0, 4.0], [0.0, 1.0]]),
         }
-        decoded = decode_partial(encode_partial(partials))
+        decoded, rest = split_partial(encode_partial(partials))
+        assert bytes(rest) == b""
         assert set(decoded) == {"x", "y"}
         for name in partials:
             assert np.array_equal(decoded[name], partials[name])
@@ -88,7 +88,7 @@ class TestPartialWire:
         service = make_service(classes=2)
         batch, labels = make_batch(0, classes=2)
         service.ingest(batch, classes=labels)
-        decoded = decode_partial(encode_partial(service.export_partial()))
+        decoded, _ = split_partial(encode_partial(service.export_partial()))
         for name in ("x", "y"):
             assert np.array_equal(decoded[name], service.merged_by_class(name))
 
@@ -97,11 +97,6 @@ class TestPartialWire:
         partials, rest = split_partial(frame + b"TRAILING")
         assert np.array_equal(partials["x"], [[1.0, 2.0]])
         assert bytes(rest) == b"TRAILING"
-
-    def test_decode_rejects_trailing_bytes(self):
-        frame = encode_partial({"x": np.array([[1.0]])})
-        with pytest.raises(ValidationError, match="split_partial"):
-            decode_partial(frame + b"x")
 
     def test_encode_rejects_empty(self):
         with pytest.raises(ValidationError):
@@ -125,22 +120,22 @@ class TestPartialWire:
         frame = bytearray(encode_partial({"x": np.array([[3.0, 1.0]])}))
         frame[-8:] = np.array([-2.0]).tobytes()
         with pytest.raises(ValidationError):
-            decode_partial(bytes(frame))
+            split_partial(bytes(frame))
 
     @pytest.mark.parametrize("cut", [1, 4, 7, 11, 20, -1])
     def test_decode_rejects_truncation(self, cut):
         frame = encode_partial({"x": np.array([[1.0, 2.0], [0.0, 4.0]])})
         with pytest.raises(ValidationError):
-            decode_partial(frame[:cut])
+            split_partial(frame[:cut])
 
     def test_decode_rejects_bad_magic_and_version(self):
         frame = bytearray(encode_partial({"x": np.array([[1.0]])}))
         bad_magic = b"NOPE" + bytes(frame[4:])
         with pytest.raises(ValidationError, match="magic"):
-            decode_partial(bad_magic)
+            split_partial(bad_magic)
         frame[4:6] = (99).to_bytes(2, "little")
         with pytest.raises(ValidationError, match="version"):
-            decode_partial(bytes(frame))
+            split_partial(bytes(frame))
 
 
 # ----------------------------------------------------------------------
@@ -763,7 +758,7 @@ class TestClusterHTTP:
         ) as response:
             assert response.status == 200
             assert response.headers["Content-Type"] == CONTENT_TYPE_PARTIAL
-            partials = decode_partial(response.read())
+            partials, _ = split_partial(response.read())
         assert np.array_equal(
             partials["x"], live.workers[0][0].merged_by_class("x")
         )

@@ -48,8 +48,8 @@ from repro.service import (
     AggregationService,
     AttributeSpec,
     ShardSet,
-    decode_labeled,
     encode_columns,
+    iter_labeled_frames,
 )
 
 SEED_ENV = "PPDM_PROPERTY_SEED"
@@ -401,7 +401,9 @@ def _check_service_parity(case) -> None:
                 batch = {"x": w[subset]}
                 if case["wire"] == "columns":
                     frame = encode_columns(batch, shard=shard, classes=classes)
-                    dec_batch, dec_classes, dec_shard = decode_labeled(frame)
+                    [(dec_batch, dec_classes, dec_shard)] = iter_labeled_frames(
+                        frame
+                    )
                     service.ingest_prepared(
                         service.prepare(dec_batch, dec_classes), shard=dec_shard
                     )
@@ -467,11 +469,11 @@ def _gen_basket_wire_case(rng: random.Random) -> dict:
 
 
 def _check_basket_wire_roundtrip(case) -> None:
-    from repro.service import decode_baskets, encode_baskets, iter_basket_frames
+    from repro.service import encode_baskets, iter_basket_frames
 
     matrix = np.asarray(case["rows"], dtype=bool)
     body = encode_baskets(matrix, shard=case["shard"])
-    decoded, shard = decode_baskets(body)
+    [(decoded, shard)] = iter_basket_frames(body)
     assert decoded.dtype == np.bool_
     assert np.array_equal(decoded, matrix)
     assert shard == case["shard"]
@@ -486,7 +488,7 @@ def _check_basket_wire_roundtrip(case) -> None:
     # prefix is missing declared payload)
     cut = case["cut_seed"] % (len(body) - 1) + 1
     with pytest.raises(ValidationError):
-        decode_baskets(body[:cut])
+        list(iter_basket_frames(body[:cut]))
 
 
 def test_property_basket_wire_roundtrip():

@@ -24,8 +24,8 @@ from repro.service import (
     ColumnLayout,
     HistogramShard,
     ShardSet,
-    decode_columns,
     encode_columns,
+    iter_labeled_frames,
     service_from_spec,
 )
 
@@ -245,7 +245,7 @@ class TestPreparedFastPath:
         """Wire-decoded columns are read-only frombuffer views; the fast
         path must consume them without copying or writing."""
         w = _disclose(noise, 1_000, seed=41)
-        batch, _ = decode_columns(encode_columns({"x": w}))
+        [(batch, _, _)] = iter_labeled_frames(encode_columns({"x": w}))
         assert not batch["x"].flags.writeable
         service = AggregationService([AttributeSpec("x", part, noise)])
         assert service.ingest_prepared(service.prepare(batch)) == w.size
@@ -601,7 +601,9 @@ class TestSingleStreamParity:
                     if i % 2:
                         # the columnar wire: encode, decode (read-only
                         # frombuffer views), prepare, fast-path ingest
-                        batch, _ = decode_columns(encode_columns({"x": chunk}))
+                        [(batch, _, _)] = iter_labeled_frames(
+                            encode_columns({"x": chunk})
+                        )
                         service.ingest_prepared(
                             service.prepare(batch), shard=index
                         )

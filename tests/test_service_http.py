@@ -265,6 +265,37 @@ class TestNDJSONIngest:
         assert service.n_seen("opinion") == 0
 
 
+class TestShardPinRule:
+    """Every ingest wire answers a malformed shard pin with 400 and
+    absorbs nothing, on this two-shard server."""
+
+    def test_columns_pin_below_minus_one_is_400(self, server, service):
+        frame = bytearray(encode_columns({"opinion": [0.5]}))
+        frame[8:12] = (-2).to_bytes(4, "little", signed=True)
+        code, payload = _error_of(
+            lambda: _post_raw(server, "/ingest", bytes(frame), CONTENT_TYPE_COLUMNS)
+        )
+        assert code == 400
+        assert "shard pin -2" in payload["error"]
+        assert service.n_seen("opinion") == 0
+
+    def test_boolean_shard_is_400_in_json_and_ndjson(self, server, service):
+        code, payload = _error_of(
+            lambda: _post(
+                server, "/ingest", {"batch": {"opinion": [0.5]}, "shard": True}
+            )
+        )
+        assert code == 400
+        assert "'shard' must be an integer" in payload["error"]
+        body = b'{"batch": {"opinion": [0.5]}, "shard": true}\n'
+        code, payload = _error_of(
+            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_NDJSON)
+        )
+        assert code == 400
+        assert "'shard' must be an integer" in payload["error"]
+        assert service.n_seen("opinion") == 0
+
+
 class TestKeepAlive:
     def test_connection_survives_many_requests(self, server):
         """HTTP/1.1 keep-alive: one socket carries the whole batch run."""

@@ -294,12 +294,12 @@ class TestTrainingServiceBasics:
     def test_ingested_wire_views_are_materialized(self, small):
         """Zero-copy frombuffer views must not keep the request body
         alive (or mutate under the buffer) — prepare_rows copies."""
-        from repro.service import decode_labeled, encode_columns
+        from repro.service import encode_columns, iter_labeled_frames
 
         _, training, noise = small
         w = noise.randomize(np.linspace(0.1, 0.9, 50), seed=3)
         frame = encode_columns({"x": w}, classes=[0, 1] * 25)
-        batch, classes, _ = decode_labeled(frame)
+        [(batch, classes, _)] = iter_labeled_frames(frame)
         rows = training.prepare_rows(batch, classes)
         assert rows[0].flags.owndata or rows[0].base is None
         assert rows[0].flags.writeable

@@ -15,19 +15,14 @@ from repro.service.wire import (
     WIRE_VERSION_CLASSES,
     WIRE_VERSION_QUANTIZED,
     compress_payload,
-    decode_baskets,
-    decode_columns,
-    decode_labeled,
     decompress_payload,
     encode_baskets,
     encode_columns,
     encode_ndjson,
     encode_quantized,
     iter_basket_frames,
-    iter_frames,
     iter_labeled_frames,
     iter_labeled_ndjson,
-    iter_ndjson,
     resolve_codec,
     supported_codecs,
 )
@@ -36,8 +31,10 @@ from repro.service.wire import (
 class TestColumnarRoundtrip:
     def test_roundtrip_single_attribute(self):
         values = np.linspace(-5.0, 5.0, 100)
-        batch, shard = decode_columns(encode_columns({"age": values}))
-        assert shard is None
+        [(batch, classes, shard)] = iter_labeled_frames(
+            encode_columns({"age": values})
+        )
+        assert classes is None and shard is None
         assert batch["age"].dtype == np.dtype("<f8")
         assert np.array_equal(batch["age"], values)
 
@@ -47,37 +44,37 @@ class TestColumnarRoundtrip:
             "b": np.array([3.0]),
             "c": np.array([], dtype=float),
         }
-        batch, _ = decode_columns(encode_columns(original))
+        [(batch, _, _)] = iter_labeled_frames(encode_columns(original))
         assert list(batch) == ["a", "b", "c"]
         for name, values in original.items():
             assert np.array_equal(batch[name], values)
 
     def test_shard_pin_roundtrips(self):
-        _, shard = decode_columns(encode_columns({"x": [0.5]}, shard=3))
+        [(_, _, shard)] = iter_labeled_frames(encode_columns({"x": [0.5]}, shard=3))
         assert shard == 3
-        _, shard = decode_columns(encode_columns({"x": [0.5]}))
+        [(_, _, shard)] = iter_labeled_frames(encode_columns({"x": [0.5]}))
         assert shard is None
 
     def test_exact_bit_patterns_survive(self):
         """Raw float64 bytes on the wire: no repr/parse rounding at all."""
         tricky = np.array([0.1, 1e-308, 1.7976931348623157e308, -0.0])
-        batch, _ = decode_columns(encode_columns({"x": tricky}))
+        [(batch, _, _)] = iter_labeled_frames(encode_columns({"x": tricky}))
         assert batch["x"].tobytes() == tricky.tobytes()
 
     def test_decoded_columns_are_zero_copy_views(self):
         payload = encode_columns({"x": np.arange(1000, dtype=float)})
-        batch, _ = decode_columns(payload)
+        [(batch, _, _)] = iter_labeled_frames(payload)
         assert not batch["x"].flags.owndata  # a view into the body
         assert not batch["x"].flags.writeable
 
     def test_unicode_attribute_names(self):
-        batch, _ = decode_columns(encode_columns({"âge": [1.0]}))
+        [(batch, _, _)] = iter_labeled_frames(encode_columns({"âge": [1.0]}))
         assert list(batch) == ["âge"]
 
     def test_empty_batch_roundtrips(self):
-        batch, shard = decode_columns(encode_columns({}))
+        [(batch, classes, shard)] = iter_labeled_frames(encode_columns({}))
         assert batch == {}
-        assert shard is None
+        assert classes is None and shard is None
 
     def test_iter_frames_concatenated(self):
         body = b"".join(
@@ -87,16 +84,16 @@ class TestColumnarRoundtrip:
                 encode_columns({"y": [9.0]}, shard=0),
             ]
         )
-        frames = list(iter_frames(body))
-        assert [(list(b), s) for b, s in frames] == [
-            (["x"], None),
-            (["x"], 1),
-            (["y"], 0),
+        frames = list(iter_labeled_frames(body))
+        assert [(list(b), c, s) for b, c, s in frames] == [
+            (["x"], None, None),
+            (["x"], None, 1),
+            (["y"], None, 0),
         ]
         assert frames[0][0]["x"].size == 2
 
     def test_iter_frames_empty_body(self):
-        assert list(iter_frames(b"")) == []
+        assert list(iter_labeled_frames(b"")) == []
 
 
 class TestColumnarErrors:
@@ -104,33 +101,28 @@ class TestColumnarErrors:
         frame = bytearray(encode_columns({"x": [0.5]}))
         frame[:4] = b"NOPE"
         with pytest.raises(ValidationError, match="magic"):
-            decode_columns(bytes(frame))
+            list(iter_labeled_frames(bytes(frame)))
 
     def test_unsupported_version(self):
         frame = bytearray(encode_columns({"x": [0.5]}))
         struct.pack_into("<H", frame, 4, WIRE_VERSION_CLASSES + 1)
         with pytest.raises(ValidationError, match="version"):
-            decode_columns(bytes(frame))
+            list(iter_labeled_frames(bytes(frame)))
 
     def test_truncated_header(self):
         with pytest.raises(ValidationError, match="truncated"):
-            decode_columns(MAGIC)
+            list(iter_labeled_frames(MAGIC))
 
     def test_truncated_column_data(self):
         frame = encode_columns({"x": [0.5, 0.6, 0.7]})
         with pytest.raises(ValidationError, match="truncated"):
-            decode_columns(frame[:-8])
+            list(iter_labeled_frames(frame[:-8]))
 
     def test_truncated_attribute_table(self):
         frame = encode_columns({"abcdef": [0.5]})
         header_plus_partial_table = frame[: struct.calcsize("<4sHHi") + 3]
         with pytest.raises(ValidationError, match="truncated"):
-            decode_columns(header_plus_partial_table)
-
-    def test_trailing_bytes_rejected_by_single_decode(self):
-        frame = encode_columns({"x": [0.5]})
-        with pytest.raises(ValidationError, match="trailing"):
-            decode_columns(frame + b"\x00")
+            list(iter_labeled_frames(header_plus_partial_table))
 
     def test_duplicate_attribute_rejected(self):
         good = encode_columns({"x": [0.5]})
@@ -142,9 +134,10 @@ class TestColumnarErrors:
             + table_entry * 2
             + column * 2
         )
-        assert decode_columns(good)  # sanity: the crafting matches the layout
+        # sanity: the crafting matches the layout
+        assert list(iter_labeled_frames(good))
         with pytest.raises(ValidationError, match="duplicate"):
-            decode_columns(frame)
+            list(iter_labeled_frames(frame))
 
     def test_encode_rejects_non_dict(self):
         with pytest.raises(ValidationError):
@@ -166,7 +159,7 @@ class TestClassColumn:
         values = np.linspace(0.0, 1.0, 10)
         classes = np.arange(10) % 3
         frame = encode_columns({"x": values}, classes=classes, shard=1)
-        batch, decoded, shard = decode_labeled(frame)
+        [(batch, decoded, shard)] = iter_labeled_frames(frame)
         assert np.array_equal(batch["x"], values)
         assert decoded.dtype == np.dtype("<i4")
         assert np.array_equal(decoded, classes)
@@ -182,14 +175,16 @@ class TestClassColumn:
         assert struct.unpack_from("<H", frame, 4)[0] == WIRE_VERSION_CLASSES
 
     def test_decode_labeled_accepts_v1(self):
-        batch, classes, shard = decode_labeled(encode_columns({"x": [0.5]}))
+        [(batch, classes, shard)] = iter_labeled_frames(
+            encode_columns({"x": [0.5]})
+        )
         assert classes is None
         assert shard is None
         assert batch["x"].tolist() == [0.5]
 
     def test_class_column_is_zero_copy_view(self):
         frame = encode_columns({"x": [0.5]}, classes=[1])
-        _, classes, _ = decode_labeled(frame)
+        [(_, classes, _)] = iter_labeled_frames(frame)
         assert not classes.flags.owndata
         assert not classes.flags.writeable
 
@@ -201,13 +196,6 @@ class TestClassColumn:
         assert frames[0][1] is None
         assert frames[1][1].tolist() == [1]
 
-    def test_unlabeled_decoders_reject_labeled_frames(self):
-        frame = encode_columns({"x": [0.5]}, classes=[0])
-        with pytest.raises(ValidationError, match="class column"):
-            decode_columns(frame)
-        with pytest.raises(ValidationError, match="class column"):
-            list(iter_frames(frame))
-
     def test_encode_rejects_row_count_mismatch(self):
         with pytest.raises(ValidationError, match="class"):
             encode_columns({"x": [0.5, 0.6]}, classes=[0])
@@ -216,7 +204,7 @@ class TestClassColumn:
         """classes=[] carries no labels: the plain v1 frame, not an error."""
         frame = encode_columns({"x": [0.5, 0.6]}, classes=[])
         assert struct.unpack_from("<H", frame, 4)[0] == WIRE_VERSION
-        batch, classes, _ = decode_labeled(frame)
+        [(batch, classes, _)] = iter_labeled_frames(frame)
         assert classes is None
         assert batch["x"].tolist() == [0.5, 0.6]
 
@@ -234,24 +222,24 @@ class TestClassColumn:
         # count; bump the row count of "x" (u16 len + 1 name byte in)
         struct.pack_into("<Q", frame, 12 + 8 + 2 + 1, 3)
         with pytest.raises(ValidationError, match="class column"):
-            decode_labeled(bytes(frame))
+            list(iter_labeled_frames(bytes(frame)))
 
     def test_truncated_class_column(self):
         frame = encode_columns({"x": [0.5]}, classes=[0])
         # drop the final float column AND the tail of the class column
         with pytest.raises(ValidationError, match="truncated"):
-            decode_labeled(frame[: len(frame) - 8 - 2])
+            list(iter_labeled_frames(frame[: len(frame) - 8 - 2]))
 
     def test_truncated_v2_header(self):
         frame = encode_columns({"x": [0.5]}, classes=[0])
         with pytest.raises(ValidationError, match="truncated"):
-            decode_labeled(frame[:14])
+            list(iter_labeled_frames(frame[:14]))
 
     def test_oversized_class_count_rejected_without_allocation(self):
         frame = bytearray(encode_columns({"x": [0.5]}, classes=[0]))
         struct.pack_into("<Q", frame, 12, 2**60)  # absurd class row count
         with pytest.raises(ValidationError):
-            decode_labeled(bytes(frame))
+            list(iter_labeled_frames(bytes(frame)))
 
     def test_oversized_row_count_rejected_without_allocation(self):
         frame = bytearray(encode_columns({"abc": [0.5]}))
@@ -259,7 +247,7 @@ class TestClassColumn:
         struct.pack_into("<Q", frame, 12 + 2 + 3, 2**60)
         # the cell-count bomb guard fires before any byte-length math
         with pytest.raises(WireFormatError, match="caps frames"):
-            decode_columns(bytes(frame))
+            list(iter_labeled_frames(bytes(frame)))
 
 
 class TestDecodeFuzz:
@@ -286,7 +274,7 @@ class TestDecodeFuzz:
             cuts = {rng.randrange(len(frame)) for _ in range(40)}
             for cut in sorted(cuts):
                 try:
-                    decode_labeled(frame[:cut])
+                    frames = list(iter_labeled_frames(frame[:cut]))
                 except ValidationError:
                     continue
                 except Exception as exc:  # noqa: BLE001
@@ -294,7 +282,8 @@ class TestDecodeFuzz:
                         f"frame {index} truncated at {cut} raised "
                         f"{type(exc).__name__}: {exc} (seed {self.BASE_SEED})"
                     ) from exc
-                assert cut == len(frame), (
+                # only the empty body (cut 0) is a clean, frameless decode
+                assert cut == 0 and not frames, (
                     f"frame {index}: truncation at {cut} decoded cleanly "
                     f"(seed {self.BASE_SEED})"
                 )
@@ -309,7 +298,7 @@ class TestDecodeFuzz:
             for _ in range(rng.randint(1, 4)):
                 frame[rng.randrange(len(frame))] = rng.randrange(256)
             try:
-                batch, classes, shard = decode_labeled(bytes(frame))
+                decoded = list(iter_labeled_frames(bytes(frame)))
             except ValidationError:
                 continue
             except Exception as exc:  # noqa: BLE001
@@ -318,10 +307,11 @@ class TestDecodeFuzz:
                     f"{exc} (seed {self.BASE_SEED + 1})"
                 ) from exc
             # a surviving decode must still be structurally sound
-            for values in batch.values():
-                assert values.ndim == 1
-            if classes is not None:
-                assert classes.ndim == 1
+            for batch, classes, _ in decoded:
+                for values in batch.values():
+                    assert values.ndim == 1
+                if classes is not None:
+                    assert classes.ndim == 1
 
 
 class TestBasketFrames:
@@ -330,24 +320,24 @@ class TestBasketFrames:
     def test_roundtrip(self):
         rng = np.random.default_rng(12345)
         matrix = rng.random((40, 12)) < 0.3
-        decoded, shard = decode_baskets(encode_baskets(matrix, shard=2))
+        [(decoded, shard)] = iter_basket_frames(encode_baskets(matrix, shard=2))
         assert decoded.dtype == np.bool_
         assert np.array_equal(decoded, matrix)
         assert shard == 2
 
     def test_unpinned_shard_roundtrips_none(self):
-        _, shard = decode_baskets(encode_baskets(np.eye(3, dtype=bool)))
+        [(_, shard)] = iter_basket_frames(encode_baskets(np.eye(3, dtype=bool)))
         assert shard is None
 
     def test_empty_transactions_are_valid(self):
         """MASK can disclose all-false rows; they round-trip as empties."""
         matrix = np.zeros((5, 4), dtype=bool)
-        decoded, _ = decode_baskets(encode_baskets(matrix))
+        [(decoded, _)] = iter_basket_frames(encode_baskets(matrix))
         assert np.array_equal(decoded, matrix)
 
     def test_dense_transactions_roundtrip(self):
         matrix = np.ones((3, 300), dtype=bool)  # ids need 2-byte varints
-        decoded, _ = decode_baskets(encode_baskets(matrix))
+        [(decoded, _)] = iter_basket_frames(encode_baskets(matrix))
         assert np.array_equal(decoded, matrix)
 
     def test_header_is_version_4(self):
@@ -378,16 +368,11 @@ class TestBasketFrames:
         with pytest.raises(ValidationError, match="1..65535"):
             encode_baskets(np.zeros((3, 0), dtype=bool))
 
-    def test_trailing_bytes_rejected_by_single_decode(self):
-        frame = encode_baskets(np.eye(2, dtype=bool))
-        with pytest.raises(ValidationError, match="trailing"):
-            decode_baskets(frame + b"\x00")
-
     def test_bad_magic(self):
         frame = bytearray(encode_baskets(np.eye(2, dtype=bool)))
         frame[:4] = b"NOPE"
         with pytest.raises(ValidationError, match="magic"):
-            decode_baskets(bytes(frame))
+            list(iter_basket_frames(bytes(frame)))
 
     def test_v1_frame_in_basket_body_rejected(self):
         """Mixed v1/v4 bodies: a record frame is not a basket frame."""
@@ -398,10 +383,8 @@ class TestBasketFrames:
             list(iter_basket_frames(body))
 
     def test_v4_frame_in_columnar_body_rejected(self):
-        """...and symmetrically, the columnar decoders refuse v4."""
+        """...and symmetrically, the columnar decoder refuses v4."""
         frame = encode_baskets(np.eye(2, dtype=bool))
-        with pytest.raises(ValidationError, match="version"):
-            decode_columns(frame)
         with pytest.raises(ValidationError, match="version"):
             list(iter_labeled_frames(frame))
 
@@ -421,7 +404,7 @@ class TestBasketFrames:
             + b"\x05"  # item 5
         )
         with pytest.raises(ValidationError, match="outside the declared"):
-            decode_baskets(frame)
+            list(iter_basket_frames(frame))
 
     def test_non_increasing_item_ids_rejected(self):
         frame = (
@@ -431,23 +414,23 @@ class TestBasketFrames:
             + b"\x02\x01"  # items 2, 1: out of order
         )
         with pytest.raises(ValidationError, match="strictly increasing"):
-            decode_baskets(frame)
+            list(iter_basket_frames(frame))
         dupes = (
             struct.pack("<4sHHi", MAGIC, WIRE_VERSION_BASKETS, 4, -1)
             + b"\x01\x02\x01\x01"  # items 1, 1: duplicate
         )
         with pytest.raises(ValidationError, match="strictly increasing"):
-            decode_baskets(dupes)
+            list(iter_basket_frames(dupes))
 
     def test_zero_transactions_rejected(self):
         frame = struct.pack("<4sHHi", MAGIC, WIRE_VERSION_BASKETS, 2, -1) + b"\x00"
         with pytest.raises(ValidationError, match="no transactions"):
-            decode_baskets(frame)
+            list(iter_basket_frames(frame))
 
     def test_zero_item_universe_rejected(self):
         frame = struct.pack("<4sHHi", MAGIC, WIRE_VERSION_BASKETS, 0, -1) + b"\x01\x00"
         with pytest.raises(ValidationError, match="empty item universe"):
-            decode_baskets(frame)
+            list(iter_basket_frames(frame))
 
     def test_oversized_transaction_count_rejected_without_allocation(self):
         """An absurd declared count is refused before the matrix exists:
@@ -455,11 +438,11 @@ class TestBasketFrames:
         header = struct.pack("<4sHHi", MAGIC, WIRE_VERSION_BASKETS, 65535, -1)
         absurd = header + b"\x80\x80\x80\x80\x80\x80\x80\x80\x40"  # 2^62
         with pytest.raises(ValidationError, match="truncated"):
-            decode_baskets(absurd)
+            list(iter_basket_frames(absurd))
         # pad so the count fits the remaining bytes: the cap catches it
         padded = header + b"\x80\x89\x7a" + b"\x00" * 2_000_000  # 2_000_000
         with pytest.raises(ValidationError, match="caps frames"):
-            decode_baskets(padded)
+            list(iter_basket_frames(padded))
 
     def test_runaway_varint_rejected(self):
         frame = (
@@ -467,12 +450,12 @@ class TestBasketFrames:
             + b"\x80" * 11  # continuation bit forever
         )
         with pytest.raises(ValidationError, match="varint"):
-            decode_baskets(frame)
+            list(iter_basket_frames(frame))
 
     def test_truncated_transaction_payload(self):
         frame = encode_baskets(np.ones((2, 3), dtype=bool))
         with pytest.raises(ValidationError, match="truncated"):
-            decode_baskets(frame[:-1])
+            list(iter_basket_frames(frame[:-1]))
 
 
 class TestBasketDecodeFuzz:
@@ -499,7 +482,7 @@ class TestBasketDecodeFuzz:
             cuts = {rng.randrange(len(frame)) for _ in range(40)}
             for cut in sorted(cuts):
                 try:
-                    decode_baskets(frame[:cut])
+                    frames = list(iter_basket_frames(frame[:cut]))
                 except ValidationError:
                     continue
                 except Exception as exc:  # noqa: BLE001
@@ -507,7 +490,8 @@ class TestBasketDecodeFuzz:
                         f"frame {index} truncated at {cut} raised "
                         f"{type(exc).__name__}: {exc} (seed {self.BASE_SEED})"
                     ) from exc
-                assert cut == len(frame), (
+                # only the empty body (cut 0) is a clean, frameless decode
+                assert cut == 0 and not frames, (
                     f"frame {index}: truncation at {cut} decoded cleanly "
                     f"(seed {self.BASE_SEED})"
                 )
@@ -522,7 +506,7 @@ class TestBasketDecodeFuzz:
             for _ in range(rng.randint(1, 4)):
                 frame[rng.randrange(len(frame))] = rng.randrange(256)
             try:
-                matrix, shard = decode_baskets(bytes(frame))
+                decoded = list(iter_basket_frames(bytes(frame)))
             except ValidationError:
                 continue
             except Exception as exc:  # noqa: BLE001
@@ -531,37 +515,38 @@ class TestBasketDecodeFuzz:
                     f"{exc} (seed {self.BASE_SEED + 1})"
                 ) from exc
             # a surviving decode must still be structurally sound
-            assert matrix.ndim == 2
-            assert matrix.dtype == np.bool_
-            assert shard is None or isinstance(shard, int)
+            for matrix, shard in decoded:
+                assert matrix.ndim == 2
+                assert matrix.dtype == np.bool_
+                assert shard is None or isinstance(shard, int)
 
 
 class TestNDJSON:
     def test_roundtrip(self):
         body = encode_ndjson([({"x": [0.5, 0.6]}, None), ({"y": [1.0]}, 2)])
-        frames = list(iter_ndjson(body))
-        assert frames == [({"x": [0.5, 0.6]}, None), ({"y": [1.0]}, 2)]
+        frames = list(iter_labeled_ndjson(body))
+        assert frames == [({"x": [0.5, 0.6]}, None, None), ({"y": [1.0]}, None, 2)]
 
     def test_blank_lines_skipped(self):
         body = b'\n{"batch": {"x": [0.5]}}\n\n'
-        assert len(list(iter_ndjson(body))) == 1
+        assert len(list(iter_labeled_ndjson(body))) == 1
 
     def test_empty_body(self):
-        assert list(iter_ndjson(b"")) == []
+        assert list(iter_labeled_ndjson(b"")) == []
         assert encode_ndjson([]) == b""
 
     def test_bad_json_line_names_the_line(self):
         body = b'{"batch": {"x": [0.5]}}\nnot json\n'
         with pytest.raises(ValidationError, match="line 2"):
-            list(iter_ndjson(body))
+            list(iter_labeled_ndjson(body))
 
     def test_line_without_batch_rejected(self):
         with pytest.raises(ValidationError, match="batch"):
-            list(iter_ndjson(b'{"values": [1.0]}\n'))
+            list(iter_labeled_ndjson(b'{"values": [1.0]}\n'))
 
     def test_batch_must_be_dict(self):
         with pytest.raises(ValidationError):
-            list(iter_ndjson(b'{"batch": [1.0]}\n'))
+            list(iter_labeled_ndjson(b'{"batch": [1.0]}\n'))
 
     def test_labeled_lines_roundtrip(self):
         body = (
@@ -570,10 +555,6 @@ class TestNDJSON:
         )
         frames = list(iter_labeled_ndjson(body))
         assert frames == [({"x": [0.5]}, [1], None), ({"x": [0.9]}, None, None)]
-
-    def test_unlabeled_iterator_rejects_classes(self):
-        with pytest.raises(ValidationError, match="classes"):
-            list(iter_ndjson(b'{"batch": {"x": [0.5]}, "classes": [1]}\n'))
 
     def test_classes_must_be_list(self):
         with pytest.raises(ValidationError, match="classes"):
@@ -587,19 +568,19 @@ class TestQuantizedFrames:
         indices = np.array([0, 3, 7, 127], dtype=np.int8)
         frame = encode_quantized({"age": indices})
         assert struct.unpack_from("<H", frame, 4)[0] == WIRE_VERSION_QUANTIZED
-        batch, classes, shard = decode_labeled(frame)
+        [(batch, classes, shard)] = iter_labeled_frames(frame)
         assert classes is None and shard is None
         assert batch["age"].dtype == np.dtype("<i1")
         assert np.array_equal(batch["age"], indices)
 
     def test_int16_roundtrip(self):
         indices = np.array([0, 128, 32767], dtype=np.int16)
-        batch, _, _ = decode_labeled(encode_quantized({"x": indices}))
+        [(batch, _, _)] = iter_labeled_frames(encode_quantized({"x": indices}))
         assert batch["x"].dtype == np.dtype("<i2")
         assert np.array_equal(batch["x"], indices)
 
     def test_wide_integers_narrow_to_smallest_width(self):
-        batch, _, _ = decode_labeled(
+        [(batch, _, _)] = iter_labeled_frames(
             encode_quantized({"a": np.array([0, 127], dtype=np.int64),
                               "b": np.array([0, 128], dtype=np.int64)})
         )
@@ -609,28 +590,28 @@ class TestQuantizedFrames:
     def test_float_columns_ride_v5_as_raw_f8(self):
         values = np.array([0.1, 1e-308, -0.0])
         frame = encode_quantized({"x": values, "q": np.array([1], dtype=np.int8)[:0]})
-        batch, _, _ = decode_labeled(frame)
+        [(batch, _, _)] = iter_labeled_frames(frame)
         assert batch["x"].dtype == np.dtype("<f8")
         assert batch["x"].tobytes() == values.tobytes()
 
     def test_labeled_quantized_frame_roundtrips(self):
         indices = np.array([0, 1, 2, 1], dtype=np.int8)
         frame = encode_quantized({"x": indices}, classes=[0, 1, 0, 1], shard=2)
-        batch, classes, shard = decode_labeled(frame)
+        [(batch, classes, shard)] = iter_labeled_frames(frame)
         assert shard == 2
         assert classes.tolist() == [0, 1, 0, 1]
         assert batch["x"].tolist() == [0, 1, 2, 1]
 
     def test_decoded_quantized_columns_are_zero_copy(self):
         frame = encode_quantized({"x": np.arange(100, dtype=np.int8)})
-        batch, _, _ = decode_labeled(frame)
+        [(batch, _, _)] = iter_labeled_frames(frame)
         assert not batch["x"].flags.owndata
         assert not batch["x"].flags.writeable
 
     def test_unlabeled_v5_decodes_via_iter_frames(self):
         frame = encode_quantized({"x": np.array([1, 2], dtype=np.int8)})
-        (batch, shard), = iter_frames(frame)
-        assert shard is None
+        [(batch, classes, shard)] = iter_labeled_frames(frame)
+        assert classes is None and shard is None
         assert batch["x"].tolist() == [1, 2]
 
     def test_v5_mixes_with_older_versions_in_one_body(self):
@@ -657,7 +638,7 @@ class TestQuantizedFrames:
         # header(12) + class count(8) + name len(2) + name(2) + rows(8)
         frame[12 + 8 + 2 + 2 + 8] = 9
         with pytest.raises(WireFormatError, match="unknown dtype code"):
-            decode_labeled(bytes(frame))
+            list(iter_labeled_frames(bytes(frame)))
 
     def test_older_encoders_stay_byte_identical(self):
         """v5 is opt-in: encode_columns never emits it, and a pinned v1
@@ -676,9 +657,10 @@ class TestQuantizedFrames:
             {"q": np.arange(50, dtype=np.int16), "f": np.linspace(0, 1, 50)},
             classes=[0, 1] * 25,
         )
-        for cut in range(len(frame)):
+        assert list(iter_labeled_frames(frame[:0])) == []  # the empty body
+        for cut in range(1, len(frame)):
             with pytest.raises(ValidationError):
-                decode_labeled(frame[:cut])
+                list(iter_labeled_frames(frame[:cut]))
 
 
 class TestGoldenBytes:
@@ -783,6 +765,68 @@ class TestGoldenBytes:
         assert np.array_equal(m2, second) and s2 is None
 
 
+class TestShardPins:
+    """One pin rule across the wire formats: ``None`` or an integer in
+    ``[0, 2**31)``, checked by the encoders, the decoders and the JSON
+    record reader alike."""
+
+    @pytest.mark.parametrize(
+        "shard",
+        [-1, -2, 2**31, True, 1.5, "3"],
+        ids=["minus-one", "minus-two", "2**31", "bool", "float", "str"],
+    )
+    def test_encoders_reject_bad_pins(self, shard):
+        for encode, batch in (
+            (encode_columns, {"x": [0.5]}),
+            (encode_quantized, {"x": [0.5]}),
+            (encode_baskets, np.eye(2, dtype=bool)),
+        ):
+            with pytest.raises(ValidationError, match="shard"):
+                encode(batch, shard=shard)
+        with pytest.raises(ValidationError, match="shard"):
+            encode_ndjson([({"x": [0.5]}, shard)])
+
+    def test_encoders_accept_the_whole_pin_range(self):
+        for shard in (0, 2**31 - 1, np.int64(5)):
+            frame = encode_columns({"x": [0.5]}, shard=shard)
+            [(_, _, pinned)] = iter_labeled_frames(frame)
+            assert pinned == shard
+            frame = encode_baskets(np.eye(2, dtype=bool), shard=shard)
+            [(_, pinned)] = iter_basket_frames(frame)
+            assert pinned == shard
+
+    def test_decoders_reject_pins_below_minus_one(self):
+        for frame, decode in (
+            (encode_columns({"x": [0.5]}), iter_labeled_frames),
+            (encode_quantized({"x": [1]}, classes=[0]), iter_labeled_frames),
+            (encode_baskets(np.eye(2, dtype=bool)), iter_basket_frames),
+        ):
+            forged = bytearray(frame)
+            struct.pack_into("<i", forged, 8, -2)
+            with pytest.raises(ValidationError, match="shard pin"):
+                list(decode(bytes(forged)))
+
+    def test_ndjson_rejects_boolean_shards(self):
+        with pytest.raises(ValidationError, match="line 1: 'shard'"):
+            list(iter_labeled_ndjson(b'{"batch": {"x": [0.5]}, "shard": true}\n'))
+
+
+class TestWideFrames:
+    """Attribute tables as wide as the u16 count allows: the table reader
+    checks names against a set, so decoding stays linear in the width."""
+
+    def test_widest_v1_and_v3_frames_roundtrip(self):
+        from repro.service.wire import encode_partial, split_partial
+
+        names = [f"{i:05d}" for i in range(0xFFFF)]
+        frame = encode_columns(dict.fromkeys(names, ()))
+        [(batch, classes, _)] = iter_labeled_frames(frame)
+        assert list(batch) == names and classes is None
+        partial = encode_partial({name: np.ones((1, 1)) for name in names})
+        partials, rest = split_partial(partial)
+        assert list(partials) == names and not len(rest)
+
+
 class TestFrameCellCap:
     """The shared decode-bomb guard across columnar and partial frames."""
 
@@ -799,7 +843,7 @@ class TestFrameCellCap:
         frame = bytearray(encode_quantized({"ab": np.array([1], dtype=np.int8)}))
         struct.pack_into("<Q", frame, 12 + 8 + 2 + 2, 2**60)
         with pytest.raises(WireFormatError, match="caps frames"):
-            decode_labeled(bytes(frame))
+            list(iter_labeled_frames(bytes(frame)))
 
     def test_cap_counts_cells_across_all_columns(self):
         """Many modest columns that sum past the cap still trip the guard."""
@@ -811,7 +855,7 @@ class TestFrameCellCap:
         )
         frame = struct.pack("<4sHHi", MAGIC, WIRE_VERSION, len(names), -1) + table
         with pytest.raises(WireFormatError, match="caps frames"):
-            decode_columns(frame)
+            list(iter_labeled_frames(frame))
 
     def test_wire_format_error_is_a_validation_error(self):
         assert issubclass(WireFormatError, ValidationError)
