@@ -4,10 +4,10 @@ PRs 3–4 made the service ingest randomized streams at memory bandwidth,
 but the paper's headline workload — ByClass reconstruction feeding
 decision-tree induction — still required the offline batch pipeline.
 This benchmark exercises the closed loop: labeled randomized Quest
-records stream into class-conditional shards, and ``TrainingService``
-grows the tree directly from the service-held aggregates (reconstruction
-is O(bins) per attribute x class, independent of stream length) plus the
-buffered randomized rows (per-record correction and routing).
+records stream into class-conditional shards and the training buffer,
+and ``TrainingService`` grows the tree from the buffered randomized
+rows through the offline pipeline's strategy functions on the service's
+engine (reconstruction, per-record correction and routing).
 
 Asserted, at 1 and 4 shards:
 

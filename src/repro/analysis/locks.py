@@ -1,7 +1,7 @@
 """Lock-discipline race detector (rules L001, L002, L003).
 
 The serving tier's bit-identity contract rests on a handful of locks
-(shard locks, the estimate lock, the training sync lock).  Nothing ties
+(shard locks, the estimate lock, the training buffer lock).  Nothing ties
 an attribute to its lock in the source, so a refactor can silently move
 a guarded mutation outside its ``with`` block — exactly the class of
 race runtime tests rarely catch.  This checker recovers the discipline
@@ -26,8 +26,8 @@ statically:
 
 Lock objects are recognized by assignment from ``threading.Lock()`` /
 ``threading.RLock()`` or by name (``*lock``/``*mutex`` attributes), so
-locks passed across modules (``with self.training.sync_lock:``) still
-count.  Guards are keyed by attribute name across the whole library
+locks reached through another object (``with self.peer.state_lock:``)
+still count.  Guards are keyed by attribute name across the whole library
 because lock-sharing code (a subclass adding to ``self._counts`` that a
 base class in another module guards) rarely has the owning class in
 scope at the use site.

@@ -28,8 +28,9 @@ that server's aggregation tier:
   per Content-Type over keep-alive connections,
 * :mod:`repro.service.training` — :class:`TrainingService`: the
   training tier, growing the paper's Global/ByClass/Local decision
-  trees directly from the service-held class-conditional aggregates
-  (``POST /train`` / ``GET /model`` / ``ppdm train``),
+  trees from its buffer of labeled randomized rows through the offline
+  pipeline's strategy code (``POST /train`` / ``GET /model`` /
+  ``ppdm train``),
 * :mod:`repro.service.support` — :class:`SupportShard` /
   :class:`SupportShardSet`: the mining workload's accumulators — joint
   bit-pattern counts of MASK-randomized baskets on the same shard core

@@ -18,7 +18,7 @@ Sync protocol
 Workers ship *cumulative* state as one version 3 partial frame
 (:func:`repro.service.wire.encode_partial`), with their labeled row
 buffer appended as ordinary labeled record frames when training is
-enabled (:func:`export_sync_body` builds the body atomically).  The
+enabled (:func:`export_sync_body` builds the body).  The
 coordinator dedicates shard slot ``i`` to worker ``i`` and applies a
 sync by *replacing* that slot
 (:meth:`~repro.service.AggregationService.replace_partial`), so pushes
@@ -148,10 +148,11 @@ def export_sync_body(service, training=None) -> bytes:
 
     A version 3 partial frame of the service's merged per-class counts;
     when ``training`` is given, the labeled row buffer follows as
-    labeled record frames, exported under the training sync lock so the
-    aggregates/rows pair always passes the coordinator's consistency
-    check.  The body is idempotent by construction — it carries totals,
-    not deltas.
+    labeled record frames, which are all the coordinator trains on.  The
+    two are read one after the other, so a batch absorbed in between
+    reaches the coordinator's ``/estimate`` one sync before its
+    ``/train``.  The body is idempotent by construction — it carries
+    totals, not deltas.
 
     Examples
     --------
@@ -166,13 +167,8 @@ def export_sync_body(service, training=None) -> bytes:
     >>> export_sync_body(service)[:4]
     b'PPDM'
     """
-    if training is not None:
-        with training.sync_lock:
-            partials = service.export_partial()
-            blocks = training.export_rows()
-    else:
-        partials = service.export_partial()
-        blocks = []
+    partials = service.export_partial()
+    blocks = training.export_rows() if training is not None else []
     names = service.attributes
     frames = [encode_partial(partials)]
     for matrix, labels in blocks:
@@ -311,9 +307,8 @@ class ClusterCoordinator:
         Decodes and validates everything — the partial frame and any
         trailing labeled row frames — *before* touching state, so a
         malformed body changes nothing (the HTTP front end's 400
-        contract).  A valid body replaces the worker's shard slot (and
-        its buffered row segment, atomically under the training sync
-        lock) and counts as a heartbeat.
+        contract).  A valid body replaces the worker's shard slot and
+        its buffered row segment, and counts as a heartbeat.
         """
         partials, rest = split_partial(payload)
         blocks = []
@@ -335,23 +330,13 @@ class ClusterCoordinator:
             raise ValidationError(
                 f"worker {worker} is not registered; POST /register first"
             )
-        if self.training is not None:
-            # slot and row segment move together so a concurrent train
-            # can never pair new aggregates with an old buffer
-            with self.training.sync_lock:
-                records = self.service.replace_partial(worker, partials)
-                self._mark_synced(link, records, blocks)
-        else:
-            records = self.service.replace_partial(worker, partials)
-            self._mark_synced(link, records, blocks)
-        return records
-
-    def _mark_synced(self, link: _WorkerLink, records: int, blocks) -> None:
+        records = self.service.replace_partial(worker, partials)
         with self._lock:
             link.records = int(records)
             link.last_sync = time.monotonic()
             link.reachable = True
-            link.rows = list(blocks)
+            link.rows = blocks
+        return records
 
     # ------------------------------------------------------------------
     # Pull (coordinator-initiated)
@@ -397,28 +382,25 @@ class ClusterCoordinator:
     def train(self, strategy: str = "byclass") -> TrainedModel:
         """Sync strictly, install the union row buffer, and grow a tree.
 
-        Workers are pulled first (HTTP strictly outside any lock); the
-        buffer swap and the training run then happen under the training
-        sync lock, so a concurrent push cannot interleave between the
-        two.  The grown tree is bit-identical to a single-process
-        training service fed the same labeled rows in worker order.
+        Workers are pulled first (HTTP strictly outside any lock); their
+        row segments, in worker order, then replace the training buffer,
+        and the tree grows from that buffer alone.  The grown tree is
+        bit-identical to a single-process training service fed the same
+        labeled rows in worker order.
         """
         if self.training is None:
             raise ValidationError(
                 "the coordinator was built without a training service"
             )
         self.sync(require_all=True)
-        with self.training.sync_lock:
-            with self._lock:
-                segments = [
-                    block
-                    for link in sorted(
-                        self._links.values(), key=lambda s: s.worker
-                    )
-                    for block in link.rows
-                ]
-            self.training.replace_rows(segments)
-            return self.training.train(strategy)
+        with self._lock:
+            segments = [
+                block
+                for link in sorted(self._links.values(), key=lambda s: s.worker)
+                for block in link.rows
+            ]
+        self.training.replace_rows(segments)
+        return self.training.train(strategy)
 
     # ------------------------------------------------------------------
     # Health

@@ -41,7 +41,7 @@ Endpoints (responses are JSON unless noted):
 ``POST /ingest``           one or many batches, wire format per Content-Type
 ``POST /mine``             run level-wise Apriori over the service-held
                            support counts (thresholds in the JSON body)
-``POST /train``            grow a decision tree from the aggregates
+``POST /train``            grow a decision tree from the training buffer
 ``POST /snapshot``         persist to the configured snapshot path
 ``POST /register``         announce a worker to the coordinator
 ``POST /partial?worker=I`` absorb worker ``I``'s pushed sync body
@@ -594,16 +594,9 @@ class ServiceHTTPServer:
             prepared_frames.append((prepared, rows, shard))
         ingested = 0
         for prepared, rows, shard in prepared_frames:
+            ingested += self.service.ingest_prepared(prepared, shard=shard)
             if rows is not None:
-                # shards and training buffer update as one unit, so a
-                # concurrent /train can never see them mid-divergence
-                with self.training.sync_lock:
-                    ingested += self.service.ingest_prepared(
-                        prepared, shard=shard
-                    )
-                    self.training.absorb_rows(rows)
-            else:
-                ingested += self.service.ingest_prepared(prepared, shard=shard)
+                self.training.absorb_rows(rows)
         return ingested, len(prepared_frames)
 
     def handle_ingest_frames(self, frames) -> tuple:

@@ -201,10 +201,12 @@ class AggregationService:
     def merged_by_class(self, name: str):
         """Merged per-class noise-grid counts: ``(classes + 1, bins)``.
 
-        Row 0 is the unlabeled partition, row ``c + 1`` class ``c`` —
-        the class-conditional aggregates
-        :class:`~repro.service.training.TrainingService` reconstructs
-        from.
+        Row 0 is the unlabeled partition, row ``c + 1`` class ``c``:
+        the class-conditional aggregates that ``/stats``, snapshots and
+        cluster partials carry.  While every labeled record enters through
+        :class:`~repro.service.training.TrainingService`, block ``c + 1``
+        equals the noise-grid histogram of the class-``c`` rows it trains
+        on.
         """
         self._state(name)
         return self._shards.merged_by_class(name)

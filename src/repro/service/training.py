@@ -7,18 +7,17 @@ tree induction recovers near-original accuracy from randomized data.
 same server that ingests randomized streams at memory bandwidth can now
 *mine* them.
 
-Division of labour:
-
-* the **class-conditional shard aggregates**
-  (:meth:`~repro.service.AggregationService.merged_by_class`) drive every
-  distribution reconstruction: one warm cache-shared
-  :class:`~repro.core.engine.ReconstructionEngine` sweep per
-  (attribute, class), at cost O(bins) regardless of stream length,
-* a **training buffer** of the labeled randomized rows drives the
-  per-record steps the histograms cannot carry — the paper's sort-based
-  record correction (:func:`~repro.core.correction.correct_records`) and
-  the tree's per-node record routing.  The buffer only ever holds
-  *randomized* values; clean data never reaches the server.
+A labeled batch lands twice: in the service's class-conditional shard
+blocks (which ``/stats``, snapshots and cluster partials serve) and in a
+**training buffer** of the labeled randomized rows.  :meth:`train` reads
+the buffer only.  It hands the rows, the service's grids and
+randomizers, and the service's warm, cache-shared
+:class:`~repro.core.engine.ReconstructionEngine` to the offline
+pipeline's own strategy functions
+(:func:`~repro.tree.pipeline.correct_intervals`,
+:func:`~repro.tree.pipeline.local_refit`,
+:func:`~repro.tree.pipeline.build_tree`).  The buffer only ever holds
+*randomized* values; clean data never reaches the server.
 
 Bit-identity contract
 ---------------------
@@ -27,12 +26,11 @@ engine settings, :meth:`TrainingService.train` produces a tree
 **bit-identical** — same splits, same thresholds, same leaf counts — to
 the offline :class:`~repro.tree.pipeline.PrivacyPreservingClassifier`
 fed the same pre-randomized table (the ``experiments/classification.py``
-path), because every float operation is shared: the per-class noise-grid
-histograms held by the shards equal ``y_partition.histogram`` of the
-per-class values exactly (integer counts), the engine's batched sweeps
-are bit-identical to the looped reference, and correction + tree growth
-run the very same code.  ``tests/test_training.py`` and
-``bench_e22_train_over_service`` pin this.
+path): both run the same code on the same rows, and the engine's batched
+sweeps are bit-identical to solving each problem alone.
+``tests/test_training.py``, the training fuzz in
+``tests/test_properties.py`` and ``bench_e22_train_over_service`` pin
+this.
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.correction import correct_records
 from repro.exceptions import ValidationError
+from repro.tree.pipeline import build_tree, correct_intervals, local_refit
 from repro.tree.tree import DecisionTreeClassifier
 from repro.utils.validation import check_1d_array, check_label_column
 
@@ -106,7 +104,7 @@ class TrainingService:
     ----------
     service:
         A class-aware :class:`~repro.service.AggregationService`
-        (``classes >= 1``).  Its class-conditional aggregates feed the
+        (``classes >= 1``).  Its grids and randomizers define the
         reconstructions; its engine (and kernel cache) runs the sweeps.
     criterion / max_depth / min_records_split / min_gain / local_min_records:
         Tree-growth settings, with exactly the
@@ -116,8 +114,9 @@ class TrainingService:
 
     Labeled rows enter through :meth:`ingest` (or the HTTP front end's
     labeled wire frames): the batch lands in the service's per-class
-    shard blocks *and* in the training buffer.  Training rows must
-    carry every attribute — trees route records on full rows.
+    shard blocks *and* in the training buffer, and :meth:`train` reads
+    the buffer only.  Training rows must carry every attribute — trees
+    route records on full rows.
 
     Examples
     --------
@@ -169,21 +168,6 @@ class TrainingService:
         self.local_min_records = int(local_min_records)
         self._rows: list = []  # (matrix (n, d), labels (n,)) blocks
         self._rows_lock = threading.Lock()
-        # Aggregates already in the shards predate this training service
-        # (a restored snapshot's labeled history, typically).  They are
-        # subtracted from every aggregate read, so training always runs
-        # on exactly the rows this instance buffered — a restarted
-        # --train server keeps training on its new stream instead of
-        # failing the aggregates-vs-buffer check forever.
-        self._baseline = {
-            name: service.merged_by_class(name) for name in service.attributes
-        }
-        # Holds the shard accumulate and the buffer append of one labeled
-        # batch together, and train()'s aggregate reads against both, so
-        # a train racing a labeled ingest can never observe shards and
-        # buffer mid-update (the consistency check would misfire).
-        # Unlabeled ingest never takes it.
-        self.sync_lock = threading.RLock()
         self._models: dict = {}
         self._latest: str | None = None
         self._models_lock = threading.Lock()
@@ -247,10 +231,9 @@ class TrainingService:
     def export_rows(self) -> list:
         """Copies of the buffered ``(matrix, labels)`` blocks, in order.
 
-        The worker side of cluster row sync: shipped (as labeled record
-        frames after the partial frame) under :attr:`sync_lock` together
-        with the aggregate export, so the coordinator always receives an
-        aggregates/rows pair that passes the training consistency check.
+        The worker side of cluster row sync: shipped as labeled record
+        frames after the partial frame, so the coordinator trains on the
+        union of every worker's buffer.
         """
         with self._rows_lock:
             return [
@@ -266,9 +249,8 @@ class TrainingService:
         after another in worker order.  Replacing — never appending —
         makes a re-synced buffer idempotent, mirroring
         :meth:`~repro.service.AggregationService.replace_partial`.
-        Everything is validated before the swap; callers hold
-        :attr:`sync_lock` around the replace and the aggregate updates
-        it mirrors.  Returns the rows now buffered.
+        Everything is validated before the swap.  Returns the rows now
+        buffered.
         """
         d = len(self.service.attributes)
         checked = []
@@ -303,9 +285,8 @@ class TrainingService:
         Returns the records added to the shards.
         """
         rows = self.prepare_rows(batch, classes)
-        with self.sync_lock:
-            added = self.service.ingest(batch, shard=shard, classes=classes)
-            self.absorb_rows(rows)
+        added = self.service.ingest(batch, shard=shard, classes=classes)
+        self.absorb_rows(rows)
         return added
 
     # ------------------------------------------------------------------
@@ -319,14 +300,15 @@ class TrainingService:
             return self._models.get(strategy)
 
     def train(self, strategy: str = "byclass") -> TrainedModel:
-        """Grow a decision tree from the service's aggregates and buffer.
+        """Grow a decision tree from the buffered labeled rows.
 
-        Reconstructions come from the class-conditional shard partials
-        (O(bins) per attribute x class, never re-reading the stream);
-        record correction and tree growth run on the buffered randomized
-        rows.  The result is bit-identical to the offline
-        :class:`~repro.tree.pipeline.PrivacyPreservingClassifier` on the
-        same data (see the module docstring).
+        Reconstruction, record correction and tree growth all read one
+        copy of the buffer, through the offline pipeline's strategy
+        functions on the service's engine.  The result is bit-identical
+        to the offline :class:`~repro.tree.pipeline.PrivacyPreservingClassifier`
+        on the same rows (see the module docstring), and a reconstruction
+        that stops on the iteration cap emits the same
+        :class:`~repro.exceptions.ConvergenceWarning`.
         """
         if strategy not in TRAINING_STRATEGIES:
             raise ValidationError(
@@ -335,60 +317,38 @@ class TrainingService:
             )
         names = self.service.attributes
         start = time.perf_counter()
-        # The buffer snapshot, the consistency check, and the aggregate
-        # reads happen under the sync lock so a concurrent labeled
-        # ingest cannot interleave between them; tree growth below only
-        # touches the (already copied) buffered rows and runs unlocked.
-        with self.sync_lock:
-            with self._rows_lock:
-                blocks = list(self._rows)
-            if not blocks:
-                raise ValidationError(
-                    "no labeled records buffered: ingest labeled rows "
-                    "before train()"
-                )
-            w_matrix = np.vstack([matrix for matrix, _ in blocks])
-            labels = np.concatenate(
-                [block_labels for _, block_labels in blocks]
+        with self._rows_lock:
+            blocks = list(self._rows)
+        if not blocks:
+            raise ValidationError(
+                "no labeled records buffered: ingest labeled rows before train()"
             )
-            # one shard merge per attribute (minus the pre-existing
-            # baseline), shared by the consistency check and the
-            # reconstructions below
-            matrices = {
-                name: self.service.merged_by_class(name) - self._baseline[name]
-                for name in names
-            }
-            self._check_consistency(labels, matrices)
-        # everything below reads only private copies (w_matrix, labels,
-        # matrices), so corrections and tree growth run unlocked and
-        # never stall the labeled ingest path
-        if strategy == "global":
-            intervals = self._correct_global(w_matrix, names, matrices)
-        else:  # byclass and local both root at the ByClass correction
-            intervals = self._correct_byclass(w_matrix, labels, names, matrices)
-
-        partitions = [self.service.spec(name).x_partition for name in names]
-        n = labels.size
-        max_depth = 8 if self.max_depth == "auto" else self.max_depth
-        min_records_split = (
-            max(10, round(0.01 * n))
-            if self.min_records_split == "auto"
-            else self.min_records_split
+        w_matrix = np.vstack([matrix for matrix, _ in blocks])
+        labels = np.concatenate([block_labels for _, block_labels in blocks])
+        specs = [self.service.spec(name) for name in names]
+        partitions = [spec.x_partition for spec in specs]
+        randomizers = [spec.randomizer for spec in specs]
+        engine = self.service.engine
+        intervals, _ = correct_intervals(
+            strategy, w_matrix, labels, partitions, randomizers, engine
         )
-        tree = DecisionTreeClassifier(
+        tree = build_tree(
             partitions,
+            names,
+            labels.size,
             criterion=self.criterion,
-            max_depth=max_depth,
-            min_records_split=min_records_split,
+            max_depth=self.max_depth,
+            min_records_split=self.min_records_split,
             min_gain=self.min_gain,
-            attribute_names=list(names),
         )
         if strategy == "local":
             tree.fit_intervals(
                 intervals,
                 labels,
                 raw_values=w_matrix,
-                node_transformer=self._local_transformer(names, partitions),
+                node_transformer=local_refit(
+                    partitions, randomizers, engine, self.local_min_records
+                ),
             )
         else:
             tree.fit_intervals(intervals, labels)
@@ -397,7 +357,7 @@ class TrainingService:
         model = TrainedModel(
             strategy=strategy,
             tree=tree,
-            n_train=int(n),
+            n_train=int(labels.size),
             attributes=tuple(names),
             classes=self.service.classes,
             fit_seconds=elapsed,
@@ -406,115 +366,6 @@ class TrainingService:
             self._models[strategy] = model
             self._latest = strategy
         return model
-
-    # ------------------------------------------------------------------
-    def _check_consistency(self, labels: np.ndarray, matrices: dict) -> None:
-        """The (baseline-adjusted) aggregates must match the buffer.
-
-        Cheap (O(classes) sums per attribute over the already-merged
-        matrices): catches labeled records that reached the shards
-        around the training buffer — e.g. via a direct
-        ``service.ingest(..., classes=...)`` — before they silently
-        skew the reconstructions away from the buffered rows.
-        Aggregates predating this training service (a restored
-        snapshot's history) are already subtracted by the caller.
-        """
-        per_class = np.bincount(labels, minlength=self.service.classes)
-        for name, matrix in matrices.items():
-            for c in range(self.service.classes):
-                aggregated = int(matrix[c + 1].sum())
-                if aggregated != int(per_class[c]):
-                    raise ValidationError(
-                        f"class-conditional aggregates disagree with the "
-                        f"training buffer for attribute {name!r}, class "
-                        f"{c}: shards hold {aggregated} record(s), the "
-                        f"buffer {int(per_class[c])} — labeled records "
-                        "must be ingested through the training service"
-                    )
-
-    def _reconstruct(self, name: str, count_rows) -> list:
-        """Engine sweeps over pre-aggregated noise-grid histograms."""
-        spec = self.service.spec(name)
-        engine = self.service.engine
-        _, kernel = engine.kernel_for(spec.x_partition, spec.randomizer)
-        y_counts = np.stack([np.asarray(row, dtype=float) for row in count_rows])
-        m = spec.x_partition.n_intervals
-        theta0 = np.full((y_counts.shape[0], m), 1.0 / m)
-        batch = engine.sweep_batch(y_counts, kernel, theta0)
-        return [
-            engine.result_from_sweep(batch, row, spec.x_partition, warn=False)
-            for row in range(y_counts.shape[0])
-        ]
-
-    def _correct_byclass(self, w_matrix, labels, names, matrices) -> np.ndarray:
-        """Per-class reconstruction from aggregates + per-record correction."""
-        intervals = np.empty(w_matrix.shape, dtype=np.int64)
-        class_masks = [(int(c), labels == c) for c in np.unique(labels)]
-        for j, name in enumerate(names):
-            matrix = matrices[name]
-            results = self._reconstruct(
-                name, [matrix[c + 1] for c, _ in class_masks]
-            )
-            for (c, mask), result in zip(class_masks, results):
-                intervals[mask, j] = correct_records(
-                    w_matrix[mask, j], result.distribution
-                ).interval_indices
-        return intervals
-
-    def _correct_global(self, w_matrix, names, matrices) -> np.ndarray:
-        """One all-labeled-classes reconstruction per attribute + correction."""
-        intervals = np.empty(w_matrix.shape, dtype=np.int64)
-        for j, name in enumerate(names):
-            matrix = matrices[name]
-            # the labeled blocks sum (exactly) to the histogram of every
-            # buffered row; the unlabeled partition is not training data
-            result = self._reconstruct(name, [matrix[1:].sum(axis=0)])[0]
-            intervals[:, j] = correct_records(
-                w_matrix[:, j], result.distribution
-            ).interval_indices
-        return intervals
-
-    def _local_transformer(self, names, partitions):
-        """The paper's Local per-node refit, on the service's engine.
-
-        Matches :class:`~repro.tree.pipeline.PrivacyPreservingClassifier`
-        exactly: attributes already split on along the path keep their
-        inherited assignments, classes under ``local_min_records`` are
-        skipped, and all of a node's (attribute x class) refits go out as
-        one batched engine call (kernels cached across nodes).
-        """
-        randomizers = [self.service.spec(name).randomizer for name in names]
-        engine = self.service.engine
-
-        def transform(raw, node_labels, intervals, used):
-            out = intervals.copy()
-            class_masks = [
-                (c, mask)
-                for c in np.unique(node_labels)
-                for mask in [node_labels == c]
-                if int(mask.sum()) >= self.local_min_records
-            ]
-            jobs = []
-            for j in range(len(names)):
-                if j in used:
-                    continue
-                for _, mask in class_masks:
-                    jobs.append((j, mask))
-            if not jobs:
-                return out
-            results = engine.reconstruct_batch(
-                [
-                    (raw[mask, j], partitions[j], randomizers[j])
-                    for j, mask in jobs
-                ]
-            )
-            for (j, mask), result in zip(jobs, results):
-                out[mask, j] = correct_records(
-                    raw[mask, j], result.distribution
-                ).interval_indices
-            return out
-
-        return transform
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

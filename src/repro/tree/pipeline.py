@@ -39,6 +39,126 @@ from repro.utils.validation import check_fraction, check_positive
 STRATEGIES = ("original", "randomized", "global", "byclass", "local", "valueclass")
 
 
+def build_tree(
+    partitions,
+    names,
+    n_records: int,
+    *,
+    criterion: str,
+    max_depth,
+    min_records_split,
+    min_gain: float,
+) -> DecisionTreeClassifier:
+    """An unfitted tree with the ``"auto"`` growth settings resolved.
+
+    ``max_depth="auto"`` resolves to 8 and ``min_records_split="auto"``
+    to 1 % of ``n_records`` (at least 10); other values pass through.
+    """
+    if max_depth == "auto":
+        max_depth = 8
+    if min_records_split == "auto":
+        min_records_split = max(10, round(0.01 * n_records))
+    return DecisionTreeClassifier(
+        partitions,
+        criterion=criterion,
+        max_depth=max_depth,
+        min_records_split=min_records_split,
+        min_gain=min_gain,
+        attribute_names=list(names),
+    )
+
+
+def correct_intervals(
+    strategy: str, w_matrix, labels, partitions, randomizers, reconstructor
+) -> tuple:
+    """Reconstruct each column's distribution and correct every record.
+
+    ``strategy="global"`` reconstructs each attribute once over all
+    records, every attribute in one batched call.  Any other strategy
+    (``byclass``, and the root of ``local``) reconstructs each attribute
+    per class, one batched call per attribute: the classes share that
+    attribute's noise kernel, so their sweeps stack into one run.
+    ``randomizers[j]`` is None for a column that was not perturbed; its
+    values are located on ``partitions[j]`` directly.  ``reconstructor``
+    is anything :func:`~repro.core.engine.reconstruct_problems` accepts.
+
+    Returns ``(intervals, reconstructions)``: the corrected ``(n, d)``
+    interval-index matrix, and ``{column: result}`` for ``global`` or
+    ``{column: {class: result}}`` otherwise.
+    """
+    intervals = np.empty(w_matrix.shape, dtype=np.int64)
+    jobs = []  # perturbed column indices
+    for j, (partition, randomizer) in enumerate(zip(partitions, randomizers)):
+        if randomizer is None:
+            intervals[:, j] = partition.locate(w_matrix[:, j])
+        else:
+            jobs.append(j)
+    if strategy == "global":
+        calls = [[(j, None, slice(None)) for j in jobs]]
+    else:
+        class_rows = [(int(c), labels == c) for c in np.unique(labels)]
+        calls = [[(j, c, rows) for c, rows in class_rows] for j in jobs]
+    reconstructions: dict = {}
+    for call in calls:  # (column, class or None, row selector) per problem
+        problems = [
+            (w_matrix[rows, j], partitions[j], randomizers[j]) for j, _, rows in call
+        ]
+        results = reconstruct_problems(reconstructor, problems)
+        for (j, c, rows), (values, _, _), result in zip(call, problems, results):
+            if c is None:
+                reconstructions[j] = result
+            else:
+                reconstructions.setdefault(j, {})[c] = result
+            intervals[rows, j] = correct_records(
+                values, result.distribution
+            ).interval_indices
+    return intervals, reconstructions
+
+
+def local_refit(partitions, randomizers, reconstructor, min_records: int):
+    """The Local strategy's per-node ByClass re-correction.
+
+    Returns a ``node_transformer`` for
+    :meth:`~repro.tree.tree.DecisionTreeClassifier.fit_intervals`.
+    Attributes already split on along the path are skipped: routing
+    truncated their randomized values at a disclosed-value threshold,
+    and a convolution with wide noise cannot reproduce that cliff, so
+    re-reconstructing them over-sharpens pathologically.  Their
+    inherited assignments are kept instead, as are those of unperturbed
+    columns and of classes with fewer than ``min_records`` records at
+    the node.
+
+    All of a node's (attribute × class) refits go out as one batched
+    call: per attribute the classes share a kernel, and across nodes
+    the engine's kernel cache means each attribute's kernel is built
+    once per fit, not once per node.
+    """
+
+    def transform(raw, labels, intervals, used):
+        out = intervals.copy()
+        class_rows = [
+            rows
+            for c in np.unique(labels)
+            for rows in [labels == c]
+            if int(rows.sum()) >= min_records
+        ]
+        jobs = [  # (column index, class rows)
+            (j, rows)
+            for j, randomizer in enumerate(randomizers)
+            if j not in used and randomizer is not None
+            for rows in class_rows
+        ]
+        if not jobs:
+            return out
+        problems = [(raw[rows, j], partitions[j], randomizers[j]) for j, rows in jobs]
+        results = reconstruct_problems(reconstructor, problems)
+        for (j, rows), (values, _, _), result in zip(jobs, problems, results):
+            out[rows, j] = correct_records(values, result.distribution).interval_indices
+        return out
+
+    return transform
+
+
 class PrivacyPreservingClassifier:
     """Decision-tree classification over randomized data.
 
@@ -149,9 +269,6 @@ class PrivacyPreservingClassifier:
         self.confidence = float(confidence)
         self.n_intervals = int(n_intervals)
         self.reconstructor = reconstructor or BayesReconstructor()
-        # With the chi-squared stopping rule reconstruction is cheap enough
-        # that Local's per-node refits can reuse the same reconstructor.
-        self._local_reconstructor = self.reconstructor
         self.criterion = criterion
         self.max_depth = max_depth
         self.min_records_split = min_records_split
@@ -184,7 +301,8 @@ class PrivacyPreservingClassifier:
         table:
             Training table with original values and class labels.
         randomized_table / randomizers:
-            Optionally supply a pre-randomized copy of ``table`` plus the
+            Optionally supply a pre-randomized copy of ``table`` (same
+            attributes in the same order, same record count) plus the
             randomizers that produced it (both or neither).  The experiment
             harness uses this to compare strategies on *identical*
             randomized data.
@@ -199,25 +317,31 @@ class PrivacyPreservingClassifier:
                 raise ValidationError(
                     f"randomizers reference unknown attributes: {sorted(unknown)}"
                 )
+            if randomized_table.attribute_names != table.attribute_names:
+                raise ValidationError(
+                    "randomized_table attributes "
+                    f"{list(randomized_table.attribute_names)} do not match "
+                    f"the table's {list(table.attribute_names)}"
+                )
+            if randomized_table.n_records != table.n_records:
+                raise ValidationError(
+                    f"randomized_table has {randomized_table.n_records} "
+                    f"record(s) but the table has {table.n_records}"
+                )
         names = self.attributes or table.attribute_names
         self._names = tuple(table.attribute_names)
         partitions = [
             table.attribute(n).partition(self.n_intervals) for n in self._names
         ]
         self._partitions = partitions
-        max_depth = 8 if self.max_depth == "auto" else self.max_depth
-        min_records_split = (
-            max(10, round(0.01 * table.n_records))
-            if self.min_records_split == "auto"
-            else self.min_records_split
-        )
-        tree = DecisionTreeClassifier(
+        tree = build_tree(
             partitions,
+            self._names,
+            table.n_records,
             criterion=self.criterion,
-            max_depth=max_depth,
-            min_records_split=min_records_split,
+            max_depth=self.max_depth,
+            min_records_split=self.min_records_split,
             min_gain=self.min_gain,
-            attribute_names=list(self._names),
         )
         labels = table.labels
         self._fit_rng = ensure_rng(self.seed)
@@ -235,20 +359,29 @@ class PrivacyPreservingClassifier:
 
         if self.strategy in ("randomized", "valueclass"):
             self._fit_raw(tree, w_matrix, labels)
-        elif self.strategy == "global":
-            intervals = self._correct_global(w_matrix, tree)
-            self.intervals_ = intervals
-            self._fit_corrected(tree, intervals, labels)
-        elif self.strategy == "byclass":
-            intervals = self._correct_byclass(w_matrix, labels, tree)
-            self.intervals_ = intervals
-            self._fit_corrected(tree, intervals, labels)
-        else:  # local
-            intervals = self._correct_byclass(w_matrix, labels, tree)
-            self.intervals_ = intervals
-            self._fit_corrected(
-                tree, intervals, labels, raw_values=w_matrix
+        else:
+            column_randomizers = [self.randomizers_.get(n) for n in self._names]
+            intervals, reconstructions = correct_intervals(
+                self.strategy,
+                w_matrix,
+                labels,
+                partitions,
+                column_randomizers,
+                self.reconstructor,
             )
+            self.intervals_ = intervals
+            self.reconstructions_ = {
+                self._names[j]: result for j, result in reconstructions.items()
+            }
+            transformer = None
+            if self.strategy == "local":
+                transformer = local_refit(
+                    partitions,
+                    column_randomizers,
+                    self.reconstructor,
+                    self.local_min_records,
+                )
+            self._fit_corrected(tree, intervals, labels, w_matrix, transformer)
         self.tree_ = tree
         return self
 
@@ -270,20 +403,19 @@ class PrivacyPreservingClassifier:
             tree.prune(matrix[hold], labels[hold])
 
     def _fit_corrected(
-        self, tree: DecisionTreeClassifier, intervals, labels, *, raw_values=None
+        self, tree: DecisionTreeClassifier, intervals, labels, raw, transformer
     ) -> None:
         """Fit (and optionally prune) on corrected interval rows.
 
         Correction ran on the full record set (reconstruction wants all
         the data); only tree growth holds out the pruning slice.
+        ``transformer`` is Local's per-node refit over the ``raw``
+        randomized rows, or None.
         """
         grow, hold = self._split_for_prune(labels.size)
         kwargs = {}
-        if raw_values is not None and self.strategy == "local":
-            kwargs = dict(
-                raw_values=raw_values[grow],
-                node_transformer=self._local_transformer,
-            )
+        if transformer is not None:
+            kwargs = dict(raw_values=raw[grow], node_transformer=transformer)
         tree.fit_intervals(intervals[grow], labels[grow], **kwargs)
         if hold is not None:
             midpoint_columns = [
@@ -310,107 +442,6 @@ class PrivacyPreservingClassifier:
             randomizers[name] = randomizer
             new_columns[name] = randomizer.randomize(table.column(name), seed=rng)
         return table.with_columns(new_columns), randomizers
-
-    def _column_randomizer(self, j: int):
-        """Randomizer for column ``j``, or None when it was not perturbed."""
-        return self.randomizers_.get(self._names[j])
-
-    def _correct_global(self, w_matrix: np.ndarray, tree: DecisionTreeClassifier):
-        """Reconstruct each attribute once over all classes and correct."""
-        intervals = np.empty(w_matrix.shape, dtype=np.int64)
-        self.reconstructions_ = {}
-        jobs = []  # attribute column indices with a randomizer
-        for j, partition in enumerate(self._partitions):
-            randomizer = self._column_randomizer(j)
-            if randomizer is None:
-                intervals[:, j] = partition.locate(w_matrix[:, j])
-                continue
-            jobs.append(j)
-        results = reconstruct_problems(
-            self.reconstructor,
-            [
-                (w_matrix[:, j], self._partitions[j], self._column_randomizer(j))
-                for j in jobs
-            ],
-        )
-        for j, result in zip(jobs, results):
-            self.reconstructions_[self._names[j]] = result
-            intervals[:, j] = correct_records(
-                w_matrix[:, j], result.distribution
-            ).interval_indices
-        return intervals
-
-    def _correct_byclass(
-        self, w_matrix: np.ndarray, labels: np.ndarray, tree: DecisionTreeClassifier
-    ):
-        """Reconstruct each attribute per class (all classes batched) and correct."""
-        intervals = np.empty(w_matrix.shape, dtype=np.int64)
-        self.reconstructions_ = {}
-        class_masks = [(c, labels == c) for c in np.unique(labels)]
-        for j, partition in enumerate(self._partitions):
-            randomizer = self._column_randomizer(j)
-            if randomizer is None:
-                intervals[:, j] = partition.locate(w_matrix[:, j])
-                continue
-            # One batched call per attribute: every class shares this
-            # attribute's noise kernel, so the sweeps stack into one run.
-            results = reconstruct_problems(
-                self.reconstructor,
-                [(w_matrix[mask, j], partition, randomizer) for _, mask in class_masks],
-            )
-            per_class: dict = {}
-            for (c, mask), result in zip(class_masks, results):
-                per_class[int(c)] = result
-                intervals[mask, j] = correct_records(
-                    w_matrix[mask, j], result.distribution
-                ).interval_indices
-            self.reconstructions_[self._names[j]] = per_class
-        return intervals
-
-    def _local_transformer(self, raw, labels, intervals, used):
-        """Per-node ByClass re-correction used by the Local strategy.
-
-        Attributes already split on along the path are skipped: routing
-        truncated their randomized values at a disclosed-value threshold,
-        and a convolution with wide noise cannot reproduce that cliff, so
-        re-reconstructing them over-sharpens pathologically.  Their
-        inherited assignments are kept instead.
-
-        All of a node's (attribute × class) refits go out as one batched
-        call: per attribute the classes share a kernel, and across nodes
-        the engine's kernel cache means each attribute's kernel is built
-        once per fit, not once per node.
-        """
-        out = intervals.copy()
-        class_masks = [
-            (c, mask)
-            for c in np.unique(labels)
-            for mask in [labels == c]
-            if int(mask.sum()) >= self.local_min_records
-        ]
-        jobs = []  # (column index, class mask)
-        for j, partition in enumerate(self._partitions):
-            if j in used:
-                continue
-            randomizer = self._column_randomizer(j)
-            if randomizer is None:
-                continue
-            for _, mask in class_masks:
-                jobs.append((j, mask))
-        if not jobs:
-            return out
-        results = reconstruct_problems(
-            self._local_reconstructor,
-            [
-                (raw[mask, j], self._partitions[j], self._column_randomizer(j))
-                for j, mask in jobs
-            ],
-        )
-        for (j, mask), result in zip(jobs, results):
-            out[mask, j] = correct_records(
-                raw[mask, j], result.distribution
-            ).interval_indices
-        return out
 
     # ------------------------------------------------------------------
     # Prediction

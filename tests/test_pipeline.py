@@ -200,6 +200,27 @@ class TestStrategies:
         with pytest.raises(ValidationError):
             clf.fit(train, randomized_table=randomized)
 
+    @pytest.mark.parametrize(
+        "strategy", ["randomized", "global", "byclass", "local", "valueclass"]
+    )
+    def test_prerandomized_must_match_table(self, strategy):
+        """A randomized table with other records, or the same records
+        with the attributes reordered, is rejected by name instead of
+        failing deep in the fit (or training on misaligned columns)."""
+        from repro.datasets.schema import Table
+
+        train = quest.generate(600, function=2, seed=23)
+        randomized, randomizers = quest.randomize(train, privacy=0.5, seed=24)
+        clf = PrivacyPreservingClassifier(strategy, privacy=0.5)
+        shorter = randomized.subset(np.arange(500))
+        with pytest.raises(ValidationError, match="500 record.*600"):
+            clf.fit(train, randomized_table=shorter, randomizers=randomizers)
+        reordered = Table(
+            randomized.columns, randomized.labels, randomized.schema[::-1]
+        )
+        with pytest.raises(ValidationError, match="attributes.*do not match"):
+            clf.fit(train, randomized_table=reordered, randomizers=randomizers)
+
     def test_seeded_fit_reproducible(self, fn1_data):
         train, test = fn1_data
         a = PrivacyPreservingClassifier("byclass", privacy=0.5, seed=11).fit(train)

@@ -19,6 +19,9 @@ Properties pinned here:
   the (shape, noise, grid) draw,
 * ``ShardSet`` merges — associative and commutative across random shard
   counts, ingestion orders, thread interleavings, and class columns,
+* service training — trees identical to the offline pipeline fitted on
+  the buffered rows across random schemas, shards, batches, wires,
+  stray labeled or unlabeled traffic, and strategies,
 * basket wire frames (v4) — encode/decode round trips, self-delimiting
   multi-frame bodies, and rejection of every truncation,
 * ``SupportShardSet`` merges — the mining counters' associative /
@@ -446,6 +449,150 @@ def test_differential_parity_fuzz():
         "service-differential-parity",
         _gen_parity_case,
         _check_service_parity,
+    )
+
+
+# ----------------------------------------------------------------------
+# Differential parity fuzz: service training vs the offline pipeline
+# ----------------------------------------------------------------------
+def _gen_training_case(rng: random.Random) -> dict:
+    attributes = []
+    for _ in range(rng.randint(1, 3)):
+        discrete = rng.random() < 0.25
+        low = float(rng.randint(-20, 20)) if discrete else rng.uniform(-50, 40)
+        span = float(rng.randint(2, 15)) if discrete else rng.uniform(0.5, 90)
+        attributes.append(
+            {
+                "low": low,
+                "high": low + span,
+                "discrete": discrete,
+                "noise": rng.choice(("uniform", "gaussian")),
+                "privacy": rng.uniform(0.25, 2.0),
+            }
+        )
+    return {
+        "attributes": attributes,
+        "n_intervals": rng.randint(4, 16),
+        "n_classes": rng.randint(2, 3),
+        "n_shards": rng.randint(1, 4),
+        "n_records": rng.randint(40, 120),
+        "n_batches": rng.randint(1, 5),
+        "pin_shards": rng.random() < 0.5,
+        "wire": rng.choice(("python", "columns")),
+        "unlabeled_every": rng.choice((0, 1, 2)),
+        "n_around": rng.choice((0, rng.randint(1, 60))),
+        "strategy": rng.choice(("global", "byclass", "local")),
+        "local_min_records": rng.randint(15, 60),
+        "max_iterations": rng.choice((20, 40, 80)),
+        "seed": rng.randint(0, 2**31),
+    }
+
+
+def _check_training_parity(case) -> None:
+    import warnings
+
+    from repro.core.privacy import noise_for_privacy
+    from repro.core.reconstruction import BayesReconstructor
+    from repro.datasets.schema import Attribute, Table
+    from repro.exceptions import ConvergenceWarning
+    from repro.service import TrainingService
+    from repro.tree.pipeline import PrivacyPreservingClassifier
+
+    rng = np.random.default_rng(case["seed"])
+    n_classes = case["n_classes"]
+    schema = [
+        Attribute(f"a{j}", a["low"], a["high"], a["discrete"])
+        for j, a in enumerate(case["attributes"])
+    ]
+    randomizers = {
+        attribute.name: noise_for_privacy(a["noise"], a["privacy"], attribute.span)
+        for attribute, a in zip(schema, case["attributes"])
+    }
+    service = AggregationService(
+        [
+            AttributeSpec(
+                attribute.name,
+                attribute.partition(case["n_intervals"]),
+                randomizers[attribute.name],
+            )
+            for attribute in schema
+        ],
+        n_shards=case["n_shards"],
+        classes=n_classes,
+        max_iterations=case["max_iterations"],
+    )
+    training = TrainingService(
+        service, local_min_records=case["local_min_records"]
+    )
+
+    def draw(n):
+        """Clean columns, class labels banded on a0, and disclosures."""
+        clean = {
+            a.name: (
+                rng.integers(int(a.low), int(a.high) + 1, n).astype(float)
+                if a.discrete
+                else rng.uniform(a.low, a.high, n)
+            )
+            for a in schema
+        }
+        first = schema[0]
+        bands = (clean[first.name] - first.low) / first.span * n_classes
+        labels = np.minimum(bands.astype(np.int64), n_classes - 1)
+        noisy = rng.random(n) < 0.1
+        labels[noisy] = rng.integers(0, n_classes, int(noisy.sum()))
+        disclosed = {
+            name: randomizers[name].randomize(values, seed=rng)
+            for name, values in clean.items()
+        }
+        return clean, labels, disclosed
+
+    n = case["n_records"]
+    clean, labels, disclosed = draw(n)
+    chunks = np.array_split(np.arange(n), case["n_batches"])
+    for index, rows in enumerate(chunks):
+        batch = {name: values[rows] for name, values in disclosed.items()}
+        classes = labels[rows]
+        shard = index % case["n_shards"] if case["pin_shards"] else None
+        if case["wire"] == "columns":
+            frame = encode_columns(batch, shard=shard, classes=classes)
+            [(batch, classes, shard)] = iter_labeled_frames(frame)
+        training.ingest(batch, classes, shard=shard)
+        if case["unlabeled_every"] and index % case["unlabeled_every"] == 0:
+            _, _, unlabeled = draw(int(rows.size))
+            service.ingest({"a0": unlabeled["a0"]})
+    if case["n_around"]:
+        _, around_labels, around = draw(case["n_around"])
+        service.ingest(around, classes=around_labels)
+
+    offline = PrivacyPreservingClassifier(
+        case["strategy"],
+        n_intervals=case["n_intervals"],
+        reconstructor=BayesReconstructor(max_iterations=case["max_iterations"]),
+        local_min_records=case["local_min_records"],
+    )
+    table = Table(clean, labels, schema)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        model = training.train(case["strategy"])
+        offline.fit(
+            table,
+            randomized_table=table.with_columns(disclosed),
+            randomizers=randomizers,
+        )
+    assert model.n_train == n
+    assert model.tree.identical_to(offline.tree_), "service tree differs"
+
+
+def test_differential_training_parity_fuzz():
+    """Random (schema, classes, shards, batches, wire, unlabeled and
+    around-the-buffer traffic, strategy) configurations keep the
+    service-trained tree identical to the offline pipeline fitted on the
+    buffered rows — generalizing the hand-picked cases in
+    tests/test_training.py."""
+    run_property(
+        "training-differential-parity",
+        _gen_training_case,
+        _check_training_parity,
     )
 
 

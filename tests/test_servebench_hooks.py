@@ -11,9 +11,10 @@ traced benchmark runs; this check fails the test suite instead.
 Resolving is not enough: a wrapper that installs but is never called
 records nothing.  ``httpd`` must look the decoders up through its
 module globals at request time, so a dispatch table built at import
-time would keep calling the unwrapped functions.  The second check
-therefore drives one body per wire route through a real server and
-asserts each request's spans by name; it checks no timing.
+time would keep calling the unwrapped functions.  The other checks
+therefore drive one body per wire route, and one ``/train`` and one
+``/mine``, through a real server and assert each request's spans by
+name; they check no timing.
 
 Both run in a subprocess because ``install`` patches classes
 process-wide.
@@ -37,35 +38,43 @@ recorder = tracing.Recorder()
 tracing.install(recorder)
 """
 
+#: serve a class-aware server with training and mining, post
+#: ``{bodies}`` to /ingest, make the JSON ``{calls}``, and print each
+#: request id's span names
 DRIVE = """
 import json
 import threading
 
-from repro.service import ServiceHTTPServer, mining_from_spec, service_from_spec
+from repro.service import (
+    ServiceHTTPServer, TrainingService, mining_from_spec, service_from_spec,
+)
 
 spec = workloads.SPEC
+service = service_from_spec(spec)
 server = ServiceHTTPServer(
-    service_from_spec(spec), mining=mining_from_spec(spec["mining"])
+    service,
+    training=TrainingService(service),
+    mining=mining_from_spec(spec["mining"]),
 )
 thread = threading.Thread(target=server.serve_forever, daemon=True)
 thread.start()
 client = workloads.Client(server.url)
 factory = workloads.BodyFactory(1)
 try:
-    # v5z is a zlib-compressed columns body
-    for kind in ("v1", "v5z", "ndjson", "baskets"):
+    for kind in {bodies}:
         ok, _ = workloads.post_body(client, factory.make(kind, rows=64), rid=kind)
         assert ok, kind
-    status, _ = client.request("GET", "/estimate?attribute=age", rid="estimate")
-    assert status == 200, status
+    for method, path, payload, rid in {calls}:
+        status, _ = client.json(method, path, payload, rid=rid)
+        assert status == 200, (rid, status)
 finally:
     client.close()
     server.shutdown()
     thread.join(30)
-names = {}
+names = {{}}
 for name, rid, *_ in recorder.drain()["spans"]:
     names.setdefault(rid, set()).add(name)
-print(json.dumps({rid: sorted(got) for rid, got in names.items() if rid}))
+print(json.dumps({{rid: sorted(got) for rid, got in names.items() if rid}}))
 """
 
 #: span names each request id must record (others may appear too)
@@ -95,10 +104,33 @@ def test_tracing_installs_over_the_workload_imports():
     assert result.returncode == 0, result.stderr
 
 
-def test_every_wire_route_records_its_layer_spans():
-    result = _run(DRIVE)
+def _assert_spans(result, expected_spans: dict) -> None:
     assert result.returncode == 0, result.stderr
     spans = json.loads(result.stdout.splitlines()[-1])
-    for rid, expected in EXPECTED.items():
+    for rid, expected in expected_spans.items():
         missing = expected - set(spans.get(rid, ()))
         assert not missing, f"request {rid!r} recorded no {sorted(missing)} span"
+
+
+def test_every_wire_route_records_its_layer_spans():
+    # v5z is a zlib-compressed columns body
+    script = DRIVE.format(
+        bodies='("v1", "v5z", "ndjson", "baskets")',
+        calls='[("GET", "/estimate?attribute=age", None, "estimate")]',
+    )
+    _assert_spans(_run(script), EXPECTED)
+
+
+def test_train_and_mine_record_their_spans():
+    """The analyst's training.train and mining.mine layers wrap
+    TrainingService.train and MiningService.mine by name."""
+    script = DRIVE.format(
+        bodies='("v2", "baskets")',  # v2: labeled columns, every attribute
+        calls=(
+            '[("POST", "/train", workloads.TRAIN_BODY, "train"),'
+            ' ("POST", "/mine", workloads.MINE_BODY, "mine")]'
+        ),
+    )
+    _assert_spans(
+        _run(script), {"train": {"training.train"}, "mine": {"mining.mine"}}
+    )

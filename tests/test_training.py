@@ -1,9 +1,12 @@
 """Tests for decision-tree training over the service (repro.service.training).
 
 The load-bearing assertions are the parity tests: a tree grown from the
-service's class-conditional aggregates must be **bit-identical** — same
-splits, same thresholds, same leaf counts — to the offline
+service's buffer of labeled randomized rows must be **bit-identical** —
+same splits, same thresholds, same leaf counts — to the offline
 ``PrivacyPreservingClassifier`` pipeline fed the same randomized rows.
+Training reads that buffer only, so labeled records that reach the
+shards any other way (direct ``service.ingest``, a restored snapshot)
+never change a tree.
 """
 
 from __future__ import annotations
@@ -90,9 +93,10 @@ class TestOfflinePipelineParity:
         offline = _offline(strategy, train, randomized, randomizers)
         assert model.tree.identical_to(offline.tree_)
 
-    def test_reconstructions_use_aggregates_not_rows(self, workload):
-        """The per-class shard aggregates are exactly the per-class
-        noise-grid histograms the offline pipeline buckets itself."""
+    def test_class_blocks_equal_per_class_histograms(self, workload):
+        """The per-class shard blocks that /stats, snapshots and cluster
+        partials serve are exactly the per-class noise-grid histograms
+        of the buffered rows that training reconstructs from."""
         train, randomized, randomizers, specs = workload
         service = AggregationService(specs, classes=2)
         training = TrainingService(service)
@@ -201,10 +205,13 @@ class TestTrainingServiceBasics:
         assert isinstance(model, TrainedModel)
         assert model.classes == 2
 
-    def test_aggregate_buffer_disagreement_is_loud(self, small):
+    @pytest.mark.parametrize("strategy", ["global", "byclass", "local"])
+    def test_labeled_records_around_the_buffer_do_not_reach_training(
+        self, small, strategy
+    ):
         """Labeled records that bypass the training buffer (e.g. via
-        service.ingest) fail train() with a clear error instead of
-        silently skewing the reconstructions."""
+        service.ingest) land in the shard blocks but never in a tree:
+        train() reads the buffered rows only."""
         service, training, noise = small
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 1, 300)
@@ -212,14 +219,20 @@ class TestTrainingServiceBasics:
             {"x": noise.randomize(x, seed=2)},
             (x > 0.5).astype(int),
         )
-        service.ingest({"x": [0.5]}, classes=[0])  # around the buffer
-        with pytest.raises(ValidationError, match="disagree"):
-            training.train("byclass")
+        before = training.train(strategy)
+        around = rng.uniform(0, 1, 200)
+        service.ingest(
+            {"x": noise.randomize(around, seed=3)},
+            classes=(around < 0.5).astype(int),
+        )
+        after = training.train(strategy)
+        assert after.n_train == before.n_train == 300
+        assert after.tree.identical_to(before.tree)
 
     def test_train_racing_labeled_ingest_is_consistent(self, small):
-        """A /train concurrent with labeled ingest must never observe
-        the shards and the buffer mid-update (spurious consistency
-        error) — the sync lock holds the two halves together."""
+        """A train concurrent with labeled ingest sees whole batches: each
+        batch enters the buffer as one block under the buffer lock, and
+        train() copies the block list once and reads nothing else."""
         import threading
 
         _, training, noise = small
@@ -227,19 +240,17 @@ class TestTrainingServiceBasics:
         x = rng.uniform(0, 1, 2_000)
         w = noise.randomize(x, seed=10)
         labels = (x > 0.5).astype(int)
-        stop = threading.Event()
+        n_batches = 200
         errors = []
 
         def ingester():
-            i = 0
-            while not stop.is_set():
+            for i in range(n_batches):
                 sl = slice((i * 20) % 1_900, (i * 20) % 1_900 + 20)
                 try:
                     training.ingest({"x": w[sl]}, labels[sl])
                 except Exception as exc:  # noqa: BLE001
                     errors.append(exc)
                     return
-                i += 1
 
         training.ingest({"x": w[:100]}, labels[:100])  # seed the buffer
         thread = threading.Thread(target=ingester)
@@ -248,15 +259,17 @@ class TestTrainingServiceBasics:
             for _ in range(10):
                 model = training.train("byclass")
                 assert model.n_train >= 100
+                assert (model.n_train - 100) % 20 == 0
         finally:
-            stop.set()
-            thread.join(timeout=10)
+            thread.join(timeout=60)
+        assert not thread.is_alive()
         assert not errors
+        assert training.n_buffered == 100 + 20 * n_batches
 
-    def test_restored_snapshot_history_becomes_baseline(self, small):
-        """A --train server restarted from a snapshot keeps training:
-        the pre-restore labeled history is excluded as baseline and
-        train() runs on the rows ingested since."""
+    def test_restored_snapshot_history_never_reaches_training(self, small):
+        """A --train server restarted from a snapshot keeps training: the
+        pre-restore labeled history stays in the shards, never in the
+        buffer, so train() runs on the rows ingested since."""
         service, training, noise = small
         rng = np.random.default_rng(11)
         x1 = rng.uniform(0, 1, 400)
