@@ -13,6 +13,10 @@ interval containing ``x``) is :class:`ValueClassMembership`, and
 :func:`transition_matrix` builds ``P(Y in interval s | X = midpoint p)``,
 the discretized noise kernel shared by the reconstruction algorithms and
 the information-theoretic privacy metric.
+
+The Gaussian kernels come from :mod:`scipy.special`, imported by the
+:class:`GaussianRandomizer` methods that call them rather than with this
+module, so uniform noise never loads SciPy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from repro.core.partition import Partition
 from repro.exceptions import ValidationError
@@ -179,6 +182,8 @@ class GaussianRandomizer(AdditiveRandomizer):
             raise ValidationError(
                 "Gaussian noise has unbounded support: confidence must be < 1"
             )
+        from scipy import special
+
         z = special.ndtri(0.5 + confidence / 2.0)
         return cls(sigma=privacy * domain_span / (2.0 * z))
 
@@ -189,6 +194,8 @@ class GaussianRandomizer(AdditiveRandomizer):
         return np.exp(-(x**2) / 2.0) / np.sqrt(2 * np.pi) / self.sigma
 
     def noise_cdf(self, delta) -> np.ndarray:
+        from scipy import special
+
         return special.ndtr(np.asarray(delta, dtype=float) / self.sigma)
 
     def sample_noise(self, n: int, seed=None) -> np.ndarray:
@@ -199,6 +206,8 @@ class GaussianRandomizer(AdditiveRandomizer):
         confidence = check_fraction(confidence, "confidence")
         if confidence == 1.0:
             return math.inf
+        from scipy import special
+
         z = special.ndtri(0.5 + confidence / 2.0)
         return 2.0 * z * self.sigma
 
@@ -206,6 +215,8 @@ class GaussianRandomizer(AdditiveRandomizer):
         coverage = check_fraction(coverage, "coverage")
         if coverage == 1.0:
             raise ValidationError("Gaussian support is unbounded; use coverage < 1")
+        from scipy import special
+
         return float(special.ndtri(0.5 + coverage / 2.0) * self.sigma)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

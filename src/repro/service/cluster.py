@@ -32,9 +32,10 @@ sync can never double-count.  State flows through two channels:
 * **pull** — the coordinator refreshes on demand: every ``/estimate``
   best-effort pulls all registered workers
   (:meth:`ClusterCoordinator.sync`), and ``/train`` pulls strictly —
-  an unreachable worker that has synced before degrades gracefully to
-  its last-known state, one that has *never* synced raises
-  :class:`~repro.exceptions.ClusterError` (HTTP 503).
+  a worker whose pull fails (unreachable, or a reply the coordinator
+  rejects) degrades gracefully to its last-known state if it has
+  synced before, and raises :class:`~repro.exceptions.ClusterError`
+  (HTTP 503) if it has *never* synced.
 
 ``/healthz`` on the coordinator reports per-worker staleness: a worker
 is ``stale`` once its last successful sync is older than
@@ -48,6 +49,7 @@ fresh interpreter.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import multiprocessing
@@ -118,9 +120,11 @@ def _default_fetch(
 
     GET when ``data`` is None, POST otherwise.  ``content_encoding``
     labels an already-compressed body (the shipper compresses before
-    calling).  Transport errors and non-2xx statuses both normalize to
-    :class:`~repro.exceptions.ClusterError` so callers have exactly one
-    "the peer did not take this" signal to retry or degrade on.
+    calling).  Transport errors, malformed replies (a garbled status
+    line, a body cut short by a peer that died mid-reply) and non-2xx
+    statuses all normalize to :class:`~repro.exceptions.ClusterError`
+    so callers have exactly one "the peer did not take this" signal to
+    retry or degrade on.
     """
     headers = {}
     if content_type is not None:
@@ -134,13 +138,15 @@ def _default_fetch(
     except urllib.error.HTTPError as exc:
         try:
             detail = exc.read().decode("utf-8", "replace")[:200]
-        except OSError:  # pragma: no cover - body already gone
-            detail = ""
+        except (OSError, http.client.HTTPException):  # pragma: no cover
+            detail = ""  # the error body is already gone
         raise ClusterError(
             f"{url} answered HTTP {exc.code}: {detail or exc.reason}"
         ) from exc
     except OSError as exc:
         raise ClusterError(f"{url} is unreachable: {exc}") from exc
+    except http.client.HTTPException as exc:
+        raise ClusterError(f"{url} sent a malformed reply: {exc!r}") from exc
 
 
 def export_sync_body(service, training=None) -> bytes:
@@ -344,10 +350,12 @@ class ClusterCoordinator:
     def sync(self, *, require_all: bool = False) -> dict:
         """Pull fresh partials from every registered worker.
 
-        Best-effort by default (``/estimate``): an unreachable worker is
-        marked so, its shard slot keeps serving the last-known state,
-        and the pull moves on.  With ``require_all`` (``/train``) an
-        unreachable worker that has *never* synced raises
+        Best-effort by default (``/estimate``): a failed pull — the
+        worker is unreachable, or :meth:`apply_push` rejects the body it
+        sent — marks the worker unreachable, its shard slot keeps
+        serving the last-known state, and the pull moves on.  With
+        ``require_all`` (``/train``) a failed pull from a worker that
+        has *never* synced raises
         :class:`~repro.exceptions.ClusterError` — there is no last-known
         state to degrade to.  Returns ``{"synced": [...], "failed":
         [...]}`` worker id lists.
@@ -363,19 +371,21 @@ class ClusterCoordinator:
         for worker, url in targets:
             try:
                 payload = self._fetch(url + path, timeout=self.timeout)
-            except ClusterError as exc:
+                # a body the worker garbled is the worker's fault, not
+                # the analyst's: it fails this pull, it is no 400
+                self.apply_push(worker, payload)
+            except (ClusterError, ValidationError) as exc:
                 with self._lock:
                     link = self._links[worker]
                     link.reachable = False
                     never_synced = link.last_sync is None
                 if require_all and never_synced:
                     raise ClusterError(
-                        f"worker {worker} at {url} is unreachable and has "
+                        f"worker {worker} at {url} failed its pull and has "
                         f"never synced a partial: {exc}"
                     ) from exc
                 failed.append(worker)
                 continue
-            self.apply_push(worker, payload)
             synced.append(worker)
         return {"synced": synced, "failed": failed}
 

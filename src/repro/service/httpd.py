@@ -60,8 +60,8 @@ Errors return ``{"error": message}`` with status 400 (validation),
 size cap), 429 (ingest admission control rejected the body;
 ``Retry-After`` says when to re-send), 500 (a snapshot write failed —
 the previous good snapshot survives), 501 (chunked transfer), or 503
-(a cluster operation needs a worker that is unreachable and has never
-synced, the server is draining — with ``Retry-After`` — or a fault
+(a cluster operation needs a worker whose pull failed and that has
+never synced, the server is draining — with ``Retry-After`` — or a fault
 plan injected an error).  Any 4xx leaves the connection usable
 (except 413/501, which close it — the body cannot be skipped safely)
 and absorbs nothing from the failing body; a 429/503 with

@@ -10,9 +10,11 @@ surface, and one real spawned-process topology smoke.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from repro.service import (
     export_sync_body,
     split_partial,
 )
-from repro.service.cluster import register_worker, start_cluster
+from repro.service.cluster import _default_fetch, register_worker, start_cluster
 from repro.service.wire import CONTENT_TYPE_PARTIAL
 
 
@@ -255,6 +257,7 @@ class FakeWorkers:
         self.services = services
         self.trainings = trainings or {}
         self.dead = set()
+        self.garbled = set()
         self.calls = []
 
     def fetch(self, url, data=None, content_type=None, timeout=None):
@@ -262,6 +265,8 @@ class FakeWorkers:
         worker = int(url.split("//w")[1].split("/")[0])
         if worker in self.dead:
             raise ClusterError(f"{url} is unreachable: down")
+        if worker in self.garbled:
+            return b"garbage"
         return export_sync_body(
             self.services[worker], self.trainings.get(worker)
         )
@@ -332,6 +337,31 @@ class TestPullSync:
         fleet.dead.add(0)
         result = coordinator.sync(require_all=True)
         assert result == {"synced": [1], "failed": [0]}
+
+    def test_rejected_body_fails_the_pull_and_keeps_last_known(self):
+        coordinator, fleet = self.make_cluster()
+        fleet.services[0].ingest(make_batch(22)[0])
+        fleet.services[1].ingest(make_batch(23)[0])
+        coordinator.sync()
+
+        fleet.garbled.add(0)
+        fleet.services[0].ingest(make_batch(24)[0])
+        fleet.services[1].ingest(make_batch(25)[0])
+        result = coordinator.sync()
+        assert result == {"synced": [1], "failed": [0]}
+        assert fleet.calls[-2:] == ["http://w0/partial", "http://w1/partial"]
+        # worker 0's slot keeps its last good body; worker 1's is fresh
+        assert coordinator.service.n_seen("x") == 200 + 400
+        entry = coordinator.health()["workers"][0]
+        assert entry["reachable"] is False and entry["stale"] is True
+        assert coordinator.sync(require_all=True) == result
+
+    def test_require_all_with_never_synced_garbled_worker_raises(self):
+        coordinator, fleet = self.make_cluster()
+        fleet.garbled.add(0)
+        assert coordinator.sync() == {"synced": [1], "failed": [0]}
+        with pytest.raises(ClusterError, match="never synced"):
+            coordinator.sync(require_all=True)
 
     def test_train_matches_single_process(self):
         coordinator, fleet = self.make_cluster(classes=2, train=True)
@@ -509,6 +539,87 @@ class TestShipperCodec:
             PartialShipper(make_service(), "http://c", 0, codec="br")
         with pytest.raises(ValidationError, match="codec"):
             start_cluster({"attributes": []}, n_workers=1, codec="br")
+
+
+class MalformedPeer:
+    """A loopback peer that answers each connection with one canned reply.
+
+    It reads the request head and body, writes the reply and closes, so
+    a reply shorter than its ``Content-Length`` ends in a short read.
+    """
+
+    def __init__(self, replies):
+        self._replies = list(replies)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = "http://127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        for reply in self._replies:
+            connection, _ = self._listener.accept()
+            with connection, connection.makefile("rb") as request:
+                length = 0
+                while (line := request.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                request.read(length)
+                connection.sendall(reply)
+
+    def close(self):
+        self._thread.join(timeout=10.0)
+        self._listener.close()
+
+
+SHORT_BODY = (
+    b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b"x" * 10
+)
+GARBLED_STATUS = b"garbage\r\n\r\n"
+
+
+class TestDefaultFetch:
+    """Malformed worker replies are a ClusterError, never a raw exception."""
+
+    def test_short_body_and_garbled_status_line_raise_cluster_error(self):
+        peer = MalformedPeer([SHORT_BODY, GARBLED_STATUS])
+        try:
+            with pytest.raises(ClusterError, match="malformed reply"):
+                _default_fetch(peer.url + "/partial", timeout=10.0)
+            with pytest.raises(ClusterError, match="malformed reply"):
+                _default_fetch(peer.url + "/partial", timeout=10.0)
+        finally:
+            peer.close()
+
+    def test_shipper_retries_then_reports_failure(self):
+        peer = MalformedPeer([GARBLED_STATUS, SHORT_BODY])
+        sleeps = []
+        try:
+            shipper = PartialShipper(
+                make_service(), peer.url, 0, retries=2, timeout=10.0,
+                sleep=sleeps.append,
+            )
+            assert shipper.push() is False
+        finally:
+            peer.close()
+        assert shipper.failures == 1 and sleeps == [0.25]
+
+    def test_register_worker_retries_past_a_garbled_reply(self):
+        coordinator = ClusterCoordinator(make_service(n_shards=1), n_workers=1)
+        registered = json.dumps(coordinator.register(0, "http://w0")).encode()
+        reply = (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(registered) + registered
+        )
+        peer = MalformedPeer([GARBLED_STATUS, SHORT_BODY, reply])
+        sleeps = []
+        try:
+            answer = register_worker(
+                peer.url, 0, "http://w0", timeout=10.0, sleep=sleeps.append
+            )
+        finally:
+            peer.close()
+        assert answer["registered"] == 1 and sleeps == [0.25, 0.5]
 
 
 class TestRegisterWorker:
@@ -865,6 +976,12 @@ class TestStartCluster:
             assert np.array_equal(
                 np.asarray(estimate["probs"]), expected.distribution.probs
             )
+            # the workers only counted, so none maps a SciPy kernel
+            # (checked where the platform has /proc)
+            if Path("/proc/self/maps").exists():
+                for process in supervisor.processes:
+                    maps = Path(f"/proc/{process.pid}/maps").read_text()
+                    assert "scipy/special" not in maps, process.pid
         finally:
             supervisor.shutdown()
         assert all(not p.is_alive() for p in supervisor.processes)
