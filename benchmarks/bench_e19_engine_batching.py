@@ -2,13 +2,13 @@
 
 The ByClass algorithm solves one reconstruction problem per attribute ×
 class, and Local repeats that at every tree node.  The engine batches the
-problems that share a noise kernel, caches kernels across calls, and
-memoizes chi-squared critical values.  This benchmark measures the
-speedup on a 4-class × 8-attribute workload and asserts the batched path
-is **bit-identical** to the looped one: same reconstructions, same
-corrected interval assignments, same tree.  The looped arm is
-:func:`repro.core.engine.run_bayes_reference` — the public pre-engine
-reference path (kernel rebuilt, critical values re-derived, no batching).
+problems that share a noise kernel and caches kernels across calls.
+This benchmark measures the speedup on a 4-class × 8-attribute workload
+and asserts the batched path is **bit-identical** to the looped one:
+same reconstructions, same corrected interval assignments, same tree.
+The looped arm is :func:`repro.core.engine.run_bayes_reference` — the
+public pre-engine reference path (kernel rebuilt, no batching).  Both
+arms read chi-squared critical values from the same table.
 The speedup is recorded as ``timing.speedup``; each experiment declares
 its floor on ``@experiment`` and ``ppdm bench compare`` checks it.
 """
@@ -34,9 +34,9 @@ class LoopedReconstructor:
     """The pre-engine reconstruction path.
 
     Delegates to :func:`repro.core.engine.run_bayes_reference` — one
-    kernel build and one fresh chi-squared table per problem — and
-    exposes no ``reconstruct_batch`` attribute, so the pipeline falls
-    back to its one-problem-at-a-time loops.
+    kernel build per problem — and exposes no ``reconstruct_batch``
+    attribute, so the pipeline falls back to its one-problem-at-a-time
+    loops.
     """
 
     def reconstruct(self, values, partition, randomizer):

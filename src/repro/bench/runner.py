@@ -14,6 +14,13 @@ into ``BENCH_<id>.json`` artifacts (:mod:`repro.bench.artifacts`):
 Peak RSS is the *process* high-water mark (``ru_maxrss``): exact per
 experiment in pool mode (one fresh process per concurrent experiment),
 an upper bound in serial mode where experiments share the process.
+
+Every process that runs bodies imports :mod:`scipy.special` before it
+times any of them: the serial runner before its loop, each pool worker
+in its initializer.  Otherwise whichever experiment first needed a
+Gaussian kernel would be charged SciPy's ~0.3 s import.  Every
+``peak_rss_kb`` therefore includes SciPy's ~20 MB.  The import happens
+at run time, so importing this module (or ``repro.cli``) loads no SciPy.
 """
 
 from __future__ import annotations
@@ -133,6 +140,11 @@ def _peak_rss_kb() -> int:
     return int(peak)
 
 
+def _import_scipy() -> None:
+    """Pay SciPy's one-time import before any experiment is timed."""
+    import scipy.special  # noqa: F401
+
+
 def _execute(spec, *, seed, results_dir, verbose) -> BenchArtifact:
     """Run one experiment body under measurement, never raising.
 
@@ -245,6 +257,7 @@ def run_experiments(
     }
     artifacts = []
     if jobs == 1 or len(specs) == 1:
+        _import_scipy()
         with scale_override(scale):
             for spec in specs:
                 artifact = _execute(
@@ -271,7 +284,9 @@ def run_experiments(
             )
             for spec in specs
         ]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(specs)), initializer=_import_scipy
+        ) as pool:
             # map() preserves submission order, so artifacts come back in
             # id order no matter which worker finishes first.
             for doc in pool.map(_pool_run, tasks):

@@ -6,8 +6,8 @@ one problem per attribute × class, the Local algorithm repeats that at
 every tree node, and the streaming collector refreshes its estimate over
 and over.  Most of those problems share the same discretized noise kernel
 — same partition, same randomizer, same transition method — yet the naive
-path rebuilds it (and re-derives every chi-squared critical value) and
-runs every problem through its own Python-level sweep loop.
+path rebuilds it and runs every problem through its own Python-level
+sweep loop.
 
 This module is the production-scale substrate behind those callers:
 
@@ -35,17 +35,19 @@ single stacked matmul would *not* be bitwise reproducible), while all
 element-wise work, reductions, and stopping decisions are batched.  The
 speedup comes from the kernel cache and from running each sweep's
 normalization, sort and gather once for the whole batch instead of once
-per problem — not from changing any float operation.  The chi-squared
-critical values are memoized as well, but the memo saves only a ~2 µs
-call per sweep, not the ~96 µs of a ``scipy.stats.chi2.ppf`` call: the
-value comes from the ``scipy.special.gammaincinv`` call that
-``scipy.stats`` makes (bit for bit the same), so the library never
-imports :mod:`scipy.stats`.
+per problem — not from changing any float operation.
 
-SciPy is imported at the first critical value a process computes, not
-with this module: a process that only counts randomized values (a
-cluster worker, an ingest-only server) never loads it, and one that
-reconstructs pays the ~0.3 s import once, at its first estimate.
+Chi-squared critical values
+---------------------------
+The stopping test's 95 % critical value is bitwise
+``scipy.stats.chi2.ppf(0.95, dof)``.  The batched sweep and the looped
+reference path both read it from one table of SciPy's own values for
+dof 1 to 512 (:mod:`repro.core._chi2_table`).  Every current grid stays
+inside it (the experiments peak at dof 350), so a uniform-noise server,
+coordinator or ``ppdm`` command loads no SciPy.  Past the table, the
+value comes from the ``scipy.special.gammaincinv`` call that
+``scipy.stats`` makes, and :mod:`scipy.special` is imported at the first
+such threshold.  The library never imports :mod:`scipy.stats`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core._chi2_table import CHI2_95
 from repro.core.histogram import HistogramDistribution
 from repro.core.partition import Partition
 from repro.core.randomizers import AdditiveRandomizer, transition_matrix
@@ -322,32 +325,20 @@ class KernelCache:
 
 
 # ----------------------------------------------------------------------
-# Chi-squared goodness of fit (with memoized critical values)
+# Chi-squared goodness of fit
 # ----------------------------------------------------------------------
-def _chi2_fit(
-    y_counts: np.ndarray,
-    expected: np.ndarray,
-    *,
-    ppf_cache: dict | None = None,
-    total: float = None,
-) -> tuple[float, float]:
+def _chi2_fit(y_counts: np.ndarray, expected: np.ndarray) -> tuple[float, float]:
     """Chi-squared statistic of observed vs expected interval counts.
 
     Intervals with tiny expectation are pooled into their neighbours
     (classic rule of thumb: expected >= 5) so the statistic is stable.
 
-    ``ppf_cache`` memoizes the 95 % critical value per degrees-of-freedom.
-    The value is bitwise ``scipy.stats.chi2.ppf(0.95, dof)``, computed
-    with the ``scipy.special.gammaincinv`` call that ``scipy.stats``
-    makes; the memo saves that ~2 µs call on every sweep of every
-    problem, where ``scipy.stats`` itself took ~96 µs.
-    ``total`` lets a caller that already knows ``y_counts.sum()`` skip
-    recomputing it (the batched sweep calls this once per problem per
-    sweep).
+    The 95 % critical value is bitwise ``scipy.stats.chi2.ppf(0.95,
+    dof)``: a table lookup for dof up to 512, SciPy's
+    ``scipy.special.gammaincinv`` call beyond that (see the module
+    docstring).
     """
-    if total is None:
-        total = y_counts.sum()
-    expected = expected / max(expected.sum(), _EPS) * total
+    expected = expected / max(expected.sum(), _EPS) * y_counts.sum()
     order = np.argsort(-expected, kind="stable")
     obs_sorted, exp_sorted = y_counts[order], expected[order]
     # exp_sorted is descending, so the kept cells are a prefix: slice
@@ -361,13 +352,11 @@ def _chi2_fit(
     if exp_rest > 0:
         obs_main = np.concatenate((obs_main, (obs_rest,)))
         exp_main = np.concatenate((exp_main, (exp_rest,)))
-    return _chi2_statistic(obs_main, exp_main, ppf_cache)
+    return _chi2_statistic(obs_main, exp_main)
 
 
-def _chi2_statistic(
-    obs_main: np.ndarray, exp_main: np.ndarray, ppf_cache: dict | None
-) -> tuple[float, float]:
-    """Statistic + memoized 95 % critical value for pooled cells.
+def _chi2_statistic(obs_main: np.ndarray, exp_main: np.ndarray) -> tuple[float, float]:
+    """Statistic + 95 % critical value for pooled cells.
 
     Shared tail of :func:`_chi2_fit` and :func:`_chi2_fit_batch` — the
     bit-identity contract requires the two to agree exactly, so the
@@ -375,25 +364,18 @@ def _chi2_statistic(
     """
     statistic = float(((obs_main - exp_main) ** 2 / exp_main).sum())
     dof = max(obs_main.size - 1, 1)
-    threshold = None if ppf_cache is None else ppf_cache.get(dof)
-    if threshold is None:
-        # Imported here, not at module scope: a process that never
-        # reconstructs (a cluster worker) never loads SciPy.
-        from scipy import special
+    if dof <= len(CHI2_95):
+        return statistic, CHI2_95[dof - 1]
+    # Past the table: imported here, not at module scope, so only a
+    # process that reaches such a grid loads SciPy.
+    from scipy import special
 
-        # Bitwise scipy.stats.chi2.ppf(0.95, dof): the call it makes.
-        threshold = float(2 * special.gammaincinv(dof / 2, 0.95))
-        if ppf_cache is not None:
-            ppf_cache[dof] = threshold
-    return statistic, threshold
+    # Bitwise scipy.stats.chi2.ppf(0.95, dof): the call it makes.
+    return statistic, float(2 * special.gammaincinv(dof / 2, 0.95))
 
 
 def _chi2_fit_batch(
-    y_counts: np.ndarray,
-    expected: np.ndarray,
-    totals: np.ndarray,
-    *,
-    ppf_cache: dict | None = None,
+    y_counts: np.ndarray, expected: np.ndarray, totals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :func:`_chi2_fit` over a ``(B, S)`` stack of problems.
 
@@ -426,7 +408,7 @@ def _chi2_fit_batch(
         if exp_rest > 0:
             obs_main = np.concatenate((obs_main, (obs_rest,)))
             exp_main = np.concatenate((exp_main, (exp_rest,)))
-        statistics[i], thresholds[i] = _chi2_statistic(obs_main, exp_main, ppf_cache)
+        statistics[i], thresholds[i] = _chi2_statistic(obs_main, exp_main)
     return statistics, thresholds
 
 
@@ -476,7 +458,6 @@ def _run_bayes_batch(
     max_iterations: int,
     tol: float,
     stopping: str,
-    ppf_cache: dict | None = None,
 ) -> BatchSweepResult:
     """Run Bayes sweeps for ``B`` problems sharing one noise kernel.
 
@@ -566,10 +547,7 @@ def _run_bayes_batch(
             for i in range(active.size):
                 new_mixture[i] = kernel @ theta_new[i]
             stat_row, thresh_row = _chi2_fit_batch(
-                y_counts_act,
-                new_mixture * n_act[:, None],
-                n_act,
-                ppf_cache=ppf_cache,
+                y_counts_act, new_mixture * n_act[:, None], n_act
             )
         for i, b in enumerate(active):
             deltas[b].append(float(delta[i]))
@@ -620,7 +598,7 @@ def _run_bayes_batch(
     if stopping != "chi2":
         for b in range(n_problems):
             chi2_stat[b], chi2_thresh[b] = _chi2_fit(
-                y_counts[b], kernel @ theta[b] * n[b], ppf_cache=ppf_cache
+                y_counts[b], kernel @ theta[b] * n[b]
             )
     return BatchSweepResult(
         theta=theta,
@@ -638,9 +616,10 @@ def _run_bayes_batch(
 class ReconstructionEngine:
     """Batched, kernel-cached dispatcher for reconstruction problems.
 
-    The engine owns an :class:`EngineConfig`, a :class:`KernelCache`, and
-    a memo of chi-squared critical values.  Heterogeneous problems handed
-    to :meth:`reconstruct_batch` are grouped by their (cached) kernel and
+    The engine owns an :class:`EngineConfig` and a :class:`KernelCache`;
+    chi-squared critical values come from one table, which the looped
+    reference path reads too.  Heterogeneous problems handed to
+    :meth:`reconstruct_batch` are grouped by their (cached) kernel and
     each group runs as one call to :func:`_run_bayes_batch`.
 
     Parameters
@@ -678,7 +657,6 @@ class ReconstructionEngine:
                 f"config must be an EngineConfig, got {type(self.config).__name__}"
             )
         self.kernel_cache = kernel_cache if kernel_cache is not None else KernelCache()
-        self._ppf_cache: dict = {}
 
     # ------------------------------------------------------------------
     def kernel_for(
@@ -707,7 +685,6 @@ class ReconstructionEngine:
             max_iterations=self.config.max_iterations,
             tol=self.config.tol,
             stopping=self.config.stopping,
-            ppf_cache=self._ppf_cache,
         )
 
     def result_from_sweep(
@@ -867,9 +844,10 @@ def run_bayes_reference(
     """Solve one problem on the looped (pre-engine) reference path.
 
     The public hook for holding the batched engine to its bit-identity
-    contract: no kernel cache, no memoized chi-squared thresholds, no
-    batching — the kernel is rebuilt and every critical value re-derived,
-    exactly as the pre-engine code did.  Benchmarks (E19) and tests
+    contract: no kernel cache, no batching — the kernel is rebuilt and
+    every problem sweeps alone, exactly as the pre-engine code did.  It
+    reads its chi-squared critical values from the same table as the
+    engine.  Benchmarks (E19) and tests
     compare :class:`ReconstructionEngine` output against this function
     instead of reaching into the underscored internals.
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import uuid
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,25 @@ from repro.bench import (
 )
 from repro.exceptions import BenchmarkError
 from repro.experiments.config import bench_scale, scale_override
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: a fresh interpreter running ``run_experiments`` once; the main guard
+#: keeps a pool worker that imports this file from running it again
+FRESH_RUN = """
+import json
+import sys
+
+sys.path.insert(0, {src!r})
+from repro.bench import run_experiments
+
+if __name__ == "__main__":
+    artifacts = run_experiments(
+        ids={ids!r}, jobs={jobs}, artifacts_dir={out!r}, benchmarks_dir={bench!r}
+    )
+    print(json.dumps([a.metrics for a in artifacts]))
+"""
 
 
 def _toy_module(exp_id: str, *, fail: bool = False, tags=("toytag",)) -> str:
@@ -218,6 +240,39 @@ class TestRunner:
             results_dir=results,
         )
         assert (results / f"{ids[0]}.txt").read_text() == "value table\n"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scipy_loads_before_any_body_runs(self, tmp_path, jobs):
+        # One fresh interpreter per run, so SciPy is not loaded yet and a
+        # pool run cannot inherit it from an earlier serial run.
+        suffix = uuid.uuid4().hex[:8]
+        ids = [f"zz_a_{suffix}", f"zz_b_{suffix}"]
+        bench_dir = tmp_path / "bench"
+        bench_dir.mkdir()
+        for i, exp_id in enumerate(ids):
+            (bench_dir / f"bench_toy{i}.py").write_text(
+                "import sys\n"
+                "from repro.bench import experiment\n"
+                f"@experiment({exp_id!r}, seed=3)\n"
+                "def run(ctx):\n"
+                "    return {'scipy_loaded': 'scipy.special' in sys.modules}\n"
+            )
+        script = tmp_path / "run.py"
+        script.write_text(
+            FRESH_RUN.format(
+                src=str(SRC),
+                ids=ids,
+                jobs=jobs,
+                out=str(tmp_path / "artifacts"),
+                bench=str(bench_dir),
+            )
+        )
+        result = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        metrics = json.loads(result.stdout.splitlines()[-1])
+        assert metrics == [{"scipy_loaded": True}] * 2
 
 
 class TestSmokeParity:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy
 from scipy import stats
 
 from repro.core import (
@@ -18,6 +19,7 @@ from repro.core import (
     Partition,
     UniformRandomizer,
 )
+from repro.core._chi2_table import CHI2_95
 from repro.core.engine import (
     EngineConfig,
     KernelCache,
@@ -386,31 +388,33 @@ class TestBatchBehaviour:
 class TestChi2Threshold:
     """The stopping test's critical value is bitwise ``scipy.stats.chi2.ppf``.
 
-    The engine evaluates it with ``scipy.special`` so that importing the
-    engine does not load ``scipy.stats``; this pins the values against a
-    future scipy release, on the memoized path and the uncached one.
+    The engine reads it from a table of SciPy's own values for dof 1 to
+    512 and calls ``scipy.special`` past that, so reconstructing never
+    loads ``scipy.stats``.  These tests pin both against the installed
+    SciPy.  A mismatch on another SciPy release is a finding about that
+    release (its thresholds, and so its stopping decisions, would move),
+    not a reason to regenerate the table.
     """
 
     MAX_DOF = 2000
 
     @staticmethod
-    def _threshold(dof: int, ppf_cache) -> float:
+    def _threshold(dof: int) -> float:
         # dof + 1 equal cells, each expecting 10 >= 5, so nothing is pooled
         counts = np.full(dof + 1, 10.0)
-        return _chi2_fit(counts, counts, ppf_cache=ppf_cache)[1]
+        return _chi2_fit(counts, counts)[1]
 
     def test_uncached_matches_scipy_stats(self):
         dofs = range(1, self.MAX_DOF + 1)
-        ours = [self._threshold(dof, None) for dof in dofs]
+        ours = [self._threshold(dof) for dof in dofs]
         theirs = [float(stats.chi2.ppf(0.95, dof)) for dof in dofs]
         assert np.array_equal(ours, theirs)
 
-    def test_memoized_matches_scipy_stats(self):
-        cache: dict = {}
-        dofs = range(1, self.MAX_DOF + 1)
-        ours = [self._threshold(dof, cache) for dof in dofs]
-        theirs = [float(stats.chi2.ppf(0.95, dof)) for dof in dofs]
-        assert np.array_equal(ours, theirs)
-        assert cache == dict(zip(dofs, theirs))
-        # A second pass is served from the memo with the same bits.
-        assert [self._threshold(dof, cache) for dof in dofs] == theirs
+    def test_table_is_scipy_stats_bit_for_bit(self):
+        assert len(CHI2_95) == 512
+        for dof, value in enumerate(CHI2_95, start=1):
+            expected = float(stats.chi2.ppf(0.95, dof))
+            assert type(value) is float and value.hex() == expected.hex(), (
+                f"scipy {scipy.__version__}: the table's entry for dof {dof} "
+                f"is {value!r}, scipy.stats.chi2.ppf gives {expected!r}"
+            )

@@ -3,13 +3,15 @@
 Every ``ppdm`` command, server process and spawned cluster worker pays
 for what the library imports.  ``scipy.stats`` alone adds about half a
 second and tens of megabytes per process, and even ``scipy.special``
-costs about 0.4 s and 20 MB, because SciPy's array-API shim copies
-NumPy's namespace.  The library therefore imports ``scipy.special`` at
-its first chi-squared threshold or Gaussian kernel, never at module
-scope: a process that only counts, such as a cluster worker on uniform
-noise, never loads SciPy.  These tests check which modules a fresh
-interpreter holds at each step, not how long anything took, so they
-are deterministic.
+costs about 0.35 s and 20 MB, because SciPy's array-API shim copies
+NumPy's namespace.  The library therefore never imports SciPy at module
+scope.  Chi-squared critical values come from a table of SciPy's values
+for dof 1 to 512, so a process on uniform noise never loads SciPy: not
+a cluster worker that only counts, and not a server that estimates,
+trains and mines.  ``scipy.special`` loads when a Gaussian spec is built
+and at the first threshold past the table.  These tests check which
+modules a fresh interpreter holds at each step, not how long anything
+took, so they are deterministic.
 """
 
 from __future__ import annotations
@@ -73,6 +75,83 @@ service.estimate("age", warn=False)
 checkpoint()
 """
 
+#: one single server's whole path on a uniform spec with classes and
+#: mining: a labeled v2 body and a basket body over HTTP, then every
+#: read an analyst makes (estimates, all three training strategies, a
+#: rule set)
+SERVER_PATH = """
+import json
+import threading
+import urllib.request
+
+import numpy as np
+
+from repro.service import (
+    ServiceHTTPServer, TrainingService, mining_from_spec, service_from_spec,
+)
+from repro.service.wire import (
+    CONTENT_TYPE_BASKETS, CONTENT_TYPE_COLUMNS, encode_baskets, encode_columns,
+)
+
+spec = {
+    "shards": 2, "classes": 2, "intervals": 8,
+    "attributes": [
+        {"name": "age", "low": 20, "high": 80,
+         "noise": "uniform", "privacy": 1.0},
+        {"name": "salary", "low": 0, "high": 100,
+         "noise": "uniform", "privacy": 0.5},
+    ],
+    "mining": {"items": 6, "keep_prob": 0.9, "shards": 2},
+}
+service = service_from_spec(spec)
+server = ServiceHTTPServer(
+    service, "127.0.0.1", 0, training=TrainingService(service),
+    mining=mining_from_spec(spec["mining"]),
+)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+
+
+def call(method, path, body, content_type="application/json"):
+    request = urllib.request.Request(
+        server.url + path, data=body, method=method,
+        headers={"Content-Type": content_type},
+    )
+    with urllib.request.urlopen(request) as reply:
+        assert reply.status == 200, (path, reply.status)
+        reply.read()
+
+
+rows = range(400)
+call("POST", "/ingest", encode_columns(
+    {"age": [20.0 + (37 * i) % 60 for i in rows],
+     "salary": [(53 * i) % 100 + 0.5 for i in rows]},
+    classes=[i % 2 for i in rows],
+), CONTENT_TYPE_COLUMNS)
+baskets = np.array([[(i + j) % 3 == 0 for j in range(6)] for i in range(300)])
+call("POST", "/ingest", encode_baskets(baskets), CONTENT_TYPE_BASKETS)
+for name in ("age", "salary"):
+    call("GET", "/estimate?attribute=" + name, None)
+for strategy in ("global", "byclass", "local"):
+    call("POST", "/train", json.dumps({"strategy": strategy}).encode())
+call("POST", "/mine", json.dumps(
+    {"min_support": 0.2, "min_confidence": 0.4}
+).encode())
+server.shutdown()
+checkpoint()
+"""
+
+#: a grid past the critical-value table: 600 equal cells are dof 599
+PAST_THE_TABLE = """
+import numpy as np
+
+from repro.core.engine import _chi2_fit
+
+checkpoint()
+counts = np.full(600, 10.0)
+_chi2_fit(counts, counts)
+checkpoint()
+"""
+
 GAUSSIAN_SPEC = """
 from repro.service import service_from_spec
 
@@ -116,11 +195,22 @@ def test_import_loads_no_scipy():
     assert loaded == set()
 
 
-def test_uniform_worker_path_loads_no_scipy_until_an_estimate():
+def test_uniform_worker_path_loads_no_scipy():
     worker, after_estimate = scipy_checkpoints(WORKER_PATH)
     assert worker == set()
-    assert "scipy.special" in after_estimate
-    assert "scipy.stats" not in after_estimate
+    assert after_estimate == set()
+
+
+def test_uniform_server_path_loads_no_scipy():
+    (served,) = scipy_checkpoints(SERVER_PATH)
+    assert served == set()
+
+
+def test_threshold_past_the_table_loads_scipy_special_only():
+    before, past = scipy_checkpoints(PAST_THE_TABLE)
+    assert before == set()
+    assert "scipy.special" in past
+    assert "scipy.stats" not in past
 
 
 def test_gaussian_spec_loads_scipy_special_when_built():
