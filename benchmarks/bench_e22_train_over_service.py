@@ -4,7 +4,7 @@ PRs 3–4 made the service ingest randomized streams at memory bandwidth,
 but the paper's headline workload — ByClass reconstruction feeding
 decision-tree induction — still required the offline batch pipeline.
 This benchmark exercises the closed loop: labeled randomized Quest
-records stream into class-conditional shards and the training buffer,
+records stream into the shards (counted per class) and the training buffer,
 and ``TrainingService`` grows the tree from the buffered randomized
 rows through the offline pipeline's strategy functions on the service's
 engine (reconstruction, per-record correction and routing).

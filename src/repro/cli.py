@@ -1388,7 +1388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--class-label", type=int, default=None,
         help="class label attached to every record of the batch "
-        "(class-aware services; feeds the per-class shard blocks)",
+        "(class-aware services; counted per class in /stats)",
     )
     p.add_argument(
         "--wire", choices=("json", "columns"), default="json",

@@ -34,8 +34,8 @@ class SerializationError(ValidationError):
 
     Raised by :mod:`repro.serialize` and the service restore paths when a
     stored document is structurally valid JSON but semantically
-    inconsistent — e.g. class-conditional counts whose block count
-    disagrees with the snapshot's declared class count.  Subclasses
+    inconsistent — e.g. histogram counts that are negative or whose
+    total disagrees with the snapshot's record counts.  Subclasses
     :class:`ValidationError`, so existing ``except ValidationError``
     callers keep working.
     """

@@ -65,7 +65,7 @@ that server's aggregation tier:
 
 Estimates are bit-identical to a single-stream
 :class:`~repro.core.streaming.StreamingReconstructor` fed the same
-disclosures — sharding, class partitioning, and wire format change
+disclosures — sharding, class labels, and wire format change
 the ingestion topology, never the math — and service-trained
 trees are bit-identical to the offline training pipeline fed the same
 randomized rows.

@@ -7,8 +7,8 @@ binned outside their locks, e20); this module scales *out*:
 its own port, and one coordinator process that serves every
 ``/estimate`` and ``/train`` over the union of their state.  The paper
 makes this cheap: the reconstruction model is aggregate-only, so a
-worker's **merged class-conditional partials** are its complete
-sufficient statistic — the sync unit is O(bins), never O(records), and
+worker's **merged histogram partials** are its complete sufficient
+statistic — the sync unit is O(bins), never O(records), and
 because histogram counts are exact integers in float64, the
 coordinator's merged union is bit-identical to a single process fed the
 same records.
@@ -152,7 +152,8 @@ def _default_fetch(
 def export_sync_body(service, training=None) -> bytes:
     """Encode one worker's cumulative state as a sync body.
 
-    A version 3 partial frame of the service's merged per-class counts;
+    A version 3 partial frame of the service's merged counts, one row
+    (``n_blocks = 1``) per attribute;
     when ``training`` is given, the labeled row buffer follows as
     labeled record frames, which are all the coordinator trains on.  The
     two are read one after the other, so a batch absorbed in between

@@ -27,8 +27,9 @@ Endpoints (responses are JSON unless noted):
 ``GET /healthz``           liveness + total records absorbed (+ per-worker
                            staleness on a cluster coordinator)
 ``GET /attributes``        the collected schema (domain, grid, noise)
-``GET /stats``             per-attribute record counts (incl. per class),
-                           shard and cache stats
+``GET /stats``             per-attribute record counts (per class too on
+                           a class-aware server that is not a
+                           coordinator), shard and cache stats
 ``GET /estimate?attribute=NAME``  reconstructed distribution for ``NAME``
 ``GET /model?strategy=S``  last trained decision tree (``trained_tree``
                            snapshot payload)
@@ -130,7 +131,7 @@ class ServiceHTTPServer:
         ``service``; enables ``POST /train`` / ``GET /model`` and routes
         labeled ingest bodies into the training buffer.  ``None``
         disables the endpoints (400) and labeled batches only feed the
-        class-conditional shards.
+        shards and their per-class record counters.
     cluster:
         Optional :class:`~repro.service.cluster.ClusterCoordinator` over
         ``service``; makes this server a cluster coordinator — worker
@@ -393,7 +394,9 @@ class ServiceHTTPServer:
                     "size": len(cache),
                 },
             }
-            if service.classes:
+            if service.classes and self.cluster is None:
+                # a coordinator never ingests, and the one-row partials
+                # it replaces its slots with carry no class split
                 payload["records_by_class"] = {
                     name: service.n_seen_by_class(name)
                     for name in service.attributes

@@ -1,8 +1,8 @@
 """Association-rule mining over the service-held pattern counts.
 
 The mining twin of :mod:`repro.service.training`: where the training
-tier grows the paper's decision trees from class-conditional histogram
-aggregates, :class:`MiningService` runs level-wise Apriori over the
+tier grows the paper's decision trees from buffered randomized rows,
+:class:`MiningService` runs level-wise Apriori over the
 pattern counts a :class:`~repro.service.SupportShardSet` accumulated
 from MASK-randomized baskets.  Every float operation is shared with the
 offline path — :func:`~repro.mining.support_from_pattern_counts` for

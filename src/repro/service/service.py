@@ -37,6 +37,7 @@ from repro.core.partition import Partition
 from repro.core.privacy import NOISE_KINDS, noise_for_privacy
 from repro.exceptions import SerializationError, ValidationError
 from repro.service.shards import AttributeSpec, ShardSet
+from repro.utils.validation import check_counts
 
 
 class _AttributeState:
@@ -64,13 +65,12 @@ class AggregationService:
         Number of ingestion shards (see
         :class:`~repro.service.shards.ShardSet`).
     classes:
-        Number of class labels the shards additionally partition by
-        (0 = class-unaware).  With ``classes >= 1`` batches may carry a
-        class column and the service holds one histogram partial per
-        (attribute, class) — the input the paper's ByClass/Local
-        training consumes (see
-        :class:`~repro.service.training.TrainingService`).  Unlabeled
-        batches still ingest, into a separate unlabeled partition.
+        Number of class labels (0 = class-unaware).  With
+        ``classes >= 1`` batches may carry a class column, as the
+        paper's ByClass/Local training needs (see
+        :class:`~repro.service.training.TrainingService`).  Labeled and
+        unlabeled records bin into the same histograms; the shards count
+        records per class (:meth:`n_seen_by_class`).
     max_iterations / tol / stopping / transition_method / coverage:
         Engine settings, exactly as on
         :class:`~repro.core.streaming.StreamingReconstructor`.
@@ -170,7 +170,7 @@ class AggregationService:
 
     @property
     def classes(self) -> int:
-        """Class labels the shards partition by (0 = class-unaware)."""
+        """Class labels the shards count records by (0 = class-unaware)."""
         return self._shards.n_classes
 
     def spec(self, name: str) -> AttributeSpec:
@@ -183,55 +183,43 @@ class AggregationService:
             self._state(name)
         return self._shards.n_seen(name)
 
-    def n_seen_by_class(self, name: str):
+    def n_seen_by_class(self, name: str) -> dict:
         """Per-class records absorbed for ``name``.
 
-        Returns ``{"unlabeled": n, "0": n, ...}`` — one entry for the
-        unlabeled partition plus one per class label (JSON-friendly
+        Returns ``{"unlabeled": n, "0": n, ...}`` — one entry for
+        unlabeled records plus one per class label (JSON-friendly
         string keys; the HTTP ``/stats`` route and the CLI summaries
-        serve this verbatim).
+        serve this verbatim).  Records a coordinator holds through
+        :meth:`replace_partial` count as unlabeled.
         """
         self._state(name)
-        matrix = self._shards.merged_by_class(name)
-        out = {"unlabeled": int(matrix[0].sum())}
-        for c in range(self.classes):
-            out[str(c)] = int(matrix[c + 1].sum())
-        return out
-
-    def merged_by_class(self, name: str):
-        """Merged per-class noise-grid counts: ``(classes + 1, bins)``.
-
-        Row 0 is the unlabeled partition, row ``c + 1`` class ``c``:
-        the class-conditional aggregates that ``/stats``, snapshots and
-        cluster partials carry.  While every labeled record enters through
-        :class:`~repro.service.training.TrainingService`, block ``c + 1``
-        equals the noise-grid histogram of the class-``c`` rows it trains
-        on.
-        """
-        self._state(name)
-        return self._shards.merged_by_class(name)
+        _, seen = self._shards.merge()
+        keys = ["unlabeled", *map(str, range(self.classes))]
+        return dict(zip(keys, seen[:, self._shards.layout.index_of(name)].tolist()))
 
     def export_partial(self) -> dict:
-        """Merged per-class partials for every attribute: the sync unit.
+        """Merged partials for every attribute: the sync unit.
 
-        ``{name: (classes + 1, bins) counts}`` — the complete
-        sufficient statistic of everything this service has absorbed
-        (partials are mergeable, so the merged histograms carry the
-        whole state), in exactly the shape
-        :func:`repro.service.wire.encode_partial` ships upstream and
-        :meth:`replace_partial` absorbs on the coordinator.
+        ``{name: (1, bins) counts}`` — the complete sufficient
+        statistic of what the estimates read (partials are mergeable,
+        so the merged histograms carry the whole state), in exactly the
+        shape :func:`repro.service.wire.encode_partial` ships upstream
+        and :meth:`replace_partial` absorbs on the coordinator.  Built
+        from one locked read per shard.
         """
-        return {
-            name: self._shards.merged_by_class(name) for name in self._states
-        }
+        counts, _ = self._shards.merge()
+        layout = self._shards.layout
+        return {name: counts[None, layout.slice_of(name)] for name in self._states}
 
     def replace_partial(self, slot: int, partials: dict) -> int:
         """Replace shard ``slot`` with one worker's cumulative partials.
 
         The coordinator side of cluster sync: worker ``slot``'s
         dedicated shard is cleared and refilled with the pushed
-        ``{name: (classes + 1, bins) counts}`` mapping (see
-        :meth:`export_partial`).  Because each sync carries the
+        ``{name: (1, bins) counts}`` mapping (see :meth:`export_partial`;
+        the ``(classes + 1, bins)`` rows older workers send are summed,
+        see :meth:`~repro.service.shards.HistogramShard.replace_with`).
+        Because each sync carries the
         worker's *cumulative* merged counts, the replace is idempotent
         — a retried or duplicated push can never double-count — and the
         merged union over all slots stays bit-identical to a
@@ -256,8 +244,8 @@ class AggregationService:
         ``shard`` pins the batch to a specific shard
         (one-worker-per-shard ingestion); otherwise batches round-robin.
         ``classes`` — one integer label per record, shared by every
-        column — bins the batch into its per-class blocks (requires a
-        service built with ``classes >= 1``).
+        column — counts the records per class (requires a service built
+        with ``classes >= 1``).
         """
         return self._shards.ingest(batch, shard=shard, classes=classes)
 
@@ -366,13 +354,18 @@ class AggregationService:
 
         Shard partials are stored *merged* — the per-shard layout is an
         ingestion topology, not state (partials are mergeable, so the
-        merged histogram is the complete sufficient statistic).  A
-        service restored from the snapshot serves bit-identical
-        estimates and keeps ingesting where this one left off.
+        merged histogram is the complete sufficient statistic).  Class-
+        aware services also store each attribute's records per class
+        (``n_seen_by_class``, unlabeled first).  Counts and counters
+        come from one read per shard, so they always agree.  A service
+        restored from the snapshot serves bit-identical estimates and
+        keeps ingesting where this one left off.
         """
         from repro.serialize import FORMAT_VERSION, to_jsonable
 
         config = self._engine.config
+        layout = self._shards.layout
+        counts, seen = self._shards.merge()
         attributes = []
         state_section = {}
         for name, state in self._states.items():
@@ -383,24 +376,15 @@ class AggregationService:
                     "randomizer": to_jsonable(state.spec.randomizer),
                 }
             )
-            if self.classes:
-                # class-aware services persist one block per partition
-                # (unlabeled + each class) so training state survives;
-                # n_seen derives from the same single counts read (a
-                # second pass over the shards could interleave with a
-                # concurrent ingest and write a snapshot the restore-side
-                # counts/n_seen cross-check would reject)
-                counts = self._shards.merged_by_class(name)
-                seen = int(counts.sum())
-                y_counts = [block.tolist() for block in counts]
-            else:
-                flat, seen = self._shards.merged(name)
-                y_counts = flat.tolist()
-            state_section[name] = {
-                "y_counts": y_counts,
-                "n_seen": int(seen),
+            by_class = seen[:, layout.index_of(name)]
+            saved = {
+                "y_counts": counts[layout.slice_of(name)].tolist(),
+                "n_seen": int(by_class.sum()),
                 "theta": state.theta.tolist(),
             }
+            if self.classes:
+                saved["n_seen_by_class"] = by_class.tolist()
+            state_section[name] = saved
         return {
             "kind": "aggregation_service",
             "version": FORMAT_VERSION,
@@ -424,7 +408,10 @@ class AggregationService:
         The merged partials land in shard 0 — merge-equivalent to the
         saved state — and the warm-start estimates are carried over, so
         the first refresh after a restart is bit-identical to the
-        refresh the saved server would have produced.
+        refresh the saved server would have produced.  Snapshot files
+        are outside input: counts, record counts and estimates that
+        could not have been saved raise
+        :class:`~repro.exceptions.SerializationError`.
         """
         from repro.serialize import from_jsonable
 
@@ -447,34 +434,23 @@ class AggregationService:
             shard0 = service._shards.shard(0)
             for name, saved in payload["state"].items():
                 state = service._state(name)
-                n_bins = state.y_partition.n_intervals
-                blocks = _snapshot_count_blocks(
-                    name, saved["y_counts"], classes, n_bins
+                counts, by_class = _snapshot_counts(
+                    name, saved, classes, state.y_partition.n_intervals
                 )
-                theta = np.asarray(saved["theta"], dtype=float)
-                if theta.shape != (state.spec.x_partition.n_intervals,):
+                theta = _snapshot_array(
+                    saved["theta"],
+                    f"snapshot estimate for {name!r}",
+                    (state.spec.x_partition.n_intervals,),
+                )
+                if not (np.isfinite(theta).all() and theta.min() >= 0.0
+                        and theta.sum() > 0.0):
                     raise SerializationError(
-                        f"snapshot estimate for {name!r} has {theta.size} "
-                        "intervals; the partition has "
-                        f"{state.spec.x_partition.n_intervals}"
+                        f"snapshot estimate for {name!r} must be finite and "
+                        "non-negative with a positive sum"
                     )
-                n_seen = int(saved["n_seen"])
-                absorbed = int(sum(block.sum() for block in blocks))
-                if absorbed != n_seen:
-                    raise SerializationError(
-                        f"snapshot counts for {name!r} hold {absorbed} "
-                        f"record(s) but n_seen claims {n_seen}"
-                    )
-                for block_index, block in enumerate(blocks):
-                    block_seen = int(block.sum())
-                    if block_seen or block_index == 0:
-                        # the unlabeled block also carries the residual
-                        # seen counter for empty class-less snapshots
-                        shard0.absorb_counts(
-                            name, block, block_seen, class_block=block_index
-                        )
+                shard0.absorb_counts(name, counts, by_class)
                 state.theta = theta
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ValidationError):
                 raise  # deliberate errors keep their specific message
             raise ValidationError(
@@ -518,44 +494,52 @@ class AggregationService:
         )
 
 
-def _snapshot_count_blocks(name: str, y_counts, classes: int, n_bins: int):
-    """Validate one attribute's snapshot counts against the declared classes.
+def _snapshot_array(value, what: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``, else a SerializationError."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise SerializationError(f"{what} are not numeric: {exc}") from exc
+    if array.shape != shape:
+        raise SerializationError(
+            f"{what} have shape {array.shape}; expected {shape}"
+        )
+    return array
 
-    Class-aware snapshots store ``classes + 1`` blocks (unlabeled plus
-    one per class); class-less snapshots store one flat histogram.  Any
-    disagreement — wrong block count, wrong bin count, ragged rows —
-    raises a :class:`~repro.exceptions.SerializationError` instead of
-    surfacing as a raw numpy shape/ragged-array error.
+
+def _snapshot_counts(name: str, saved: dict, classes: int, n_bins: int) -> tuple:
+    """One attribute's validated ``(counts, n_seen_by_class)`` from a snapshot.
+
+    Snapshots store one histogram plus, when class-aware, the records
+    per class (``n_seen_by_class``, unlabeled first).  Class-aware
+    snapshots without that key predate it: they store one histogram row
+    per class block (unlabeled, then one per class), which sum to the
+    histogram, and each row's total is that block's records.  Every
+    count must pass :func:`~repro.utils.validation.check_counts`, and
+    the counts, ``n_seen`` and ``n_seen_by_class`` must agree; anything
+    else raises a :class:`~repro.exceptions.SerializationError`.
     """
-    if classes:
-        if not isinstance(y_counts, list) or len(y_counts) != classes + 1:
-            found = len(y_counts) if isinstance(y_counts, list) else 0
-            raise SerializationError(
-                f"snapshot counts for {name!r} must hold {classes + 1} "
-                f"class blocks (unlabeled + {classes} classes), got "
-                f"{found} — the snapshot's class partitioning disagrees "
-                "with its declared 'classes'"
-            )
-        rows = y_counts
-    else:
-        rows = [y_counts]
-    blocks = []
-    for row in rows:
-        try:
-            block = np.asarray(row, dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise SerializationError(
-                f"snapshot counts for {name!r} are not numeric "
-                f"histogram rows: {exc}"
-            ) from exc
-        if block.shape != (n_bins,):
-            raise SerializationError(
-                f"snapshot counts for {name!r} have shape {block.shape}; "
-                f"the noise-expanded grid has {n_bins} bins"
-                + (" per class block" if classes else "")
-            )
-        blocks.append(block)
-    return blocks
+    blocks = classes > 0 and "n_seen_by_class" not in saved
+    what = f"snapshot counts for {name!r}" + (" (class blocks)" if blocks else "")
+    rows = _snapshot_array(
+        saved["y_counts"] if blocks else [saved["y_counts"]],
+        what,
+        (classes + 1 if blocks else 1, n_bins),
+    )
+    check_counts(rows, what, error=SerializationError)
+    by_class = rows.sum(axis=1)
+    if classes and not blocks:
+        what = f"snapshot n_seen_by_class for {name!r}"
+        by_class = _snapshot_array(saved["n_seen_by_class"], what, (classes + 1,))
+        check_counts(by_class, what, error=SerializationError)
+    absorbed = rows.sum()
+    if saved["n_seen"] != absorbed or by_class.sum() != absorbed:
+        raise SerializationError(
+            f"snapshot counts for {name!r} hold {absorbed:.0f} record(s) but "
+            f"n_seen claims {saved['n_seen']!r} and n_seen_by_class "
+            f"{by_class.sum():.0f}"
+        )
+    return rows.sum(axis=0), by_class.astype(np.int64)
 
 
 def service_from_spec(spec: dict) -> AggregationService:

@@ -26,15 +26,14 @@ The hot path is built for memory bandwidth, not Python speed:
   indices (:class:`PreparedBatch`, built once per batch outside any
   lock), and
 * each shard holds **one** flat counts buffer, one record-counter
-  vector and one lock: the ``np.bincount`` runs before the lock is
+  matrix and one lock: the ``np.bincount`` runs before the lock is
   taken, so a writer holds it only for the O(bins) add, and reads
   (:meth:`HistogramShard.partial`) copy under the same lock in O(bins)
   however many threads have written,
-* layouts built with ``n_classes >= 1`` replicate the flat buffer into
-  per-class *blocks* (plus one for unlabeled records), and a labeled
-  batch's class column folds into the same fused ``np.bincount``, so
-  class-conditional aggregation — the input the paper's ByClass/Local
-  training needs — costs the ingest path nothing.
+* labeled and unlabeled records bin into the same histogram; the record
+  counters have one row per class label (plus row 0 for unlabeled
+  records), so a shard reports how many records of each class it
+  absorbed without holding a histogram per class.
 
 :class:`ShardSet` is the fixed-size collection of shards over one
 attribute schema, with round-robin routing and the O(bins) merge.  The
@@ -124,13 +123,11 @@ class ColumnLayout:
     — and one ``np.bincount`` over those fused indices bins every
     attribute of a batch in a single vectorized pass.
 
-    With ``n_classes >= 1`` the flat vector holds ``n_classes + 1``
-    consecutive *class blocks* of that base layout: block 0 collects
-    unlabeled records (v1 wire clients), block ``c + 1`` collects
-    records disclosed with class label ``c``.  A labeled batch's class
-    column simply adds ``(class + 1) * base_bins`` to each fused index,
-    so the same single ``np.bincount`` bins every attribute of a batch
-    *per class* in one pass.
+    With ``n_classes >= 1`` batches may carry a class column.  Labeled
+    records bin exactly like unlabeled ones; ``n_classes`` only checks
+    the labels and shapes the record counters a prepared batch carries:
+    ``(n_classes + 1, attributes)``, row 0 for unlabeled records and
+    row ``c + 1`` for class ``c``.
 
     Shared by every shard of a :class:`ShardSet` (the layout is
     immutable schema geometry, not state).
@@ -146,15 +143,13 @@ class ColumnLayout:
     >>> layout.prepare({"b": [0.05, 0.95]}).flat.tolist()
     [4, 9]
     >>> labeled = ColumnLayout({"a": Partition.uniform(0, 1, 4)}, n_classes=2)
-    >>> labeled.total_bins  # 4 bins x (unlabeled + 2 class blocks)
-    12
-    >>> labeled.prepare({"a": [0.1, 0.9]}, classes=[0, 1]).flat.tolist()
-    [4, 11]
+    >>> prepared = labeled.prepare({"a": [0.1, 0.9]}, classes=[0, 1])
+    >>> prepared.flat.tolist(), prepared.seen.tolist()  # counters: row per class
+    ([0, 3], [[0], [1], [1]])
     """
 
     __slots__ = (
-        "_partitions", "_names", "_offsets", "_index",
-        "base_bins", "n_classes", "total_bins",
+        "_partitions", "_names", "_offsets", "_index", "n_classes", "total_bins",
     )
 
     def __init__(self, y_partitions, *, n_classes: int = 0) -> None:
@@ -172,9 +167,8 @@ class ColumnLayout:
         for name, partition in self._partitions.items():
             self._offsets[name] = total
             total += partition.n_intervals
-        self.base_bins = total
         self.n_classes = int(n_classes)
-        self.total_bins = total * (self.n_classes + 1)
+        self.total_bins = total
 
     @property
     def names(self) -> tuple:
@@ -187,7 +181,7 @@ class ColumnLayout:
         return self._partitions[name]
 
     def offset_of(self, name: str) -> int:
-        """First flat bin of attribute ``name`` (within class block 0)."""
+        """First flat bin of attribute ``name``."""
         self.require(name)
         return self._offsets[name]
 
@@ -196,20 +190,10 @@ class ColumnLayout:
         self.require(name)
         return self._index[name]
 
-    def slice_of(self, name: str, class_block: int = 0) -> slice:
-        """``name``'s bin range within one class block of the flat vector.
-
-        Block 0 is the unlabeled partition; block ``c + 1`` holds class
-        ``c``.  Layouts without classes only have block 0, so existing
-        callers keep their meaning.
-        """
+    def slice_of(self, name: str) -> slice:
+        """``name``'s bin range within the flat vector."""
         self.require(name)
-        if not 0 <= class_block <= self.n_classes:
-            raise ValidationError(
-                f"class block {class_block} out of range "
-                f"[0, {self.n_classes + 1})"
-            )
-        offset = class_block * self.base_bins + self._offsets[name]
+        offset = self._offsets[name]
         return slice(offset, offset + self._partitions[name].n_intervals)
 
     def require(self, name: str) -> None:
@@ -236,20 +220,13 @@ class ColumnLayout:
         )
 
     def check_classes(self, classes) -> np.ndarray:
-        """Validate a class column; return it as flat block offsets per record.
-
-        ``classes`` must be a 1-D column of integer labels in
-        ``[0, n_classes)``; the returned array holds each record's class
-        block offset (``(class + 1) * base_bins``), ready to add to the
-        located attribute indices.
-        """
+        """Validate a class column: 1-D integer labels in ``[0, n_classes)``."""
         if self.n_classes == 0:
             raise ValidationError(
-                "this layout has no class partitions; build it with "
+                "this layout has no class labels; build it with "
                 "n_classes >= 1 to ingest labeled records"
             )
-        labels = check_label_column(classes, n_classes=self.n_classes)
-        return (labels + 1) * self.base_bins
+        return check_label_column(classes, n_classes=self.n_classes)
 
     def prepare(self, batch, classes=None) -> "PreparedBatch":
         """Locate a ``{attribute: values}`` batch into fused flat indices.
@@ -260,18 +237,21 @@ class ColumnLayout:
         bin indices, the wire v5 payload) skip the ``locate`` entirely —
         each index is range-checked against the attribute's grid and
         offset directly, so compressed clients cost the server no
-        ``searchsorted``.  With ``classes`` (one integer label per
-        record, shared by every column of the batch) each fused index
-        additionally lands in its record's class block, so labeled
-        batches bin per class in the same single pass.  The returned
-        :class:`PreparedBatch` can be handed to any shard built on this
-        layout.
+        ``searchsorted``.  ``classes`` (one integer label per record,
+        shared by every column of the batch) leaves the indices alone
+        and moves the batch's record counts from the unlabeled counter
+        row to one row per class.  The returned :class:`PreparedBatch`
+        can be handed to any shard built on this layout.
         """
         if not isinstance(batch, dict):
             raise ValidationError("batch must map attribute -> values")
-        blocks = None if classes is None else self.check_classes(classes)
+        labels = None if classes is None else self.check_classes(classes)
+        by_class = (
+            None if labels is None
+            else np.bincount(labels, minlength=self.n_classes)
+        )
         located = []
-        seen = np.zeros(len(self._names), dtype=np.int64)
+        seen = np.zeros((self.n_classes + 1, len(self._names)), dtype=np.int64)
         total = 0
         for name, values in batch.items():
             partition = self._partitions.get(name)
@@ -290,10 +270,10 @@ class ColumnLayout:
                 )
             else:
                 arr = indices
-            if blocks is not None and arr.size != blocks.size:
+            if labels is not None and arr.size != labels.size:
                 raise ValidationError(
                     f"batch[{name!r}] has {arr.size} value(s) but the class "
-                    f"column has {blocks.size}; labeled batches need one "
+                    f"column has {labels.size}; labeled batches need one "
                     "class label per record"
                 )
             if arr.size == 0:
@@ -308,10 +288,11 @@ class ColumnLayout:
                         f"[0, {partition.n_intervals}), got [{low}, {high}]"
                     )
                 fused = indices.astype(np.intp) + self._offsets[name]
-            if blocks is not None:
-                fused = fused + blocks
             located.append(fused)
-            seen[self._index[name]] = arr.size
+            if by_class is None:
+                seen[0, self._index[name]] = arr.size
+            else:
+                seen[1:, self._index[name]] = by_class
             total += arr.size
         if not located:
             flat = np.empty(0, dtype=np.intp)
@@ -406,14 +387,15 @@ class _Shard:
     :class:`~repro.service.SupportShard`.  Locating a batch and its
     ``np.bincount`` run outside the lock, so the lock covers only the
     O(bins) add itself (:meth:`_add`), and every read copies under the
-    same lock, so it never sees half a batch.  ``n_counters`` sizes the
-    record counters: one per attribute, or one for all transactions.
+    same lock, so it never sees half a batch.  ``counters`` shapes the
+    record counters: one row per class (unlabeled first) by one column
+    per attribute, or one counter for all transactions.
     """
 
-    def __init__(self, layout, n_counters: int) -> None:
+    def __init__(self, layout, counters: int | tuple[int, int]) -> None:
         self._layout = layout
         self._counts = np.zeros(layout.total_bins)
-        self._seen = np.zeros(n_counters, dtype=np.int64)
+        self._seen = np.zeros(counters, dtype=np.int64)
         self._lock = threading.Lock()
 
     @property
@@ -496,7 +478,7 @@ class HistogramShard(_Shard):
             if not y_partitions:
                 raise ValidationError("a shard needs at least one attribute")
             layout = ColumnLayout(y_partitions, n_classes=n_classes)
-        super().__init__(layout, len(layout.names))
+        super().__init__(layout, (layout.n_classes + 1, len(layout.names)))
 
     @property
     def attributes(self) -> tuple:
@@ -510,9 +492,8 @@ class HistogramShard(_Shard):
     def ingest(self, batch, *, classes=None) -> int:
         """Absorb ``{attribute: randomized values}``; return records added.
 
-        ``classes`` (one integer label per record) bins the batch into
-        its per-class blocks; without it records land in the unlabeled
-        partition.
+        ``classes`` (one integer label per record) counts the records
+        per class; without it they count as unlabeled.
         """
         return self.ingest_prepared(self._layout.prepare(batch, classes))
 
@@ -520,83 +501,65 @@ class HistogramShard(_Shard):
         """Records absorbed so far for ``name``."""
         k = self._layout.index_of(name)
         with self._lock:
-            return int(self._seen[k])
+            return int(self._seen[:, k].sum())
 
     def partial(self, name: str) -> tuple:
-        """``(counts copy, n_seen)`` of ``name``, in one locked read.
-
-        Counts sum the attribute's class blocks (unlabeled plus every
-        class), so class-aware shards serve the same all-records
-        histogram as before — integer counts in float64 sum exactly in
-        any order.
-        """
+        """``(counts copy, n_seen)`` of ``name``, in one locked read."""
         sl, k = self._layout.slice_of(name), self._layout.index_of(name)
         with self._lock:
-            blocks = self._counts.reshape(self._layout.n_classes + 1, -1)
-            return blocks[:, sl].sum(axis=0), int(self._seen[k])
+            return self._counts[sl].copy(), int(self._seen[:, k].sum())
 
-    def partial_by_class(self, name: str) -> np.ndarray:
-        """Per-block counts of ``name``: ``(n_classes + 1, bins)``.
-
-        Row 0 is the unlabeled partition; row ``c + 1`` is class ``c``.
-        A class-less shard returns a single row (the plain histogram).
-        """
-        sl = self._layout.slice_of(name)
-        with self._lock:
-            blocks = self._counts.reshape(self._layout.n_classes + 1, -1)
-            return blocks[:, sl].copy()
-
-    def absorb_counts(
-        self, name: str, counts, n_seen: int, *, class_block: int = 0
-    ) -> None:
+    def absorb_counts(self, name: str, counts, n_seen_by_class) -> None:
         """Add pre-bucketed counts for one attribute (snapshot restore).
 
-        ``class_block`` selects the partition the counts land in:
-        0 (default) is the unlabeled block, ``c + 1`` is class ``c``.
+        ``n_seen_by_class`` holds the records behind ``counts`` per
+        counter row: unlabeled first, then one per class.
         """
-        sl = self._layout.slice_of(name, class_block)
+        sl = self._layout.slice_of(name)
         counts = np.asarray(counts, dtype=float)
         if counts.shape != (sl.stop - sl.start,):
             raise ValidationError(
                 f"counts for {name!r} must have {sl.stop - sl.start} bins, "
                 f"got {counts.size}"
             )
-        seen = np.zeros(len(self._layout.names), dtype=np.int64)
-        seen[self._layout.index_of(name)] = int(n_seen)
+        seen = np.zeros_like(self._seen)
+        seen[:, self._layout.index_of(name)] = n_seen_by_class
         self._add(counts, seen, sl)
 
     def replace_with(self, partials: dict) -> int:
-        """Clear this shard, then absorb pre-merged per-class partials.
+        """Clear this shard, then absorb one worker's merged partials.
 
-        ``partials`` maps attribute name to a ``(n_classes + 1, bins)``
-        count matrix (row 0 unlabeled, row ``c + 1`` class ``c``) —
-        the cluster coordinator's sync primitive: a worker ships its
-        *cumulative* merged counts and replacing the worker's dedicated
-        shard makes every re-push idempotent, so a retried sync can
-        never double-count.  Attributes absent from ``partials`` end up
-        empty (the worker has seen none of them).  Everything is
-        validated before the clear, so a malformed mapping changes
-        nothing; callers needing replace-vs-read atomicity serialize
-        through the owning service's estimate lock.  Returns the record
-        count now held.
+        ``partials`` maps attribute name to a ``(1, bins)`` count matrix
+        (:meth:`~repro.service.AggregationService.export_partial`), or
+        to ``(n_classes + 1, bins)`` rows, unlabeled then one per class,
+        as workers that kept a histogram per class send them; rows are
+        summed.  Partials carry no class split, so the records count as
+        unlabeled.  This is the cluster coordinator's sync primitive: a
+        worker ships its *cumulative* merged counts and replacing the
+        worker's dedicated shard makes every re-push idempotent, so a
+        retried sync can never double-count.  Attributes absent from
+        ``partials`` end up empty (the worker has seen none of them).
+        Everything is validated before the clear, so a malformed mapping
+        changes nothing; callers needing replace-vs-read atomicity
+        serialize through the owning service's estimate lock.  Returns
+        the record count now held.
         """
         if not isinstance(partials, dict):
-            raise ValidationError(
-                "partials must map attribute -> (n_classes + 1, bins) counts"
-            )
+            raise ValidationError("partials must map attribute -> (1, bins) counts")
         flat = np.zeros(self._layout.total_bins)
-        blocks = flat.reshape(self._layout.n_classes + 1, -1)
-        seen = np.zeros(len(self._layout.names), dtype=np.int64)
+        seen = np.zeros_like(self._seen)
+        n_rows = self._layout.n_classes + 1
         for name, counts in partials.items():
             sl = self._layout.slice_of(name)
+            shapes = ((1, sl.stop - sl.start), (n_rows, sl.stop - sl.start))
             matrix = np.asarray(counts, dtype=float)
-            if matrix.shape != blocks[:, sl].shape:
+            if matrix.shape not in shapes:
                 raise ValidationError(
-                    f"partials[{name!r}] must have shape "
-                    f"{blocks[:, sl].shape}, got {matrix.shape}"
+                    f"partials[{name!r}] must have shape {shapes[0]} or "
+                    f"{shapes[1]}, got {matrix.shape}"
                 )
-            blocks[:, sl] = matrix
-            seen[self._layout.index_of(name)] = sum(int(r.sum()) for r in matrix)
+            flat[sl] = matrix.sum(axis=0)
+            seen[0, self._layout.index_of(name)] = int(flat[sl].sum())
         self.clear()
         self._add(flat, seen)
         return int(seen.sum())
@@ -745,28 +708,30 @@ class ShardSet(_ShardSet):
         partials = [shard.partial(name) for shard in self._shards]
         return sum(p[0] for p in partials), sum(p[1] for p in partials)
 
-    def merged_by_class(self, name: str) -> np.ndarray:
-        """Merged per-class counts of ``name``: ``(n_classes + 1, bins)``.
+    def merge(self) -> tuple:
+        """Merged ``(counts, seen)`` over every shard: one locked read each.
 
-        Row 0 is the unlabeled partition, row ``c + 1`` class ``c``;
-        rows sum (exactly) to :meth:`merged`'s all-records histogram.
+        ``counts`` is the flat counts buffer (see :class:`ColumnLayout`);
+        ``seen`` is the ``(n_classes + 1, attributes)`` record-counter
+        matrix, row 0 unlabeled and row ``c + 1`` class ``c``.  Each
+        shard's counts and counters come from the same read, so every
+        attribute's counts sum to its counters.
         """
-        return sum(shard.partial_by_class(name) for shard in self._shards)
-
-    def merge(self) -> dict:
-        """Merged partials for every attribute: ``{name: (counts, n_seen)}``."""
-        return {name: self.merged(name) for name in self._layout.names}
+        reads = [shard._read() for shard in self._shards]
+        return sum(r[0] for r in reads), sum(r[1] for r in reads)
 
     def n_seen(self, name: str | None = None):
         """Records absorbed for one attribute, or ``{name: n}`` for all.
 
-        Sums the shards' integer counters directly — no histogram copies
-        — so the ingest/health hot paths never pay the O(bins) merge.
+        One attribute sums the shards' integer counters directly; all of
+        them take one :meth:`merge`, a single locked read per shard,
+        which every ingest reply and health check pays.
         """
         if name is not None:
             self._layout.require(name)
             return sum(shard.n_seen(name) for shard in self._shards)
-        return {attr: self.n_seen(attr) for attr in self._layout.names}
+        by_attribute = self.merge()[1].sum(axis=0).tolist()
+        return dict(zip(self._layout.names, by_attribute))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -7,11 +7,11 @@ tree induction recovers near-original accuracy from randomized data.
 same server that ingests randomized streams at memory bandwidth can now
 *mine* them.
 
-A labeled batch lands twice: in the service's class-conditional shard
-blocks (which ``/stats``, snapshots and cluster partials serve) and in a
-**training buffer** of the labeled randomized rows.  :meth:`train` reads
-the buffer only.  It hands the rows, the service's grids and
-randomizers, and the service's warm, cache-shared
+A labeled batch lands twice: in the service's shards (the histograms
+every estimate reads, plus per-class record counters for ``/stats``)
+and in a **training buffer** of the labeled randomized rows.
+:meth:`train` reads the buffer only.  It hands the rows, the service's
+grids and randomizers, and the service's warm, cache-shared
 :class:`~repro.core.engine.ReconstructionEngine` to the offline
 pipeline's own strategy functions
 (:func:`~repro.tree.pipeline.correct_intervals`,
@@ -113,10 +113,10 @@ class TrainingService:
         bit-identical to the offline pipeline on the same data.
 
     Labeled rows enter through :meth:`ingest` (or the HTTP front end's
-    labeled wire frames): the batch lands in the service's per-class
-    shard blocks *and* in the training buffer, and :meth:`train` reads
-    the buffer only.  Training rows must carry every attribute — trees
-    route records on full rows.
+    labeled wire frames): the batch lands in the service's shards *and*
+    in the training buffer, and :meth:`train` reads the buffer only.
+    Training rows must carry every attribute — trees route records on
+    full rows.
 
     Examples
     --------

@@ -30,30 +30,31 @@ Version 2 frames carry an optional *class column* — one int32 label per
 record, shared by every attribute column (whose row counts must then
 all equal the class row count) — so classification training data
 (class, attribute values) streams over the same zero-copy path.
-Version 1 frames remain fully supported; their records land in the
-server's unlabeled partition.
+Version 1 frames remain fully supported; the server counts their
+records as unlabeled.
 
 Version 3 is the *partial* frame (``application/x-ppdm-partial``): the
 cluster tier's unit of exchange.  Instead of records it carries one
-worker's **merged class-conditional histogram partials** — for each
-attribute, ``n_blocks`` rows (unlabeled + one per class) of
-noise-expanded bin counts — so a coordinator absorbs a whole worker's
-state in O(bins), however many records the worker has seen.  The header
-struct is shared with v1/v2; the i32 slot that pins a shard in record
-frames carries ``n_blocks`` here::
+worker's **merged histogram partials** — for each attribute,
+``n_blocks`` rows of noise-expanded bin counts — so a coordinator
+absorbs a whole worker's state in O(bins), however many records the
+worker has seen.  Writers send ``n_blocks = 1``.  Workers that kept one
+histogram per class sent ``n_blocks = classes + 1`` (unlabeled, then one
+row per class); the service sums the rows, so it accepts 1 or
+``classes + 1``.  The header struct is shared with v1/v2; the i32 slot
+that pins a shard in record frames carries ``n_blocks`` here::
 
     offset  size  field
     0       4     magic  b"PPDM"
     4       2     u16    wire version (3 = partial)
     6       2     u16    n_attributes
-    8       4     i32    n_blocks (= classes + 1; >= 1)
+    8       4     i32    n_blocks (>= 1; writers send 1)
     ...     ...   attribute table, n_attributes entries:
                     u16    name length L (UTF-8 bytes)
                     L      attribute name
                     u64    bin count
     ...     ...   counts: n_blocks x bin_count x 8 bytes of raw
                   little-endian float64 per attribute, in table order
-                  (block 0 = unlabeled, block c + 1 = class c)
 
 Partial counts must be finite, non-negative, and integer-valued —
 anything else is a malformed frame, not data.  Partial frames are
@@ -170,7 +171,7 @@ import zlib
 import numpy as np
 
 from repro.exceptions import DecodedSizeError, ValidationError, WireFormatError
-from repro.utils.validation import check_label_column
+from repro.utils.validation import check_counts, check_label_column
 
 try:  # optional codec: present when the zstandard package is installed
     import zstandard as _zstandard
@@ -220,7 +221,7 @@ MAGIC = b"PPDM"
 WIRE_VERSION = 1
 #: class-aware frame version: adds an optional int32 class column
 WIRE_VERSION_CLASSES = 2
-#: partial frame version: merged per-class histogram counts (cluster sync)
+#: partial frame version: merged histogram counts (cluster sync)
 WIRE_VERSION_PARTIAL = 3
 #: basket frame version: varint transaction lists of item ids (mining)
 WIRE_VERSION_BASKETS = 4
@@ -608,14 +609,13 @@ def iter_labeled_frames(payload):
         yield batch, classes, shard
 
 def encode_partial(partials) -> bytes:
-    """Encode merged per-class histogram partials as one version 3 frame.
+    """Encode merged histogram partials as one version 3 frame.
 
     ``partials`` maps attribute name to a 2-D ``(n_blocks, bins)`` count
-    matrix — exactly the shape
-    :meth:`~repro.service.AggregationService.export_partial` produces
-    (row 0 unlabeled, row ``c + 1`` class ``c``).  Every attribute must
-    share one block count; counts must be finite, non-negative, and
-    integer-valued (histogram counts, not arbitrary floats).
+    matrix; :meth:`~repro.service.AggregationService.export_partial`
+    produces ``(1, bins)``.  Every attribute must share one block count;
+    counts must be finite, non-negative, and integer-valued (histogram
+    counts, not arbitrary floats).
 
     Examples
     --------
@@ -653,30 +653,13 @@ def encode_partial(partials) -> bytes:
                 f"partials[{name!r}] has {matrix.shape[0]} class block(s); "
                 f"other attributes have {n_blocks} — one schema per frame"
             )
-        _check_partial_counts(name, matrix)
+        check_counts(matrix, f"partial counts for {name!r}")
         table.append(entry + _ROW_COUNT.pack(matrix.shape[1]))
         blocks.append(matrix.tobytes())
     if n_blocks is None or n_blocks > 0x7FFFFFFF:
         raise ValidationError(f"partial frame cannot hold {n_blocks} blocks")
     header = _HEADER.pack(MAGIC, WIRE_VERSION_PARTIAL, len(partials), n_blocks)
     return header + b"".join(table) + b"".join(blocks)
-
-
-def _check_partial_counts(name: str, matrix: np.ndarray) -> None:
-    """Histogram counts only: finite, non-negative, integer-valued."""
-    if not np.all(np.isfinite(matrix)):
-        raise ValidationError(
-            f"partial counts for {name!r} contain non-finite values"
-        )
-    if matrix.size and float(matrix.min()) < 0.0:
-        raise ValidationError(
-            f"partial counts for {name!r} contain negative values"
-        )
-    if not np.array_equal(matrix, np.floor(matrix)):
-        raise ValidationError(
-            f"partial counts for {name!r} are not integer-valued "
-            "histogram counts"
-        )
 
 
 def split_partial(payload) -> tuple:
@@ -730,7 +713,7 @@ def split_partial(payload) -> tuple:
             f"partial frame: attribute {name!r}",
         )
         matrix = flat.reshape(n_blocks, bin_count)
-        _check_partial_counts(name, matrix)
+        check_counts(matrix, f"partial counts for {name!r}")
         partials[name] = matrix
     return partials, view[offset:]
 
@@ -985,7 +968,7 @@ def iter_labeled_ndjson(payload):
     bodies are fine.  Each line must carry a ``"batch"`` object; an
     optional integer ``"shard"`` pins the batch, and an optional
     ``"classes"`` key is a JSON list with one integer class label per
-    record (``None`` when absent — the unlabeled partition).
+    record (``None`` when absent — unlabeled records).
 
     Examples
     --------

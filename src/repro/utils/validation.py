@@ -62,6 +62,26 @@ def check_label_column(
     return out
 
 
+def check_counts(
+    counts: np.ndarray,
+    name: str = "counts",
+    *,
+    error: type[ValidationError] = ValidationError,
+) -> None:
+    """Histogram counts only: finite, non-negative, integer-valued.
+
+    The one rule for counts read from outside the process (wire partial
+    frames, snapshot files); ``error`` lets each surface raise its own
+    :class:`ValidationError` subclass.
+    """
+    if not np.all(np.isfinite(counts)):
+        raise error(f"{name} contain non-finite values")
+    if counts.size and float(counts.min()) < 0.0:
+        raise error(f"{name} contain negative values")
+    if not np.array_equal(counts, np.floor(counts)):
+        raise error(f"{name} are not integer-valued histogram counts")
+
+
 def check_fraction(value, name: str = "value", *, inclusive_low: bool = False) -> float:
     """Validate a fraction in ``(0, 1]`` (or ``[0, 1]`` with ``inclusive_low``)."""
     value = float(value)

@@ -774,6 +774,37 @@ class TestTrainCommand:
         assert code == 0
         assert "class 0=2" in out
 
+    def test_per_class_counts_survive_ingest_and_reshard(
+        self, capsys, tmp_path, class_spec_file
+    ):
+        """Per-class record counts survive ``ppdm ingest --snapshot``
+        and a restart that re-shards the restored snapshot."""
+        from repro.service import AggregationService
+
+        snapshot = tmp_path / "snap.json"
+        assert main(
+            ["serve", "--spec", str(class_spec_file),
+             "--snapshot", str(snapshot), "--port", "0",
+             "--max-requests", "0"]
+        ) == 0
+        values = tmp_path / "v.txt"
+        values.write_text("30.0\n40.0\n50.0\n")
+        for label in (["--class-label", "0"], ["--class-label", "1"], []):
+            assert main(
+                ["ingest", str(values), "--attribute", "age",
+                 "--snapshot", str(snapshot), "--seed", "4", *label]
+            ) == 0
+        assert "unlabeled=3, class 0=3, class 1=3" in capsys.readouterr().out
+        assert main(
+            ["serve", "--snapshot", str(snapshot), "--shards", "5",
+             "--port", "0", "--max-requests", "0"]
+        ) == 0
+        restored = AggregationService.load(snapshot)
+        assert restored.n_shards == 5
+        assert restored.n_seen_by_class("age") == {
+            "unlabeled": 3, "0": 3, "1": 3,
+        }
+
     def test_full_row_dict_file_feeds_multi_attribute_training(
         self, capsys, tmp_path
     ):

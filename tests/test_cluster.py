@@ -87,12 +87,51 @@ class TestPartialWire:
             assert np.array_equal(decoded[name], partials[name])
 
     def test_roundtrip_through_service(self):
+        """A class-aware service ships each attribute's one histogram as
+        a single row."""
         service = make_service(classes=2)
         batch, labels = make_batch(0, classes=2)
         service.ingest(batch, classes=labels)
         decoded, _ = split_partial(encode_partial(service.export_partial()))
         for name in ("x", "y"):
-            assert np.array_equal(decoded[name], service.merged_by_class(name))
+            counts, _ = service.shards.merged(name)
+            assert np.array_equal(decoded[name], counts[None, :])
+
+    @pytest.mark.parametrize("classes", [0, 2])
+    def test_sync_body_decodes_to_export_partial(self, classes):
+        """The shape contract servebench's partial check relies on:
+        ``np.array_equal`` is shape-sensitive, so ``(bins,)`` against
+        ``(1, bins)`` would read as a mismatch."""
+        service = make_service(classes=classes)
+        batch, labels = make_batch(1, classes=classes or None)
+        service.ingest(batch, classes=labels)
+        service.ingest(make_batch(2)[0])
+        decoded, rest = split_partial(export_sync_body(service))
+        assert bytes(rest) == b""
+        exported = service.export_partial()
+        assert set(decoded) == set(exported)
+        for name in exported:
+            assert exported[name].shape[0] == 1
+            assert np.array_equal(decoded[name], exported[name])
+
+    @pytest.mark.parametrize("classes", [0, 2])
+    def test_sync_body_bytes_are_one_block(self, classes):
+        """Bytes per sync body: one row of counts per attribute whatever
+        the class count (1,671 bytes for this servebench-shaped spec)."""
+        from repro.service import service_from_spec
+
+        names = ("age", "salary", "loan", "hvalue")
+        service = service_from_spec({
+            "classes": classes,
+            "intervals": 24,
+            "attributes": [
+                {"name": name, "low": 0, "high": 100, "privacy": 1.0}
+                for name in names
+            ],
+        })
+        bins = sum(service.shards.layout.partition(n).n_intervals for n in names)
+        one_block = 12 + sum(2 + len(n) + 8 for n in names) + 8 * bins
+        assert len(export_sync_body(service)) == one_block
 
     def test_split_returns_remainder(self):
         frame = encode_partial({"x": np.array([[1.0, 2.0]])})
@@ -182,6 +221,28 @@ class TestExportReplace:
             target.replace_partial(0, partials)
         assert target.n_seen("x") == 0
 
+    def test_per_class_rows_land_summed(self):
+        """A worker that kept one histogram per class ships ``classes + 1``
+        rows (unlabeled, then one per class); the slot sums them into
+        the state of one service fed the same records."""
+        reference = make_service(classes=2)
+        labeled, labels = make_batch(13, classes=2)
+        unlabeled, _ = make_batch(14)
+        reference.ingest(labeled, classes=labels)
+        reference.ingest(unlabeled)
+        partials = {}
+        for name in ("x", "y"):
+            grid = reference.shards.layout.partition(name)
+            partials[name] = np.stack(
+                [grid.histogram(unlabeled[name])]
+                + [grid.histogram(labeled[name][labels == c]) for c in (0, 1)]
+            ).astype(float)
+        body = encode_partial(partials)  # n_blocks = 3 on the wire
+        target = make_service(classes=2, n_shards=2)
+        assert target.replace_partial(0, split_partial(body)[0]) == 800
+        assert target.n_seen() == reference.n_seen()
+        assert_same_estimates(target, reference)
+
 
 # ----------------------------------------------------------------------
 # Coordinator bookkeeping
@@ -258,6 +319,7 @@ class FakeWorkers:
         self.trainings = trainings or {}
         self.dead = set()
         self.garbled = set()
+        self.bodies = {}
         self.calls = []
 
     def fetch(self, url, data=None, content_type=None, timeout=None):
@@ -267,6 +329,8 @@ class FakeWorkers:
             raise ClusterError(f"{url} is unreachable: down")
         if worker in self.garbled:
             return b"garbage"
+        if worker in self.bodies:
+            return self.bodies[worker]
         return export_sync_body(
             self.services[worker], self.trainings.get(worker)
         )
@@ -321,6 +385,22 @@ class TestPullSync:
         assert entry["reachable"] is False and entry["stale"] is True
         assert coordinator.health()["degraded"] is True
         assert coordinator.service.estimate("x", warn=False).n_iterations > 0
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_unexpected_row_count_fails_the_pull(self, rows):
+        """Rows other than 1 or ``classes + 1`` raise ValidationError, so
+        that pull fails and the slot keeps serving its last-known state."""
+        coordinator, fleet = self.make_cluster(classes=2)
+        batch, labels = make_batch(15, classes=2)
+        fleet.services[0].ingest(batch, classes=labels)
+        assert coordinator.sync() == {"synced": [0, 1], "failed": []}
+        partials = {"x": np.ones((rows, 6)), "y": np.ones((rows, 4))}
+        with pytest.raises(ValidationError, match="shape"):
+            coordinator.service.replace_partial(0, partials)
+        fleet.bodies[0] = encode_partial(partials)
+        assert coordinator.sync() == {"synced": [1], "failed": [0]}
+        assert coordinator.service.n_seen("x") == 200
+        assert coordinator.health()["workers"][0]["reachable"] is False
 
     def test_require_all_with_never_synced_dead_worker_raises(self):
         coordinator, fleet = self.make_cluster()
@@ -870,9 +950,8 @@ class TestClusterHTTP:
             assert response.status == 200
             assert response.headers["Content-Type"] == CONTENT_TYPE_PARTIAL
             partials, _ = split_partial(response.read())
-        assert np.array_equal(
-            partials["x"], live.workers[0][0].merged_by_class("x")
-        )
+        counts, _ = live.workers[0][0].shards.merged("x")
+        assert np.array_equal(partials["x"], counts[None, :])
 
     def test_partial_rows_requires_training(self, live):
         code, detail = http_error(
@@ -911,6 +990,22 @@ class TestClusterHTTPTraining:
             lambda: http_post(live.url + "/train", b"{}")
         )
         assert code == 503 and "never synced" in detail["error"]
+
+    def test_records_by_class_only_on_workers(self, live):
+        """A coordinator's one-row partials carry no class split, so its
+        /stats leaves records_by_class out; each worker reports its own."""
+        for worker, seed in enumerate((33, 34)):
+            batch, labels = make_batch(seed, classes=2)
+            live.workers[worker][1].ingest(batch, labels)
+        http_get(live.url + "/estimate?attribute=x")  # pull both workers
+        _, stats = http_get(live.url + "/stats")
+        assert stats["records"]["x"] == 400
+        assert "records_by_class" not in stats
+        for (service, _), server in zip(live.workers, live.worker_servers):
+            _, stats = http_get(server.url + "/stats")
+            assert stats["records_by_class"] == {
+                name: service.n_seen_by_class(name) for name in ("x", "y")
+            }
 
     def test_drain_flush_carries_training_rows(self, live):
         batch, labels = make_batch(32, classes=2)

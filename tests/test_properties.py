@@ -292,8 +292,7 @@ def _fill(case, shard_counts_order, batch_order):
         batch = case["batches"][index]
         shards.ingest(batch["values"], classes=batch["classes"])
     merged = {name: shards.merged(name) for name in parts}
-    by_class = {name: shards.merged_by_class(name) for name in parts}
-    return merged, by_class
+    return merged, shards.merge()[1]
 
 
 def _check_shard_merge(case) -> None:
@@ -304,19 +303,30 @@ def _check_shard_merge(case) -> None:
     reference = None
     for shard_count in case["shard_counts"]:
         for order in orders:
-            merged, by_class = _fill(case, shard_count, order)
+            merged, seen = _fill(case, shard_count, order)
             if reference is None:
-                reference = (merged, by_class)
+                reference = (merged, seen)
                 continue
-            for name in merged:
+            # the per-class counters commute and ignore the shard count
+            assert np.array_equal(seen, reference[1])
+            for k, name in enumerate(merged):
                 # commutative + shard-count independent, bitwise
                 assert np.array_equal(merged[name][0], reference[0][name][0])
                 assert merged[name][1] == reference[0][name][1]
-                assert np.array_equal(by_class[name], reference[1][name])
-                # class blocks partition the all-records histogram exactly
-                assert np.array_equal(
-                    by_class[name].sum(axis=0), merged[name][0]
+                # the class counters partition the attribute's records
+                assert seen[:, k].sum() == merged[name][1]
+    # row 0 counts unlabeled records, row c + 1 the records of class c
+    expected = np.zeros_like(reference[1])
+    for batch in case["batches"]:
+        for k, name in enumerate(reference[0]):
+            size = len(batch["values"].get(name, ()))
+            if batch["classes"] is None:
+                expected[0, k] += size
+            elif size:
+                expected[1:, k] += np.bincount(
+                    batch["classes"], minlength=case["n_classes"]
                 )
+    assert np.array_equal(reference[1], expected)
 
     # merge_from is associative: ((a + b) + c) == (a + (b + c)) bitwise
     parts = _shard_partitions(case)

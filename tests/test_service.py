@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,11 @@ from repro.core import (
     UniformRandomizer,
 )
 from repro.datasets import shapes
-from repro.exceptions import ConvergenceWarning, ValidationError
+from repro.exceptions import (
+    ConvergenceWarning,
+    SerializationError,
+    ValidationError,
+)
 from repro.service import (
     AggregationService,
     AttributeSpec,
@@ -28,6 +34,23 @@ from repro.service import (
     iter_labeled_frames,
     service_from_spec,
 )
+from repro.service.resilience import previous_snapshot_path, recover_service
+
+#: ``write_snapshot.py`` there says which tree wrote the files and how
+SNAPSHOTS = Path(__file__).resolve().parent / "fixtures" / "snapshots"
+PARENT_SNAPSHOT = SNAPSHOTS / "classes2_blocks.json"
+
+
+def _parent_payload() -> dict:
+    """The class-aware snapshot in the format with one row per class block."""
+    payload = json.loads(PARENT_SNAPSHOT.read_text())
+    del payload["integrity"]
+    return payload
+
+
+def _current_payload() -> dict:
+    """The same state, written in the current format."""
+    return AggregationService.load(PARENT_SNAPSHOT).snapshot()
 
 
 @pytest.fixture
@@ -735,26 +758,26 @@ class TestSnapshotRestore:
 
 
 class TestClassConditionalShards:
-    """The tentpole: per-class stripes in the same fused bincount pass."""
+    """Labeled ingest: one histogram per attribute, per-class counters."""
 
     def test_labeled_ingest_partitions_by_class(self, part, noise):
+        """Labeled and unlabeled records share one histogram; the
+        record counters partition them by class."""
         y_part = part.expanded(noise.support_half_width())
         shards = ShardSet({"x": y_part}, n_shards=2, n_classes=3)
         shards.ingest({"x": [0.1, 0.5, 0.9]}, classes=[0, 2, 2])
         shards.ingest({"x": [0.3]})  # unlabeled traffic still lands
-        matrix = shards.merged_by_class("x")
-        assert matrix.shape == (4, y_part.n_intervals)
-        assert matrix[0].sum() == 1  # unlabeled
-        assert matrix[1].sum() == 1  # class 0
-        assert matrix[2].sum() == 0  # class 1
-        assert matrix[3].sum() == 2  # class 2
-        counts, seen = shards.merged("x")
-        assert seen == 4
-        assert np.array_equal(matrix.sum(axis=0), counts)
+        counts, seen = shards.merge()
+        # rows: unlabeled, class 0, class 1, class 2
+        assert seen.tolist() == [[1], [1], [0], [2]]
+        assert np.array_equal(
+            counts, y_part.histogram([0.1, 0.5, 0.9, 0.3]).astype(float)
+        )
+        assert shards.merged("x")[1] == 4
 
-    def test_class_blocks_equal_per_class_histograms(self, part, noise):
-        """Each class block is bitwise the histogram of that class's
-        values — the aggregate the training tier reconstructs from."""
+    def test_histogram_sums_per_class_histograms(self, part, noise):
+        """The one histogram is bitwise the sum of the per-class
+        histograms, and the counters hold each class's records."""
         y_part = part.expanded(noise.support_half_width())
         w = _disclose(noise, 4_000, seed=60)
         rng = np.random.default_rng(61)
@@ -762,11 +785,10 @@ class TestClassConditionalShards:
         shards = ShardSet({"x": y_part}, n_shards=4, n_classes=2)
         for chunk in np.array_split(np.arange(w.size), 13):
             shards.ingest({"x": w[chunk]}, classes=labels[chunk])
-        matrix = shards.merged_by_class("x")
-        for c in (0, 1):
-            assert np.array_equal(
-                matrix[c + 1], y_part.histogram(w[labels == c])
-            )
+        counts, seen = shards.merge()
+        per_class = [y_part.histogram(w[labels == c]) for c in (0, 1)]
+        assert np.array_equal(counts, per_class[0] + per_class[1])
+        assert seen[:, 0].tolist() == [0] + [int(h.sum()) for h in per_class]
 
     def test_class_labels_validated(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
@@ -827,6 +849,7 @@ class TestClassConditionalShards:
 
 class TestClassAwareSnapshots:
     def test_roundtrip_preserves_class_partials(self, part, noise):
+        """The one histogram and the per-class counters survive."""
         service = AggregationService(
             [AttributeSpec("x", part, noise)], n_shards=3, classes=2
         )
@@ -837,8 +860,9 @@ class TestClassAwareSnapshots:
         restored = AggregationService.restore(service.snapshot())
         assert restored.classes == 2
         assert np.array_equal(
-            restored.merged_by_class("x"), service.merged_by_class("x")
+            restored.shards.merged("x")[0], service.shards.merged("x")[0]
         )
+        assert restored.n_seen_by_class("x") == service.n_seen_by_class("x")
         assert restored.n_seen("x") == service.n_seen("x")
         a = service.estimate("x")
         b = restored.estimate("x")
@@ -855,33 +879,24 @@ class TestClassAwareSnapshots:
         restored = AggregationService.restore(payload)
         assert restored.n_seen("x") == 500
 
-    def test_block_count_mismatch_is_serialization_error(self, part, noise):
-        from repro.exceptions import SerializationError
-
-        service = AggregationService(
-            [AttributeSpec("x", part, noise)], classes=2
-        )
-        service.ingest({"x": [0.5]}, classes=[0])
-        payload = service.snapshot()
-        payload["state"]["x"]["y_counts"] = payload["state"]["x"]["y_counts"][:2]
+    def test_block_count_mismatch_is_serialization_error(self):
+        """A snapshot with one row per class block must hold
+        ``classes + 1`` of them."""
+        payload = _parent_payload()
+        state = payload["state"]["age"]
+        state["y_counts"] = state["y_counts"][:2]
         with pytest.raises(SerializationError, match="class"):
             AggregationService.restore(payload)
 
-    def test_ragged_counts_are_serialization_error_not_numpy(self, part, noise):
+    def test_ragged_counts_are_serialization_error_not_numpy(self):
         """The bugfix: a ragged y_counts row used to surface as a raw
         numpy error."""
-        from repro.exceptions import SerializationError
-
-        service = AggregationService(
-            [AttributeSpec("x", part, noise)], classes=2
-        )
-        service.ingest({"x": [0.5]}, classes=[0])
-        payload = service.snapshot()
-        payload["state"]["x"]["y_counts"][1] = [1.0, 2.0]  # wrong bin count
+        payload = _parent_payload()
+        payload["state"]["age"]["y_counts"][1] = [1.0, 2.0]  # wrong bin count
         with pytest.raises(SerializationError):
             AggregationService.restore(payload)
-        payload = service.snapshot()
-        payload["state"]["x"]["y_counts"] = [[1.0], [2.0, 3.0], 4.0]
+        payload = _parent_payload()
+        payload["state"]["age"]["y_counts"] = [[1.0], [2.0, 3.0], 4.0]
         with pytest.raises(SerializationError):
             AggregationService.restore(payload)
 
@@ -894,14 +909,118 @@ class TestClassAwareSnapshots:
             AggregationService.restore(payload)
 
     def test_n_seen_disagreement_is_serialization_error(self, part, noise):
-        from repro.exceptions import SerializationError
-
         service = AggregationService([AttributeSpec("x", part, noise)])
         service.ingest({"x": [0.5]})
         payload = service.snapshot()
         payload["state"]["x"]["n_seen"] = 99
         with pytest.raises(SerializationError, match="n_seen"):
             AggregationService.restore(payload)
+
+
+class TestParentSnapshot:
+    """A class-aware snapshot written with one histogram row per class
+    block restores to the state of the service that wrote it."""
+
+    def test_restores_to_the_writing_service(self):
+        expected = json.loads(
+            (SNAPSHOTS / "classes2_blocks.expected.json").read_text()
+        )
+        service = AggregationService.load(PARENT_SNAPSHOT)
+        for name, want in expected.items():
+            assert service.n_seen(name) == want["n_seen"]
+            assert service.n_seen_by_class(name) == want["n_seen_by_class"]
+            result = service.estimate(name, warn=False)
+            assert result.distribution.probs.tolist() == want["probs"]
+            assert result.n_iterations == want["n_iterations"]
+
+    def test_resaves_as_one_histogram_plus_class_counts(self):
+        payload = _current_payload()
+        state = payload["state"]["age"]
+        # 50 unlabeled ages, 323 of class 0 and 277 of class 1
+        assert state["n_seen_by_class"] == [50, 323, 277]
+        assert sum(state["y_counts"]) == state["n_seen"] == 650
+        restored = AggregationService.restore(payload)
+        parent = AggregationService.load(PARENT_SNAPSHOT)
+        for name in parent.attributes:
+            assert restored.n_seen_by_class(name) == parent.n_seen_by_class(name)
+            a = restored.estimate(name, warn=False)
+            b = parent.estimate(name, warn=False)
+            assert np.array_equal(a.distribution.probs, b.distribution.probs)
+            assert a.n_iterations == b.n_iterations
+
+
+def _corrupt_counts(kind: str, payload: dict) -> None:
+    """Corrupt one histogram row of ``age``, keeping its total unless
+    the corruption is an infinity."""
+    y_counts = payload["state"]["age"]["y_counts"]
+    row = y_counts[1] if isinstance(y_counts[0], list) else y_counts
+    if kind == "infinite":
+        row[0] = float("inf")
+        return
+    value = -1.0 if kind == "negative" else row[0] + 0.5
+    fullest = int(np.argmax(row))
+    row[fullest] += row[0] - value
+    row[0] = value
+
+
+def _corrupt_theta(kind: str, payload: dict) -> None:
+    state = payload["state"]["age"]
+    if kind == "nan":
+        state["theta"] = [float("nan")] * len(state["theta"])
+    elif kind == "mixed_signs":
+        state["theta"] = [t if i % 2 else -t for i, t in enumerate(state["theta"])]
+    else:
+        state["theta"] = [0.0] * len(state["theta"])
+
+
+class TestSnapshotValidation:
+    """Snapshot files are outside input: counts that no service could
+    have written raise SerializationError, and recovery falls back to
+    the previous generation."""
+
+    FORMATS = {"blocks": _parent_payload, "current": _current_payload}
+
+    @staticmethod
+    def _rejected(payload: dict, tmp_path) -> None:
+        with pytest.raises(SerializationError):
+            AggregationService.restore(payload)
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(payload))  # no integrity digest
+        previous = previous_snapshot_path(path)
+        previous.write_bytes(PARENT_SNAPSHOT.read_bytes())
+        service, used = recover_service(path)
+        assert used == previous
+        assert service.n_seen("age") == 650
+
+    @pytest.mark.parametrize("fmt", ["blocks", "current"])
+    @pytest.mark.parametrize("kind", ["negative", "fractional", "infinite"])
+    def test_corrupt_counts(self, fmt, kind, tmp_path):
+        payload = self.FORMATS[fmt]()
+        _corrupt_counts(kind, payload)
+        self._rejected(payload, tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["blocks", "current"])
+    @pytest.mark.parametrize("kind", ["nan", "mixed_signs", "zeros"])
+    def test_corrupt_theta(self, fmt, kind, tmp_path):
+        payload = self.FORMATS[fmt]()
+        _corrupt_theta(kind, payload)
+        self._rejected(payload, tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["blocks", "current"])
+    def test_infinite_n_seen(self, fmt, tmp_path):
+        payload = self.FORMATS[fmt]()
+        payload["state"]["age"]["n_seen"] = float("inf")
+        self._rejected(payload, tmp_path)
+
+    @pytest.mark.parametrize(
+        "by_class",
+        [[-1, 374, 277], [50.5, 322.5, 277], [51, 323, 277], [50, 600]],
+        ids=["negative", "fractional", "wrong_sum", "wrong_length"],
+    )
+    def test_corrupt_n_seen_by_class(self, by_class, tmp_path):
+        payload = _current_payload()
+        payload["state"]["age"]["n_seen_by_class"] = by_class
+        self._rejected(payload, tmp_path)
 
 
 class TestServiceFromSpec:

@@ -93,25 +93,28 @@ class TestOfflinePipelineParity:
         offline = _offline(strategy, train, randomized, randomizers)
         assert model.tree.identical_to(offline.tree_)
 
-    def test_class_blocks_equal_per_class_histograms(self, workload):
-        """The per-class shard blocks that /stats, snapshots and cluster
-        partials serve are exactly the per-class noise-grid histograms
-        of the buffered rows that training reconstructs from."""
+    def test_histogram_sums_per_class_histograms(self, workload):
+        """The one histogram the estimates, snapshots and cluster
+        partials serve is the sum of the per-class noise-grid histograms
+        of the buffered rows, and the per-class counters that /stats
+        serves count those rows."""
         train, randomized, randomizers, specs = workload
         service = AggregationService(specs, classes=2)
         training = TrainingService(service)
         _stream_in(training, train, randomized)
         w = randomized.matrix()
         labels = train.labels
+        by_class = {"unlabeled": 0}
+        by_class.update({str(c): int((labels == c).sum()) for c in (0, 1)})
         for j, name in enumerate(train.attribute_names[:3]):
             spec = service.spec(name)
             y_partition, _ = service.engine.kernel_for(
                 spec.x_partition, spec.randomizer
             )
-            matrix = service.merged_by_class(name)
-            for c in (0, 1):
-                expected = y_partition.histogram(w[labels == c, j])
-                assert np.array_equal(matrix[c + 1], expected)
+            per_class = [y_partition.histogram(w[labels == c, j]) for c in (0, 1)]
+            counts, _ = service.shards.merged(name)
+            assert np.array_equal(counts, per_class[0] + per_class[1])
+            assert service.n_seen_by_class(name) == by_class
 
     def test_unlabeled_records_do_not_skew_training(self, workload):
         """v1 (unlabeled) traffic lands in its own partition; the trained
@@ -295,13 +298,15 @@ class TestTrainingServiceBasics:
         assert model.tree.identical_to(clean.train("byclass").tree)
 
     def test_class_aware_snapshot_internally_consistent(self, small):
-        """Snapshot n_seen always equals the summed class blocks, so a
-        restore can never reject a snapshot the server itself wrote."""
+        """Snapshot n_seen always equals the summed counts and the
+        summed per-class counters, so a restore can never reject a
+        snapshot the server itself wrote."""
         service, training, noise = small
         training.ingest({"x": noise.randomize([0.2, 0.8], seed=4)}, [0, 1])
         payload = service.snapshot()
         state = payload["state"]["x"]
-        assert state["n_seen"] == sum(sum(b) for b in state["y_counts"])
+        assert state["n_seen"] == sum(state["y_counts"])
+        assert state["n_seen"] == sum(state["n_seen_by_class"])
         AggregationService.restore(payload)  # must not raise
 
     def test_ingested_wire_views_are_materialized(self, small):
