@@ -22,7 +22,7 @@ SIZES = (1_000, 3_000, 10_000, 30_000)
 @experiment(
     "e11",
     title="Training-set size ablation, Fn3 ByClass vs Original",
-    tags=("classification", "ablation"),
+    tags=("classification", "ablation", "paper"),
     seed=1100,
 )
 def run_e11(ctx):

@@ -23,7 +23,7 @@ FUNCTION = 2
 @experiment(
     "e14",
     title="Value distortion vs value-class membership; pruning ablation",
-    tags=("classification", "ablation"),
+    tags=("classification", "ablation", "paper"),
     seed=1400,
 )
 def run_e14(ctx):

@@ -27,7 +27,7 @@ FUNCTIONS = (1, 3, 5)
 @experiment(
     "e18",
     title="Seed variance of ByClass vs Randomized at 100% privacy",
-    tags=("classification", "variance"),
+    tags=("classification", "variance", "paper"),
     seed=1800,
 )
 def run_e18(ctx):

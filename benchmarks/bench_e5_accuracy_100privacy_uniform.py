@@ -23,7 +23,7 @@ STRATEGIES = ("original", "randomized", "global", "byclass", "local")
 @experiment(
     "e5",
     title="Accuracy at 100% privacy, uniform noise, all five strategies",
-    tags=("classification",),
+    tags=("classification", "paper"),
     seed=500,
 )
 def run_e5(ctx):

@@ -23,7 +23,7 @@ STRATEGIES = ("original", "randomized", "global", "byclass")
 @experiment(
     "e6",
     title="Accuracy at 100% privacy, Gaussian noise",
-    tags=("classification",),
+    tags=("classification", "paper"),
     seed=600,
 )
 def run_e6(ctx):

@@ -24,7 +24,7 @@ STRATEGIES = ("randomized", "byclass")
 @experiment(
     "e7",
     title="Accuracy vs privacy sweep, ByClass vs Randomized",
-    tags=("classification", "sweep"),
+    tags=("classification", "sweep", "paper"),
     seed=700,
 )
 def run_e7(ctx):

@@ -19,7 +19,7 @@ LEVELS = (0.5, 1.0, 2.0, 4.0)
 @experiment(
     "e8",
     title="Uniform vs Gaussian noise, Fn3 ByClass privacy sweep",
-    tags=("classification", "sweep"),
+    tags=("classification", "sweep", "paper"),
     seed=800,
 )
 def run_e8(ctx):

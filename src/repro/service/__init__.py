@@ -4,12 +4,12 @@ The paper's deployment is a server reconstructing distributions from
 millions of independently randomized disclosures.  This subpackage is
 that server's aggregation tier:
 
-* :mod:`repro.service.shards` — :class:`HistogramShard` /
-  :class:`ShardSet`: mergeable noise-expanded histogram partials with a
-  fused flat-offset bincount (:class:`ColumnLayout` /
-  :class:`PreparedBatch`) computed outside the lock, so N ingestion
-  workers hold a shard's one lock only for an O(bins) add, and a
-  refresh merges in O(shards x bins),
+* :mod:`repro.service.shards` — :class:`ShardSet`: a fixed number of
+  mergeable noise-expanded histogram shards, each one counts buffer,
+  one record-counter matrix and one lock, fed by a fused flat-offset
+  bincount (:class:`ColumnLayout` / :class:`PreparedBatch`) computed
+  outside the lock, so N ingestion workers hold a shard's lock only for
+  an O(bins) add, and a refresh merges in O(shards x bins),
 * :mod:`repro.service.wire` — the ``application/x-ppdm-columns`` binary
   columnar wire format (:func:`encode_columns` /
   :func:`iter_labeled_frames`): raw little-endian float64 columns decoded
@@ -31,12 +31,11 @@ that server's aggregation tier:
   trees from its buffer of labeled randomized rows through the offline
   pipeline's strategy code (``POST /train`` / ``GET /model`` /
   ``ppdm train``),
-* :mod:`repro.service.support` — :class:`SupportShard` /
-  :class:`SupportShardSet`: the mining workload's accumulators — joint
-  bit-pattern counts of MASK-randomized baskets on the same shard core
-  and shard set as the histogram shards, marginalizable to any
-  itemset's observed pattern counts bit-identically at any shard
-  count,
+* :mod:`repro.service.support` — :class:`SupportShardSet`: the mining
+  workload's accumulators — joint bit-pattern counts of MASK-randomized
+  baskets in the same shard set as the histograms, over a pattern
+  layout, marginalizable to any itemset's observed pattern counts
+  bit-identically at any shard count,
 * :mod:`repro.service.mining` — :class:`MiningService`: level-wise
   MASK Apriori over the service-held pattern counts, bit-identical to
   the offline :class:`~repro.mining.MaskMiner` pipeline
@@ -88,11 +87,10 @@ from repro.service.service import AggregationService, service_from_spec
 from repro.service.shards import (
     AttributeSpec,
     ColumnLayout,
-    HistogramShard,
     PreparedBatch,
     ShardSet,
 )
-from repro.service.support import SupportShard, SupportShardSet
+from repro.service.support import SupportShardSet
 from repro.service.training import TrainedModel, TrainingService
 from repro.service.wire import (
     compress_payload,
@@ -117,7 +115,6 @@ __all__ = [
     "ClusterCoordinator",
     "ColumnLayout",
     "FaultPlan",
-    "HistogramShard",
     "MinedRules",
     "MiningService",
     "PartialShipper",
@@ -125,7 +122,6 @@ __all__ = [
     "RestartBudget",
     "ShardSet",
     "ServiceHTTPServer",
-    "SupportShard",
     "SupportShardSet",
     "TrainedModel",
     "TrainingService",

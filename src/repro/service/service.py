@@ -193,9 +193,10 @@ class AggregationService:
         :meth:`replace_partial` count as unlabeled.
         """
         self._state(name)
-        _, seen = self._shards.merge()
+        layout = self._shards.layout
+        _, seen = self._shards.merge(layout.slice_of(name))
         keys = ["unlabeled", *map(str, range(self.classes))]
-        return dict(zip(keys, seen[:, self._shards.layout.index_of(name)].tolist()))
+        return dict(zip(keys, seen[:, layout.index_of(name)].tolist()))
 
     def export_partial(self) -> dict:
         """Merged partials for every attribute: the sync unit.
@@ -218,18 +219,21 @@ class AggregationService:
         dedicated shard is cleared and refilled with the pushed
         ``{name: (1, bins) counts}`` mapping (see :meth:`export_partial`;
         the ``(classes + 1, bins)`` rows older workers send are summed,
-        see :meth:`~repro.service.shards.HistogramShard.replace_with`).
+        see :meth:`~repro.service.shards.ShardSet.replace_slot`).
         Because each sync carries the
         worker's *cumulative* merged counts, the replace is idempotent
         — a retried or duplicated push can never double-count — and the
         merged union over all slots stays bit-identical to a
-        single-process service fed the same records.  Holds the
-        estimate lock so a concurrent refresh never pairs a half-
-        replaced histogram with a newer warm start.  Returns the
-        records now held in the slot.
+        single-process service fed the same records.  The slot's counts
+        and counters change in one locked write, so readers that skip
+        the estimate lock (:meth:`n_seen`, :meth:`export_partial`,
+        :meth:`snapshot`) see the old slot or the new one, never an
+        empty one.  Holds the estimate lock, so replacements and
+        refreshes are serialized.  Returns the records now held in the
+        slot.
         """
         with self._estimate_lock:
-            return self._shards.shard(slot).replace_with(partials)
+            return self._shards.replace_slot(slot, partials)
 
     # ------------------------------------------------------------------
     # Data plane
@@ -409,20 +413,25 @@ class AggregationService:
         saved state — and the warm-start estimates are carried over, so
         the first refresh after a restart is bit-identical to the
         refresh the saved server would have produced.  Snapshot files
-        are outside input: counts, record counts and estimates that
-        could not have been saved raise
-        :class:`~repro.exceptions.SerializationError`.
+        are outside input: a missing or malformed field, and counts,
+        record counts and estimates that could not have been saved,
+        raise :class:`~repro.exceptions.SerializationError`.
         """
         from repro.serialize import from_jsonable
 
         try:
             config = payload["config"]
-            classes = int(payload.get("classes", 0))
+            classes = payload.get("classes", 0)
+            if not _is_json_int(classes) or classes < 0:
+                raise SerializationError(
+                    "malformed aggregation_service snapshot: classes must be "
+                    f"a non-negative integer, got {classes!r}"
+                )
             service = cls(
                 [
                     AttributeSpec(
                         attr["name"],
-                        Partition(np.asarray(attr["edges"], dtype=float)),
+                        Partition(_snapshot_array(attr["edges"], "snapshot edges")),
                         from_jsonable(attr["randomizer"]),
                     )
                     for attr in payload["attributes"]
@@ -431,12 +440,16 @@ class AggregationService:
                 classes=classes,
                 **config,
             )
-            shard0 = service._shards.shard(0)
+            layout = service._shards.layout
+            counts = np.zeros(layout.total_bins)
+            seen = np.zeros((classes + 1, len(layout.names)), dtype=np.int64)
             for name, saved in payload["state"].items():
                 state = service._state(name)
-                counts, by_class = _snapshot_counts(
+                y_counts, by_class = _snapshot_counts(
                     name, saved, classes, state.y_partition.n_intervals
                 )
+                counts[layout.slice_of(name)] = y_counts
+                seen[:, layout.index_of(name)] = by_class
                 theta = _snapshot_array(
                     saved["theta"],
                     f"snapshot estimate for {name!r}",
@@ -448,12 +461,17 @@ class AggregationService:
                         f"snapshot estimate for {name!r} must be finite and "
                         "non-negative with a positive sum"
                     )
-                shard0.absorb_counts(name, counts, by_class)
                 state.theta = theta
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, ValidationError):
-                raise  # deliberate errors keep their specific message
-            raise ValidationError(
+            service._shards.absorb_merged(counts, seen)
+        except SerializationError:
+            raise
+        except ValidationError as exc:
+            # the nested checks' messages say what is wrong; keep them
+            raise SerializationError(str(exc)) from exc
+        except (
+            AttributeError, KeyError, TypeError, ValueError, OverflowError
+        ) as exc:
+            raise SerializationError(
                 f"malformed aggregation_service snapshot: {exc}"
             ) from exc
         return service
@@ -494,13 +512,24 @@ class AggregationService:
         )
 
 
-def _snapshot_array(value, what: str, shape: tuple) -> np.ndarray:
-    """``value`` as a float array of ``shape``, else a SerializationError."""
-    try:
-        array = np.asarray(value, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise SerializationError(f"{what} are not numeric: {exc}") from exc
-    if array.shape != shape:
+def _is_json_int(value) -> bool:
+    """``value`` is an integer, and not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _snapshot_array(value, what: str, shape: tuple | None = None) -> np.ndarray:
+    """``value`` as a float array of ``shape``, else a SerializationError.
+
+    The one check of a snapshot's numeric fields: every entry must be a
+    JSON number, so strings such as ``"3"`` and booleans are rejected,
+    not coerced.
+    """
+    leaves = np.asarray(value, dtype=object)
+    for leaf in leaves.flat:
+        if not (_is_json_int(leaf) or isinstance(leaf, float)):
+            raise SerializationError(f"{what} are not numeric: got {leaf!r}")
+    array = leaves.astype(float)
+    if shape is not None and array.shape != shape:
         raise SerializationError(
             f"{what} have shape {array.shape}; expected {shape}"
         )
@@ -533,7 +562,8 @@ def _snapshot_counts(name: str, saved: dict, classes: int, n_bins: int) -> tuple
         by_class = _snapshot_array(saved["n_seen_by_class"], what, (classes + 1,))
         check_counts(by_class, what, error=SerializationError)
     absorbed = rows.sum()
-    if saved["n_seen"] != absorbed or by_class.sum() != absorbed:
+    n_seen = _snapshot_array(saved["n_seen"], f"snapshot n_seen for {name!r}", ())
+    if n_seen != absorbed or by_class.sum() != absorbed:
         raise SerializationError(
             f"snapshot counts for {name!r} hold {absorbed:.0f} record(s) but "
             f"n_seen claims {saved['n_seen']!r} and n_seen_by_class "

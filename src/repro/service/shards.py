@@ -6,14 +6,16 @@ are *mergeable*: the histogram of a union of batches is the elementwise
 sum of the batches' histograms, exactly (counts are integers, and float64
 addition of integers is exact far beyond any realistic record count).
 
-That makes server-side aggregation embarrassingly shardable:
+That makes server-side aggregation embarrassingly shardable.  A
+:class:`ShardSet` holds a fixed number of shards over one attribute
+schema:
 
-* each ingestion worker owns (or is routed to) a :class:`HistogramShard`
-  and accumulates its batches in O(batch) work with no cross-worker
-  coordination,
-* a refresh merges the shard partials in O(shards x bins) — independent
-  of how many records have ever been seen — and hands the merged counts
-  to the reconstruction engine.
+* each ingestion worker is routed to a shard (round-robin, or pinned
+  with ``shard=i``) and accumulates its batches in O(batch) work with no
+  cross-worker coordination,
+* a refresh merges the shards in O(shards x bins) — independent of how
+  many records have ever been seen — and hands the merged counts to the
+  reconstruction engine.
 
 The hot path is built for memory bandwidth, not Python speed:
 
@@ -22,25 +24,24 @@ The hot path is built for memory bandwidth, not Python speed:
   touching any subset of attributes bins **all** of them in one fused
   ``np.bincount`` over offset indices (``offset + locate(values)``, the
   same flat-offset trick the tree's split search uses),
-* :meth:`HistogramShard.ingest_prepared` accepts those pre-located
-  indices (:class:`PreparedBatch`, built once per batch outside any
-  lock), and
-* each shard holds **one** flat counts buffer, one record-counter
-  matrix and one lock: the ``np.bincount`` runs before the lock is
-  taken, so a writer holds it only for the O(bins) add, and reads
-  (:meth:`HistogramShard.partial`) copy under the same lock in O(bins)
-  however many threads have written,
+* :meth:`ShardSet.ingest_prepared` accepts those pre-located indices
+  (:class:`PreparedBatch`, built once per batch outside any lock), and
+* each shard is a private record of **one** flat counts buffer, one
+  record-counter matrix and one lock, and every access is one locked
+  add, copy or write: the ``np.bincount`` runs before the lock is taken,
+  so a writer holds it only for the O(bins) add; a read copies in
+  O(bins) however many threads have written; and a coordinator's slot
+  replace (:meth:`ShardSet.replace_slot`) swaps counts and counters at
+  once, so no reader sees the slot empty,
 * labeled and unlabeled records bin into the same histogram; the record
   counters have one row per class label (plus row 0 for unlabeled
   records), so a shard reports how many records of each class it
   absorbed without holding a histogram per class.
 
-:class:`ShardSet` is the fixed-size collection of shards over one
-attribute schema, with round-robin routing and the O(bins) merge.  The
-same shard core and shard set hold the mining tier's pattern counts
-(:mod:`repro.service.support`), which differ only in their layout.  The
-control plane (engine, warm-started estimates, persistence) lives in
-:class:`repro.service.AggregationService`.
+The same shard record and shard set hold the mining tier's pattern
+counts (:class:`~repro.service.SupportShardSet`), which differ only in
+their layout.  The control plane (engine, warm-started estimates,
+persistence) lives in :class:`repro.service.AggregationService`.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ class ColumnLayout:
             )
 
     def compatible_with(self, other: "ColumnLayout") -> bool:
-        """Same attributes, grids, and class count (merge/ingest compatibility)."""
+        """Same attributes, grids, and class count (ingest compatibility)."""
         if self is other:
             return True
         return (
@@ -356,8 +357,8 @@ class PreparedBatch:
 
     Produced by :meth:`ColumnLayout.prepare` (fused bin indices) or
     :meth:`~repro.service.support.PatternLayout.prepare` (basket pattern
-    codes), or by the ``prepare`` methods of the shards, shard sets and
-    services built on them; consumed by ``ingest_prepared``.  Splitting
+    codes), or by the ``prepare`` methods of the shard sets and services
+    built on them; consumed by ``ingest_prepared``.  Splitting
     ingestion this way keeps the O(batch) locate work outside every lock
     and lets one prepared batch be binned with a single ``np.bincount``.
 
@@ -383,217 +384,53 @@ class PreparedBatch:
 class _Shard:
     """One shard: a float64 counts buffer, int64 record counters, one lock.
 
-    The core under :class:`HistogramShard` and
-    :class:`~repro.service.SupportShard`.  Locating a batch and its
-    ``np.bincount`` run outside the lock, so the lock covers only the
-    O(bins) add itself (:meth:`_add`), and every read copies under the
-    same lock, so it never sees half a batch.  ``counters`` shapes the
-    record counters: one row per class (unlabeled first) by one column
-    per attribute, or one counter for all transactions.
+    A private record of :class:`ShardSet` and
+    :class:`~repro.service.SupportShardSet`, which validate, route and
+    bin every batch before it gets here.  Each access is one locked add,
+    copy or write, so a reader never sees half a batch, and a replaced
+    shard never reads as empty in between.
     """
 
-    def __init__(self, layout, counters: int | tuple[int, int]) -> None:
-        self._layout = layout
-        self._counts = np.zeros(layout.total_bins)
+    __slots__ = ("_counts", "_seen", "_lock")
+
+    def __init__(self, n_cells: int, counters: int | tuple[int, int]) -> None:
+        self._counts = np.zeros(n_cells)
         self._seen = np.zeros(counters, dtype=np.int64)
         self._lock = threading.Lock()
 
-    @property
-    def layout(self):
-        """The layout this shard accumulates on (shared by its shard set)."""
-        return self._layout
-
-    def _add(self, counts, seen, cells=slice(None)) -> None:
-        """Add ``counts`` into ``cells`` and ``seen`` into the counters."""
+    def _add(self, counts, seen) -> None:
+        """Add ``counts`` into the buffer and ``seen`` into the counters."""
         with self._lock:
-            self._counts[cells] += counts
+            self._counts += counts
             self._seen += seen
 
-    def _read(self) -> tuple:
-        """Copies of the counts buffer and the counters, in one locked read."""
+    def _read(self, cells: slice = slice(None)) -> tuple:
+        """Copies of the buffer's ``cells`` and of the counters, in one read."""
         with self._lock:
-            return self._counts.copy(), self._seen.copy()
+            return self._counts[cells].copy(), self._seen.copy()
 
-    def _mismatch(self, layout) -> str:
-        """The error for a batch prepared on an incompatible ``layout``."""
-        return "prepared batch was built on a different schema/grid layout"
-
-    def ingest_prepared(self, prepared: PreparedBatch) -> int:
-        """Absorb a :class:`PreparedBatch`; return records added.
-
-        The hot half of ingestion: one fused ``np.bincount`` bins the
-        whole batch outside the lock, then one locked add folds it into
-        the shard, keeping each batch atomic with respect to readers.
-        """
-        if not isinstance(prepared, PreparedBatch):
-            raise ValidationError(
-                "ingest_prepared() takes a PreparedBatch (from prepare()); "
-                f"got {type(prepared).__name__}"
-            )
-        if not self._layout.compatible_with(prepared.layout):
-            raise ValidationError(self._mismatch(prepared.layout))
-        if prepared.total == 0:
-            return 0
-        binned = np.bincount(prepared.flat, minlength=self._layout.total_bins)
-        self._add(binned, prepared.seen)
-        return prepared.total
-
-    def clear(self) -> None:
-        """Zero all counts and record counters."""
+    def _counters(self) -> np.ndarray:
+        """A copy of the counters alone, in one locked read."""
         with self._lock:
-            self._counts[:] = 0.0
-            self._seen[:] = 0
+            return self._seen.copy()
 
-
-class HistogramShard(_Shard):
-    """One worker's running histogram partials, one per attribute.
-
-    ``ingest`` buckets a batch of randomized values into the attribute's
-    noise-expanded histogram — O(batch) work.  Bucketing happens outside
-    any lock (it is pure); the accumulate is one add into the shard's
-    single flat buffer under the shard lock, so concurrent writers into
-    the *same* shard hold it only for an O(bins) vector add, and reads
-    copy under the same lock (bit-exact — integer counts in float64 sum
-    exactly in any order).
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.core import Partition, UniformRandomizer
-    >>> from repro.service.shards import HistogramShard
-    >>> part = Partition.uniform(0, 1, 4)
-    >>> noise = UniformRandomizer(half_width=0.25)
-    >>> y_part = part.expanded(noise.support_half_width())
-    >>> shard = HistogramShard({"x": y_part})
-    >>> shard.ingest({"x": [0.1, 0.4, 0.9]})
-    3
-    >>> shard.n_seen("x")
-    3
-    """
-
-    def __init__(
-        self, y_partitions, *, layout: ColumnLayout | None = None, n_classes: int = 0
-    ) -> None:
-        if layout is None:
-            if not y_partitions:
-                raise ValidationError("a shard needs at least one attribute")
-            layout = ColumnLayout(y_partitions, n_classes=n_classes)
-        super().__init__(layout, (layout.n_classes + 1, len(layout.names)))
-
-    @property
-    def attributes(self) -> tuple:
-        """Attribute names this shard accumulates, in schema order."""
-        return self._layout.names
-
-    def prepare(self, batch, classes=None) -> PreparedBatch:
-        """Locate a batch into fused flat indices (see :class:`ColumnLayout`)."""
-        return self._layout.prepare(batch, classes)
-
-    def ingest(self, batch, *, classes=None) -> int:
-        """Absorb ``{attribute: randomized values}``; return records added.
-
-        ``classes`` (one integer label per record) counts the records
-        per class; without it they count as unlabeled.
-        """
-        return self.ingest_prepared(self._layout.prepare(batch, classes))
-
-    def n_seen(self, name: str) -> int:
-        """Records absorbed so far for ``name``."""
-        k = self._layout.index_of(name)
+    def _write(self, counts, seen) -> None:
+        """Overwrite the buffer and the counters, in one locked write."""
         with self._lock:
-            return int(self._seen[:, k].sum())
-
-    def partial(self, name: str) -> tuple:
-        """``(counts copy, n_seen)`` of ``name``, in one locked read."""
-        sl, k = self._layout.slice_of(name), self._layout.index_of(name)
-        with self._lock:
-            return self._counts[sl].copy(), int(self._seen[:, k].sum())
-
-    def absorb_counts(self, name: str, counts, n_seen_by_class) -> None:
-        """Add pre-bucketed counts for one attribute (snapshot restore).
-
-        ``n_seen_by_class`` holds the records behind ``counts`` per
-        counter row: unlabeled first, then one per class.
-        """
-        sl = self._layout.slice_of(name)
-        counts = np.asarray(counts, dtype=float)
-        if counts.shape != (sl.stop - sl.start,):
-            raise ValidationError(
-                f"counts for {name!r} must have {sl.stop - sl.start} bins, "
-                f"got {counts.size}"
-            )
-        seen = np.zeros_like(self._seen)
-        seen[:, self._layout.index_of(name)] = n_seen_by_class
-        self._add(counts, seen, sl)
-
-    def replace_with(self, partials: dict) -> int:
-        """Clear this shard, then absorb one worker's merged partials.
-
-        ``partials`` maps attribute name to a ``(1, bins)`` count matrix
-        (:meth:`~repro.service.AggregationService.export_partial`), or
-        to ``(n_classes + 1, bins)`` rows, unlabeled then one per class,
-        as workers that kept a histogram per class send them; rows are
-        summed.  Partials carry no class split, so the records count as
-        unlabeled.  This is the cluster coordinator's sync primitive: a
-        worker ships its *cumulative* merged counts and replacing the
-        worker's dedicated shard makes every re-push idempotent, so a
-        retried sync can never double-count.  Attributes absent from
-        ``partials`` end up empty (the worker has seen none of them).
-        Everything is validated before the clear, so a malformed mapping
-        changes nothing; callers needing replace-vs-read atomicity
-        serialize through the owning service's estimate lock.  Returns
-        the record count now held.
-        """
-        if not isinstance(partials, dict):
-            raise ValidationError("partials must map attribute -> (1, bins) counts")
-        flat = np.zeros(self._layout.total_bins)
-        seen = np.zeros_like(self._seen)
-        n_rows = self._layout.n_classes + 1
-        for name, counts in partials.items():
-            sl = self._layout.slice_of(name)
-            shapes = ((1, sl.stop - sl.start), (n_rows, sl.stop - sl.start))
-            matrix = np.asarray(counts, dtype=float)
-            if matrix.shape not in shapes:
-                raise ValidationError(
-                    f"partials[{name!r}] must have shape {shapes[0]} or "
-                    f"{shapes[1]}, got {matrix.shape}"
-                )
-            flat[sl] = matrix.sum(axis=0)
-            seen[0, self._layout.index_of(name)] = int(flat[sl].sum())
-        self.clear()
-        self._add(flat, seen)
-        return int(seen.sum())
-
-    def merge_from(self, other: "HistogramShard") -> "HistogramShard":
-        """Fold another shard's partials into this one (same schema).
-
-        ``other``'s counts and record totals are copied in one locked
-        read, so a concurrent ingest lands in both or in neither.
-        """
-        if other._layout.names != self._layout.names:
-            raise ValidationError("cannot merge shards with different schemas")
-        if not other._layout.compatible_with(self._layout):
-            raise ValidationError("cannot merge shards bucketed on different grids")
-        self._add(*other._read())
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        total = int(self._read()[1].sum())
-        return (
-            f"HistogramShard(attributes={len(self._layout.names)}, "
-            f"records={total})"
-        )
+            self._counts[:] = counts
+            self._seen[:] = seen
 
 
 class _ShardSet:
     """A fixed number of shards over one layout, routed round-robin.
 
-    The routing, shard lookup and write half shared by :class:`ShardSet`
-    and :class:`~repro.service.SupportShardSet`; ``make_shard(layout)``
-    builds each shard on the shared layout.
+    The half shared by :class:`ShardSet` and
+    :class:`~repro.service.SupportShardSet`: routing, the locked add of
+    a prepared batch, merged and per-shard reads, and clearing.
+    ``counters`` shapes each shard's record counters.
     """
 
-    def __init__(self, layout, n_shards: int, make_shard) -> None:
+    def __init__(self, layout, n_shards: int, counters: int | tuple[int, int]) -> None:
         if isinstance(n_shards, bool) or not isinstance(n_shards, (int, np.integer)):
             raise ValidationError(
                 f"n_shards must be an integer, got {type(n_shards).__name__}"
@@ -601,7 +438,9 @@ class _ShardSet:
         if n_shards < 1:
             raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
         self._layout = layout
-        self._shards = tuple(make_shard(layout) for _ in range(int(n_shards)))
+        self._shards = tuple(
+            _Shard(layout.total_bins, counters) for _ in range(int(n_shards))
+        )
         self._route = 0
         self._route_lock = threading.Lock()
 
@@ -614,51 +453,97 @@ class _ShardSet:
     def n_shards(self) -> int:
         return len(self._shards)
 
-    def shard(self, index: int):
-        """The ``index``-th shard (for one-worker-per-shard deployments)."""
+    def __len__(self) -> int:
+        return len(self._shards)
+
+    def _shard(self, index: int) -> _Shard:
         if not 0 <= index < len(self._shards):
             raise ValidationError(
                 f"shard index {index} out of range [0, {len(self._shards)})"
             )
         return self._shards[index]
 
-    def __iter__(self):
-        return iter(self._shards)
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
     def ingest_prepared(
         self, prepared: PreparedBatch, *, shard: int | None = None
     ) -> int:
-        """Route a :class:`PreparedBatch` to a shard and accumulate it."""
+        """Absorb a :class:`PreparedBatch` into one shard; return records added.
+
+        The hot half of ingestion: the batch goes to shard ``shard``, or
+        round-robin when unpinned; one fused ``np.bincount`` bins it
+        outside any lock, and one locked add folds it into the shard, so
+        each batch is atomic with respect to readers.
+        """
+        if not isinstance(prepared, PreparedBatch):
+            raise ValidationError(
+                "ingest_prepared() takes a PreparedBatch (from prepare()); "
+                f"got {type(prepared).__name__}"
+            )
+        if not self._layout.compatible_with(prepared.layout):
+            raise ValidationError(
+                "prepared batch was built on a different schema, grid or "
+                "item universe"
+            )
         if shard is None:
             with self._route_lock:
                 shard = self._route
                 self._route = (self._route + 1) % len(self._shards)
-        return self.shard(shard).ingest_prepared(prepared)
+        target = self._shard(shard)
+        if prepared.total == 0:
+            return 0
+        target._add(
+            np.bincount(prepared.flat, minlength=self._layout.total_bins),
+            prepared.seen,
+        )
+        return prepared.total
+
+    def merge(self, cells: slice = slice(None)) -> tuple:
+        """Merged ``(counts, seen)`` over every shard: one locked read each.
+
+        ``counts`` is the flat counts buffer, or its ``cells`` (one
+        attribute's stripe); ``seen`` is the summed record counters.
+        Each shard's counts and counters come from the same read, so
+        they always agree.
+        """
+        counts, seen = self._shards[0]._read(cells)
+        for shard in self._shards[1:]:
+            more_counts, more_seen = shard._read(cells)
+            counts += more_counts
+            seen += more_seen
+        return counts, seen
+
+    def _counters(self) -> np.ndarray:
+        """The record counters summed over shards; copies no counts."""
+        seen = self._shards[0]._counters()
+        for shard in self._shards[1:]:
+            seen += shard._counters()
+        return seen
+
+    def read_shard(self, index: int) -> tuple:
+        """Copies of shard ``index``'s ``(counts, seen)``, in one locked read."""
+        return self._shard(index)._read()
 
     def clear(self) -> None:
-        """Zero every shard."""
+        """Zero every shard's counts and record counters."""
         for shard in self._shards:
-            shard.clear()
+            shard._write(0.0, 0)
 
 
 class ShardSet(_ShardSet):
-    """A fixed number of :class:`HistogramShard` over one schema.
+    """A fixed number of histogram shards over one attribute schema.
 
     Workers either address a shard explicitly (``shard=i`` — the
     one-worker-per-shard deployment) or let the set route round-robin;
     either way a writer holds a shard's lock only for the O(bins) add
-    of an already-binned batch (see :class:`HistogramShard`).
-    ``merged`` sums the per-shard partials in O(shards x bins): because
-    histogram counts are exact integers in float64, the merged counts
-    are bit-identical to bucketing the whole stream into a single
-    histogram, at any shard count, thread count, and batch interleaving.
+    of an already-binned batch.  ``merged`` sums one attribute's stripe
+    of every shard in O(shards x bins): because histogram counts are
+    exact integers in float64, the merged counts are bit-identical to
+    bucketing the whole stream into a single histogram, at any shard
+    count, thread count, and batch interleaving.  Each shard counts its
+    records per attribute and per class label: row 0 unlabeled, row
+    ``c + 1`` class ``c``.
 
     Examples
     --------
-    >>> import numpy as np
     >>> from repro.core import Partition, UniformRandomizer
     >>> from repro.service.shards import ShardSet
     >>> part = Partition.uniform(0, 1, 4)
@@ -672,16 +557,16 @@ class ShardSet(_ShardSet):
     >>> counts, seen = shards.merged("x")
     >>> seen, float(counts.sum())
     (3, 3.0)
+    >>> shards.read_shard(1)[1].tolist()  # shard 1's record counters
+    [[1]]
     """
 
     def __init__(
         self, y_partitions, n_shards: int = 1, *, n_classes: int = 0
     ) -> None:
-        super().__init__(
-            ColumnLayout(y_partitions, n_classes=n_classes),
-            n_shards,
-            lambda layout: HistogramShard(None, layout=layout),
-        )
+        layout = ColumnLayout(y_partitions, n_classes=n_classes)
+        counters = (layout.n_classes + 1, len(layout.names))
+        super().__init__(layout, n_shards, counters)
 
     @property
     def n_classes(self) -> int:
@@ -698,40 +583,74 @@ class ShardSet(_ShardSet):
         return self._layout.prepare(batch, classes)
 
     def ingest(self, batch, *, shard: int | None = None, classes=None) -> int:
-        """Route a batch to a shard (round-robin unless ``shard`` given)."""
+        """Route a batch to a shard (round-robin unless ``shard`` given).
+
+        ``classes`` (one integer label per record) counts the records
+        per class; without it they count as unlabeled.
+        """
         return self.ingest_prepared(
             self._layout.prepare(batch, classes), shard=shard
         )
 
     def merged(self, name: str) -> tuple:
         """Merged ``(counts, n_seen)`` for one attribute — O(shards x bins)."""
-        partials = [shard.partial(name) for shard in self._shards]
-        return sum(p[0] for p in partials), sum(p[1] for p in partials)
-
-    def merge(self) -> tuple:
-        """Merged ``(counts, seen)`` over every shard: one locked read each.
-
-        ``counts`` is the flat counts buffer (see :class:`ColumnLayout`);
-        ``seen`` is the ``(n_classes + 1, attributes)`` record-counter
-        matrix, row 0 unlabeled and row ``c + 1`` class ``c``.  Each
-        shard's counts and counters come from the same read, so every
-        attribute's counts sum to its counters.
-        """
-        reads = [shard._read() for shard in self._shards]
-        return sum(r[0] for r in reads), sum(r[1] for r in reads)
+        k = self._layout.index_of(name)
+        counts, seen = self.merge(self._layout.slice_of(name))
+        return counts, int(seen[:, k].sum())
 
     def n_seen(self, name: str | None = None):
         """Records absorbed for one attribute, or ``{name: n}`` for all.
 
-        One attribute sums the shards' integer counters directly; all of
-        them take one :meth:`merge`, a single locked read per shard,
-        which every ingest reply and health check pays.
+        Reads the record counters only, one locked read per shard, which
+        every ingest reply and health check pays.
         """
+        seen = self._counters()
         if name is not None:
-            self._layout.require(name)
-            return sum(shard.n_seen(name) for shard in self._shards)
-        by_attribute = self.merge()[1].sum(axis=0).tolist()
-        return dict(zip(self._layout.names, by_attribute))
+            return int(seen[:, self._layout.index_of(name)].sum())
+        return dict(zip(self._layout.names, seen.sum(axis=0).tolist()))
+
+    def replace_slot(self, index: int, partials: dict) -> int:
+        """Replace shard ``index`` with one worker's merged partials.
+
+        ``partials`` maps attribute name to a ``(1, bins)`` count matrix
+        (:meth:`~repro.service.AggregationService.export_partial`), or
+        to ``(n_classes + 1, bins)`` rows, unlabeled then one per class,
+        as workers that kept a histogram per class send them; rows are
+        summed.  Partials carry no class split, so the records count as
+        unlabeled.  This is the cluster coordinator's sync primitive: a
+        worker ships its *cumulative* merged counts and replacing the
+        worker's dedicated shard makes every re-push idempotent, so a
+        retried sync can never double-count.  Attributes absent from
+        ``partials`` end up empty (the worker has seen none of them).
+        Everything is validated first, so a malformed mapping changes
+        nothing, and the counts and counters are swapped in one locked
+        write, so a reader sees the old slot or the new one, never an
+        empty slot.  Returns the record count now held.
+        """
+        target = self._shard(index)
+        if not isinstance(partials, dict):
+            raise ValidationError("partials must map attribute -> (1, bins) counts")
+        layout = self._layout
+        flat = np.zeros(layout.total_bins)
+        seen = np.zeros((layout.n_classes + 1, len(layout.names)), dtype=np.int64)
+        for name, counts in partials.items():
+            sl = layout.slice_of(name)
+            shapes = ((1, sl.stop - sl.start), (len(seen), sl.stop - sl.start))
+            matrix = np.asarray(counts, dtype=float)
+            if matrix.shape not in shapes:
+                raise ValidationError(
+                    f"partials[{name!r}] must have shape {shapes[0]} or "
+                    f"{shapes[1]}, got {matrix.shape}"
+                )
+            flat[sl] = matrix.sum(axis=0)
+            seen[0, layout.index_of(name)] = int(flat[sl].sum())
+        target._write(flat, seen)
+        return int(seen.sum())
+
+    def absorb_merged(self, counts, seen) -> None:
+        """Add ``(counts, seen)``, shaped as :meth:`merge` returns them,
+        to shard 0: the snapshot restore's one write."""
+        self._shards[0]._add(counts, seen)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -501,13 +501,13 @@ class TestRealTree:
         assert original is not None
         guarded = (
             "        with self._lock:\n"
-            "            self._counts[cells] += counts\n"
+            "            self._counts += counts\n"
             "            self._seen += seen\n"
         )
         moved = (
             "        with self._lock:\n"
             "            self._seen += seen\n"
-            "        self._counts[cells] += counts\n"
+            "        self._counts += counts\n"
         )
         assert original.source.count(guarded) == 1
         patched = parse_source(

@@ -271,19 +271,20 @@ class TestContentLengthStrictness:
             f"Content-Length: {content_length}\r\n"
             "\r\n"
         ).encode("utf-8")
+        # read the head, then exactly Content-Length body bytes: a reply
+        # that keeps the connection open never sends EOF
         with socket.create_connection((host, port), timeout=10) as sock:
             sock.sendall(head)
-            sock.settimeout(10)
-            chunks = []
-            while True:
-                try:
-                    chunk = sock.recv(4096)
-                except TimeoutError:
-                    break
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        return b"".join(chunks)
+            with sock.makefile("rb") as reply:
+                lines = []
+                while not lines or lines[-1] not in (b"\r\n", b""):
+                    lines.append(reply.readline())
+                length = 0
+                for line in lines:
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                return b"".join(lines) + reply.read(length)
 
     @pytest.mark.parametrize("value", BAD_VALUES)
     def test_noncanonical_content_length_is_400(self, server, service, value):

@@ -328,29 +328,42 @@ def _check_shard_merge(case) -> None:
                 )
     assert np.array_equal(reference[1], expected)
 
-    # merge_from is associative: ((a + b) + c) == (a + (b + c)) bitwise
+    # associative: any grouping of the batches into pinned shards, summed
+    # in any slot order, is bitwise the same
     parts = _shard_partitions(case)
+    for groups in _groupings(len(case["batches"])):
+        shards = ShardSet(parts, len(groups), n_classes=case["n_classes"])
+        for slot, group in enumerate(groups):
+            for index in group:
+                batch = case["batches"][index]
+                shards.ingest(batch["values"], shard=slot, classes=batch["classes"])
+        for counts, seen in _slot_sums(shards):
+            assert np.array_equal(seen, reference[1])
+            for name, (expected, _) in reference[0].items():
+                assert np.array_equal(
+                    counts[shards.layout.slice_of(name)], expected
+                )
 
-    def shard_with(batch_indices):
-        from repro.service import HistogramShard
 
-        shard = HistogramShard(parts, n_classes=case["n_classes"])
-        for index in batch_indices:
-            batch = case["batches"][index]
-            shard.ingest(batch["values"], classes=batch["classes"])
-        return shard
+def _groupings(n: int) -> list:
+    """Ways to deal ``n`` batch indices onto pinned shard slots: thirds,
+    all in one slot beside two empty ones, and one slot per batch."""
+    thirds = [list(range(k, n, 3)) for k in range(3)]
+    return [thirds, [list(range(n)), [], []], [[i] for i in range(n)]]
 
-    n = len(case["batches"])
-    thirds = [list(range(0, n, 3)), list(range(1, n, 3)), list(range(2, n, 3))]
-    left = shard_with(thirds[0]).merge_from(shard_with(thirds[1]))
-    left.merge_from(shard_with(thirds[2]))
-    right_tail = shard_with(thirds[1]).merge_from(shard_with(thirds[2]))
-    right = shard_with(thirds[0]).merge_from(right_tail)
-    for name in parts:
-        a_counts, a_seen = left.partial(name)
-        b_counts, b_seen = right.partial(name)
-        assert np.array_equal(a_counts, b_counts)
-        assert a_seen == b_seen
+
+def _slot_sums(shards) -> list:
+    """``(counts, seen)`` summed over every slot: forward, backward, and
+    folded from the right, plus the set's own merge."""
+    reads = [shards.read_shard(i) for i in range(shards.n_shards)]
+    sums = [shards.merge()]
+    for order in (reads, reads[::-1]):
+        sums.append((sum(r[0] for r in order), sum(r[1] for r in order)))
+    right = reads[-1]
+    for counts, seen in reversed(reads[:-1]):
+        right = (counts + right[0], seen + right[1])
+    sums.append(right)
+    return sums
 
 
 def test_property_shardset_merge_algebra():
@@ -680,7 +693,7 @@ def _support_batch(case, index: int) -> np.ndarray:
 
 
 def _check_support_merge(case) -> None:
-    from repro.service import SupportShard, SupportShardSet
+    from repro.service import SupportShardSet
 
     def fill(n_shards, order):
         shards = SupportShardSet(case["n_items"], n_shards=n_shards)
@@ -703,27 +716,16 @@ def _check_support_merge(case) -> None:
             # commutative + shard-count independent, bitwise
             assert np.array_equal(merged, reference)
 
-    def shard_with(indices):
-        shard = SupportShard(case["n_items"])
-        for index in indices:
-            shard.ingest(_support_batch(case, index))
-        return shard
-
-    # merge_from is associative: ((a + b) + c) == (a + (b + c)) bitwise
-    thirds = [list(range(0, n, 3)), list(range(1, n, 3)), list(range(2, n, 3))]
-    left = shard_with(thirds[0]).merge_from(shard_with(thirds[1]))
-    left.merge_from(shard_with(thirds[2]))
-    right = shard_with(thirds[0]).merge_from(
-        shard_with(thirds[1]).merge_from(shard_with(thirds[2]))
-    )
-    assert np.array_equal(left.pattern_counts(), right.pattern_counts())
-    assert left.n_seen == right.n_seen
-    # a fresh shard is the merge identity
-    everything = shard_with(range(n))
-    before = everything.pattern_counts()
-    everything.merge_from(SupportShard(case["n_items"]))
-    assert np.array_equal(everything.pattern_counts(), before)
-    assert np.array_equal(before, reference)
+    # associative: any grouping of the batches into pinned shards, summed
+    # in any slot order, is bitwise the same; empty slots add nothing
+    for groups in _groupings(n):
+        shards = SupportShardSet(case["n_items"], n_shards=len(groups))
+        for slot, group in enumerate(groups):
+            for index in group:
+                shards.ingest(_support_batch(case, index), shard=slot)
+        for counts, seen in _slot_sums(shards):
+            assert np.array_equal(counts, reference)
+            assert seen.tolist() == [int(reference.sum())]
 
 
 def test_property_supportshard_merge_algebra():

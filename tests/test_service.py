@@ -28,8 +28,8 @@ from repro.service import (
     AggregationService,
     AttributeSpec,
     ColumnLayout,
-    HistogramShard,
     ShardSet,
+    SupportShardSet,
     encode_columns,
     iter_labeled_frames,
     service_from_spec,
@@ -88,56 +88,68 @@ class TestAttributeSpec:
 
 
 class TestHistogramShard:
+    """One shard's state, read through a one-shard set."""
+
     def test_ingest_counts(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
-        shard = HistogramShard({"x": y_part})
-        added = shard.ingest({"x": [0.1, 0.5, 0.9]})
+        shards = ShardSet({"x": y_part})
+        added = shards.ingest({"x": [0.1, 0.5, 0.9]})
         assert added == 3
-        assert shard.n_seen("x") == 3
-        counts, seen = shard.partial("x")
+        assert shards.n_seen("x") == 3
+        counts, seen = shards.read_shard(0)
         assert counts.sum() == 3
-        assert seen == 3
+        assert seen.tolist() == [[3]]
 
     def test_empty_batches_are_fine(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
-        shard = HistogramShard({"x": y_part})
-        assert shard.ingest({"x": []}) == 0
-        assert shard.n_seen("x") == 0
+        shards = ShardSet({"x": y_part})
+        assert shards.ingest({"x": []}) == 0
+        assert shards.n_seen("x") == 0
 
     def test_unknown_attribute_rejected(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
-        shard = HistogramShard({"x": y_part})
+        shards = ShardSet({"x": y_part})
         with pytest.raises(ValidationError):
-            shard.ingest({"nope": [0.5]})
+            shards.ingest({"nope": [0.5]})
         with pytest.raises(ValidationError):
-            shard.n_seen("nope")
+            shards.n_seen("nope")
 
     def test_needs_at_least_one_attribute(self):
         with pytest.raises(ValidationError):
-            HistogramShard({})
-
-    def test_merge_from(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        a = HistogramShard({"x": y_part})
-        b = HistogramShard({"x": y_part})
-        a.ingest({"x": [0.1, 0.2]})
-        b.ingest({"x": [0.8]})
-        a.merge_from(b)
-        assert a.n_seen("x") == 3
-        assert b.n_seen("x") == 1  # source untouched
+            ShardSet({})
 
     def test_merge_from_rejects_different_schema(self, part, noise):
+        """A shard's state folds only into a set over the same attributes."""
         y_part = part.expanded(noise.support_half_width())
-        a = HistogramShard({"x": y_part})
-        b = HistogramShard({"y": y_part})
+        a = ShardSet({"x": y_part})
+        b = ShardSet({"y": y_part})
+        a.ingest({"x": [0.3]})
+        b.ingest({"y": [0.5]})
+        before = a.read_shard(0)
+        counts, _ = b.merged("y")
         with pytest.raises(ValidationError):
-            a.merge_from(b)
+            a.replace_slot(0, {"y": counts[None, :]})
+        with pytest.raises(ValidationError):
+            a.ingest_prepared(b.prepare({"y": [0.5]}))
+        after = a.read_shard(0)
+        assert np.array_equal(after[0], before[0])
+        assert np.array_equal(after[1], before[1])
 
     def test_merge_from_rejects_different_grid(self, part, noise):
-        a = HistogramShard({"x": part.expanded(noise.support_half_width())})
-        b = HistogramShard({"x": Partition.uniform(-1, 2, 7)})
+        """A shard's state folds only into a set over the same grid."""
+        a = ShardSet({"x": part.expanded(noise.support_half_width())})
+        b = ShardSet({"x": Partition.uniform(-1, 2, 7)})
+        a.ingest({"x": [0.3]})
+        b.ingest({"x": [0.5]})
+        before = a.read_shard(0)
+        counts, _ = b.merged("x")
         with pytest.raises(ValidationError):
-            a.merge_from(b)
+            a.replace_slot(0, {"x": counts[None, :]})
+        with pytest.raises(ValidationError):
+            a.ingest_prepared(b.prepare({"x": [0.5]}))
+        after = a.read_shard(0)
+        assert np.array_equal(after[0], before[0])
+        assert np.array_equal(after[1], before[1])
 
 
 class TestShardSet:
@@ -146,20 +158,20 @@ class TestShardSet:
         shards = ShardSet({"x": y_part}, n_shards=3)
         for _ in range(6):
             shards.ingest({"x": [0.5]})
-        assert [shard.n_seen("x") for shard in shards] == [2, 2, 2]
+        assert [shards.read_shard(i)[1].sum() for i in range(3)] == [2, 2, 2]
 
     def test_explicit_shard_pinning(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
         shards = ShardSet({"x": y_part}, n_shards=2)
         shards.ingest({"x": [0.5, 0.6]}, shard=1)
-        assert shards.shard(0).n_seen("x") == 0
-        assert shards.shard(1).n_seen("x") == 2
+        assert shards.read_shard(0)[1].sum() == 0
+        assert shards.read_shard(1)[1].sum() == 2
 
     def test_shard_index_validated(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
         shards = ShardSet({"x": y_part}, n_shards=2)
         with pytest.raises(ValidationError):
-            shards.shard(2)
+            shards.read_shard(2)
         with pytest.raises(ValidationError):
             shards.ingest({"x": [0.5]}, shard=-1)
 
@@ -203,12 +215,12 @@ class TestPreparedFastPath:
     def test_prepare_then_ingest_matches_ingest(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
         w = _disclose(noise, 2_000, seed=40)
-        plain = HistogramShard({"x": y_part})
-        fast = HistogramShard({"x": y_part})
+        plain = ShardSet({"x": y_part})
+        fast = ShardSet({"x": y_part})
         plain.ingest({"x": w})
         assert fast.ingest_prepared(fast.prepare({"x": w})) == w.size
-        a, seen_a = plain.partial("x")
-        b, seen_b = fast.partial("x")
+        a, seen_a = plain.merged("x")
+        b, seen_b = fast.merged("x")
         assert np.array_equal(a, b)
         assert seen_a == seen_b == w.size
 
@@ -219,12 +231,12 @@ class TestPreparedFastPath:
             "a": Partition.uniform(0, 1, 6),
             "b": Partition.uniform(-2, 2, 9),
         }
-        shard = HistogramShard(parts)
+        shards = ShardSet(parts)
         rng = np.random.default_rng(8)
         batch = {"a": rng.uniform(0, 1, 500), "b": rng.uniform(-2, 2, 700)}
-        assert shard.ingest_prepared(shard.prepare(batch)) == 1200
+        assert shards.ingest_prepared(shards.prepare(batch)) == 1200
         for name, partition in parts.items():
-            counts, seen = shard.partial(name)
+            counts, seen = shards.merged(name)
             assert np.array_equal(counts, partition.histogram(batch[name]))
             assert seen == batch[name].size
 
@@ -238,30 +250,35 @@ class TestPreparedFastPath:
 
     def test_prepare_validates_like_ingest(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
-        shard = HistogramShard({"x": y_part})
+        shards = ShardSet({"x": y_part})
         with pytest.raises(ValidationError):
-            shard.prepare({"nope": [0.5]})
+            shards.prepare({"nope": [0.5]})
         with pytest.raises(ValidationError):
-            shard.prepare({"x": [float("nan")]})
+            shards.prepare({"x": [float("nan")]})
         with pytest.raises(ValidationError):
-            shard.prepare({"x": [[0.5]]})
+            shards.prepare({"x": [[0.5]]})
         with pytest.raises(ValidationError):
-            shard.prepare([("x", [0.5])])
+            shards.prepare([("x", [0.5])])
 
     def test_ingest_prepared_rejects_foreign_layout(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
-        shard = HistogramShard({"x": y_part})
-        other = ColumnLayout({"x": Partition.uniform(-9, 9, 5)})
-        with pytest.raises(ValidationError):
-            shard.ingest_prepared(other.prepare({"x": [0.5]}))
-        with pytest.raises(ValidationError):
-            shard.ingest_prepared({"x": [0.5]})
+        shards = ShardSet({"x": y_part})
+        other_grid = ColumnLayout({"x": Partition.uniform(-9, 9, 5)})
+        other_schema = ColumnLayout({"y": y_part})
+        for foreign in (
+            other_grid.prepare({"x": [0.5]}),
+            other_schema.prepare({"y": [0.5]}),
+            {"x": [0.5]},
+        ):
+            with pytest.raises(ValidationError):
+                shards.ingest_prepared(foreign)
+        assert shards.n_seen("x") == 0
 
     def test_equal_layouts_are_compatible(self, part, noise):
         """Two services over the same schema can exchange prepared batches."""
         y_part = part.expanded(noise.support_half_width())
-        a = HistogramShard({"x": y_part})
-        b = HistogramShard({"x": y_part})
+        a = ShardSet({"x": y_part})
+        b = ShardSet({"x": y_part})
         assert b.ingest_prepared(a.prepare({"x": [0.5]})) == 1
 
     def test_decoded_readonly_columns_ingest_fine(self, part, noise):
@@ -281,9 +298,9 @@ class TestPreparedFastPath:
 
     def test_empty_prepared_batch(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
-        shard = HistogramShard({"x": y_part})
-        assert shard.ingest_prepared(shard.prepare({})) == 0
-        assert shard.ingest_prepared(shard.prepare({"x": []})) == 0
+        shards = ShardSet({"x": y_part})
+        assert shards.ingest_prepared(shards.prepare({})) == 0
+        assert shards.ingest_prepared(shards.prepare({"x": []})) == 0
 
 
 class TestQuantizedColumns:
@@ -346,8 +363,8 @@ class TestQuantizedColumns:
         service.ingest_prepared(
             service.prepare(service.quantize({"x": outliers}))
         )
-        a, seen_a = service.shards.shard(0).partial("x")
-        b, seen_b = reference.shards.shard(0).partial("x")
+        a, seen_a = service.shards.merged("x")
+        b, seen_b = reference.shards.merged("x")
         assert np.array_equal(a, b) and seen_a == seen_b
 
     def test_quantized_2d_rejected(self, part, noise):
@@ -358,10 +375,10 @@ class TestQuantizedColumns:
 
 class TestStripedAccumulators:
     def test_stripes_merge_to_exact_counts(self, part, noise):
-        """Six writer threads into one shard; partial() is still the
+        """Six writer threads into one shard; merged() is still the
         exact histogram of everything ingested."""
         y_part = part.expanded(noise.support_half_width())
-        shard = HistogramShard({"x": y_part})
+        shards = ShardSet({"x": y_part})
         w = _disclose(noise, 6_000, seed=42)
         chunks = np.array_split(w, 24)
         barrier = threading.Barrier(6)
@@ -369,46 +386,129 @@ class TestStripedAccumulators:
         def worker(index):
             barrier.wait()
             for chunk in chunks[index::6]:
-                shard.ingest({"x": chunk})
+                shards.ingest({"x": chunk})
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             list(pool.map(worker, range(6)))
-        counts, seen = shard.partial("x")
+        counts, seen = shards.merged("x")
         assert np.array_equal(counts, y_part.histogram(w))
         assert seen == w.size
 
     def test_clear_zeroes_every_stripe(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
-        shard = HistogramShard({"x": y_part})
-        shard.ingest({"x": [0.5]})
+        shards = ShardSet({"x": y_part})
+        shards.ingest({"x": [0.5]})
 
         def other_thread():
-            shard.ingest({"x": [0.7, 0.8]})
+            shards.ingest({"x": [0.7, 0.8]})
 
         t = threading.Thread(target=other_thread)
         t.start()
         t.join()
-        assert shard.n_seen("x") == 3
-        shard.clear()
-        assert shard.n_seen("x") == 0
-        counts, _ = shard.partial("x")
+        assert shards.n_seen("x") == 3
+        shards.clear()
+        assert shards.n_seen("x") == 0
+        counts, _ = shards.merged("x")
         assert counts.sum() == 0
 
-    def test_merge_from_collects_all_stripes(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        a = HistogramShard({"x": y_part})
-        b = HistogramShard({"x": y_part})
 
-        def other_thread():
-            b.ingest({"x": [0.2, 0.3]})
+class _ProbeLock:
+    """A shard lock that counts its acquisitions and, after each release,
+    runs ``probe`` once, unlocked (never from inside a probe)."""
 
-        b.ingest({"x": [0.1]})
-        t = threading.Thread(target=other_thread)
-        t.start()
-        t.join()
-        a.merge_from(b)
-        assert a.n_seen("x") == 3
-        assert b.n_seen("x") == 3  # source untouched
+    def __init__(self, probe=None) -> None:
+        self._lock = threading.Lock()
+        self._probe = probe
+        self._probing = False
+        self.acquired = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquired += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+        if self._probe is not None and not self._probing:
+            self._probing = True
+            try:
+                self._probe()
+            finally:
+                self._probing = False
+
+
+def _probe_locks(shards, probe=None) -> list:
+    """Swap each shard's lock for a :class:`_ProbeLock`; return them."""
+    locks = [_ProbeLock(probe) for _ in range(shards.n_shards)]
+    for shard, lock in zip(shards._shards, locks):
+        shard._lock = lock
+    return locks
+
+
+class TestShardLocks:
+    """Each shard operation holds each shard's lock a fixed number of
+    times: a work count that is the same on every machine."""
+
+    def test_slot_replace_never_reads_as_empty(self, part, noise):
+        """Readers that skip the estimate lock, run between any two
+        holds of the slot's lock, see the old slot or the new one."""
+        coordinator = AggregationService(
+            [AttributeSpec("x", part, noise)], n_shards=2, classes=2
+        )
+        worker = AggregationService([AttributeSpec("x", part, noise)])
+        w = _disclose(noise, 101, seed=70)
+        worker.ingest({"x": w[:100]})
+        coordinator.replace_partial(0, worker.export_partial())
+        worker.ingest({"x": w[100:]})
+        readings = []
+
+        def probe():
+            readings.append((
+                coordinator.n_seen("x"),
+                coordinator.n_seen_by_class("x")["unlabeled"],
+                int(coordinator.export_partial()["x"].sum()),
+                coordinator.snapshot()["state"]["x"]["n_seen"],
+            ))
+
+        [slot, _] = _probe_locks(coordinator.shards)
+        slot._probe = probe
+        assert coordinator.replace_partial(0, worker.export_partial()) == 101
+        assert readings
+        assert set(readings) <= {(100,) * 4, (101,) * 4}
+        assert coordinator.n_seen("x") == 101
+
+    def test_one_acquisition_per_shard_per_operation(self, part, noise):
+        service = AggregationService(
+            [AttributeSpec("x", part, noise)], n_shards=3
+        )
+        locks = _probe_locks(service.shards)
+
+        def taken(action) -> list:
+            before = [lock.acquired for lock in locks]
+            action()
+            return [lock.acquired - b for lock, b in zip(locks, before)]
+
+        prepared = service.prepare({"x": _disclose(noise, 50, seed=71)})
+        assert taken(lambda: service.ingest_prepared(prepared, shard=1)) == [0, 1, 0]
+        assert taken(service.shards.merge) == [1, 1, 1]
+        assert taken(lambda: service.shards.merged("x")) == [1, 1, 1]
+        assert taken(lambda: service.n_seen("x")) == [1, 1, 1]
+        assert taken(service.n_seen) == [1, 1, 1]
+        assert taken(lambda: service.n_seen_by_class("x")) == [1, 1, 1]
+        assert taken(service.export_partial) == [1, 1, 1]
+        assert taken(lambda: service.estimate("x", warn=False)) == [1, 1, 1]
+        partials = service.export_partial()
+        assert taken(lambda: service.replace_partial(2, partials)) == [0, 0, 1]
+        assert taken(service.shards.clear) == [1, 1, 1]
+
+    def test_support_reads_take_one_acquisition_per_shard(self):
+        shards = SupportShardSet(3, n_shards=2)
+        locks = _probe_locks(shards)
+        shards.ingest(np.ones((4, 3), dtype=bool), shard=0)
+        assert [lock.acquired for lock in locks] == [1, 0]
+        shards.merged_patterns()
+        assert shards.n_seen == 4
+        assert [lock.acquired for lock in locks] == [3, 2]
 
 
 class TestAggregationServiceBasics:
@@ -812,8 +912,8 @@ class TestClassConditionalShards:
 
     def test_layout_compatibility_includes_classes(self, part, noise):
         y_part = part.expanded(noise.support_half_width())
-        plain = HistogramShard({"x": y_part})
-        labeled = HistogramShard({"x": y_part}, n_classes=2)
+        plain = ShardSet({"x": y_part})
+        labeled = ShardSet({"x": y_part}, n_classes=2)
         with pytest.raises(ValidationError):
             labeled.ingest_prepared(plain.prepare({"x": [0.5]}))
 
@@ -905,7 +1005,7 @@ class TestClassAwareSnapshots:
         service = AggregationService([AttributeSpec("x", part, noise)])
         payload = service.snapshot()
         payload["classes"] = "two"
-        with pytest.raises(ValidationError, match="malformed"):
+        with pytest.raises(SerializationError, match="malformed"):
             AggregationService.restore(payload)
 
     def test_n_seen_disagreement_is_serialization_error(self, part, noise):
@@ -981,8 +1081,8 @@ class TestSnapshotValidation:
     FORMATS = {"blocks": _parent_payload, "current": _current_payload}
 
     @staticmethod
-    def _rejected(payload: dict, tmp_path) -> None:
-        with pytest.raises(SerializationError):
+    def _rejected(payload: dict, tmp_path, match=None) -> None:
+        with pytest.raises(SerializationError, match=match):
             AggregationService.restore(payload)
         path = tmp_path / "snap.json"
         path.write_text(json.dumps(payload))  # no integrity digest
@@ -1021,6 +1121,90 @@ class TestSnapshotValidation:
         payload = _current_payload()
         payload["state"]["age"]["n_seen_by_class"] = by_class
         self._rejected(payload, tmp_path)
+
+
+    @pytest.mark.parametrize(
+        "field", ["y_counts", "n_seen_by_class", "theta", "edges"]
+    )
+    def test_numeric_string(self, field, tmp_path):
+        """NumPy would parse "3" as 3; a snapshot field must not."""
+        payload = _current_payload()
+        values = _snapshot_field(payload, field)
+        values[0] = str(values[0])
+        self._rejected(payload, tmp_path, match="not numeric")
+
+    @pytest.mark.parametrize("field", ["y_counts", "n_seen_by_class", "theta"])
+    def test_boolean(self, field, tmp_path):
+        """NumPy would read True as 1; a snapshot field must not."""
+        payload = _current_payload()
+        values = _snapshot_field(payload, field)
+        low = int(np.argmin(values))
+        if field != "theta":  # keep the record total: only the type is wrong
+            values[int(np.argmax(values))] += values[low] - 1
+        values[low] = True
+        self._rejected(payload, tmp_path, match="not numeric")
+
+    @pytest.mark.parametrize("classes", ["2", 2.5, 2.0, True, -1, "two", None])
+    def test_classes_must_be_a_non_negative_integer(self, classes, tmp_path):
+        payload = _current_payload()
+        payload["classes"] = classes
+        self._rejected(payload, tmp_path, match="malformed")
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("config",),
+            ("attributes",),
+            ("n_shards",),
+            ("state",),
+            ("state", "age", "theta"),
+            ("state", "age", "n_seen"),
+        ],
+        ids="/".join,
+    )
+    def test_missing_key(self, path, tmp_path):
+        payload = _current_payload()
+        *parents, key = path
+        target = payload
+        for parent in parents:
+            target = target[parent]
+        del target[key]
+        self._rejected(payload, tmp_path, match="malformed")
+
+    @pytest.mark.parametrize("section", ["config", "attributes", "state"])
+    def test_section_of_the_wrong_type(self, section, tmp_path):
+        payload = _current_payload()
+        payload[section] = [] if isinstance(payload[section], dict) else {}
+        self._rejected(payload, tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            ({"n_shards": 0}, "n_shards must be >= 1"),
+            ({"config": {"stopping": "never"}}, "stopping"),
+            ({"state": {"nope": {}}}, "unknown attribute 'nope'"),
+        ],
+        ids=["n_shards", "config", "unknown_attribute"],
+    )
+    def test_nested_check_keeps_its_message(self, edit, match, tmp_path):
+        """The checks the service constructor makes raise
+        ValidationError; a restore turns them into SerializationError
+        with the same message."""
+        payload = _current_payload()
+        for key, value in edit.items():
+            if isinstance(value, dict):
+                payload[key].update(value)
+            else:
+                payload[key] = value
+        self._rejected(payload, tmp_path, match=match)
+
+
+def _snapshot_field(payload: dict, field: str) -> list:
+    """The list behind one numeric snapshot field of attribute ``age``."""
+    if field == "edges":
+        [attr] = [a for a in payload["attributes"] if a["name"] == "age"]
+        return attr["edges"]
+    return payload["state"]["age"][field]
 
 
 class TestServiceFromSpec:

@@ -95,7 +95,7 @@ class TestRoutes:
 
     def test_ingest_with_shard_pin(self, server, service):
         _post(server, "/ingest", {"batch": {"opinion": [0.5]}, "shard": 1})
-        assert service.shards.shard(1).n_seen("opinion") == 1
+        assert service.shards.read_shard(1)[1].sum() == 1
 
     def test_estimate_matches_single_stream(self, server, noise):
         rng = np.random.default_rng(0)
@@ -146,8 +146,8 @@ class TestColumnarIngest:
         assert status == 200
         assert payload["ingested"] == 3
         assert payload["frames"] == 2
-        assert service.shards.shard(0).n_seen("opinion") == 1
-        assert service.shards.shard(1).n_seen("opinion") == 2
+        assert service.shards.read_shard(0)[1].sum() == 1
+        assert service.shards.read_shard(1)[1].sum() == 2
 
     def test_content_type_parameters_tolerated(self, server, service):
         body = encode_columns({"opinion": [0.5]})
@@ -245,7 +245,7 @@ class TestNDJSONIngest:
         status, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_NDJSON)
         assert status == 200
         assert payload == {"ingested": 3, "frames": 2, "records": 3}
-        assert service.shards.shard(1).n_seen("opinion") == 1
+        assert service.shards.read_shard(1)[1].sum() == 1
 
     def test_bad_line_is_400(self, server):
         body = b'{"batch": {"opinion": [0.5]}}\nnot json\n'
@@ -599,7 +599,7 @@ class TestMiningEndpoints:
         status, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_BASKETS)
         assert status == 200
         assert payload == {"ingested": 1500, "frames": 2, "baskets": 1500}
-        assert mining.shards.shard(1).n_seen == 500
+        assert mining.shards.read_shard(1)[1].sum() == 500
         _, stats = _get(server, "/stats")
         assert stats["mining"] == {
             "n_items": self.N_ITEMS,

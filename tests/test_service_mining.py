@@ -2,8 +2,8 @@
 
 Covers the two modules behind ``POST /mine``:
 
-* :mod:`repro.service.support` — :class:`SupportShard` /
-  :class:`SupportShardSet`, the sharded joint bit-pattern counters, and
+* :mod:`repro.service.support` — :class:`SupportShardSet`, the sharded
+  joint bit-pattern counters, and
   :func:`marginal_pattern_counts`, the exact marginalization that turns
   the full table into any itemset's observed pattern counts,
 * :mod:`repro.service.mining` — :class:`MiningService` (level-wise MASK
@@ -35,7 +35,6 @@ from repro.mining import (
 from repro.service import (
     MinedRules,
     MiningService,
-    SupportShard,
     SupportShardSet,
     mining_from_spec,
 )
@@ -53,48 +52,46 @@ def disclosed():
 
 
 class TestSupportShard:
+    """One shard's pattern counts, read through a one-shard set."""
+
     def test_pattern_counts_known_answer(self):
         # rows encode MSB-first: [1,1] -> 3, [1,0] -> 2, [0,0] -> 0
-        shard = SupportShard(2)
-        shard.ingest(np.array([[1, 1], [1, 0], [0, 0], [1, 1]], dtype=bool))
-        assert shard.pattern_counts().tolist() == [1.0, 0.0, 1.0, 2.0]
-        assert shard.n_seen == 4
+        shards = SupportShardSet(2)
+        shards.ingest(np.array([[1, 1], [1, 0], [0, 0], [1, 1]], dtype=bool))
+        assert shards.merged_patterns().tolist() == [1.0, 0.0, 1.0, 2.0]
+        assert shards.merged_patterns().tolist() == [1.0, 0.0, 1.0, 2.0]
+        assert shards.n_seen == 4
 
     def test_accumulates_across_batches(self, rng):
-        shard = SupportShard(5)
-        reference = SupportShard(5)
+        shards = SupportShardSet(5)
+        reference = SupportShardSet(5)
         batches = [rng.random((n, 5)) < 0.5 for n in (7, 0, 13, 1)]
         for batch in batches:
-            shard.ingest(batch)
+            shards.ingest(batch)
         reference.ingest(np.vstack(batches))
-        assert np.array_equal(shard.pattern_counts(), reference.pattern_counts())
-        assert shard.n_seen == 21
+        assert np.array_equal(shards.merged_patterns(), reference.merged_patterns())
+        assert shards.n_seen == 21
 
     def test_prepared_path_matches_direct(self, rng):
-        direct, prepared = SupportShard(4), SupportShard(4)
+        direct, prepared = SupportShardSet(4), SupportShardSet(4)
         batch = rng.random((50, 4)) < 0.3
         direct.ingest(batch)
         prepared.ingest_prepared(prepared.prepare(batch))
-        assert np.array_equal(direct.pattern_counts(), prepared.pattern_counts())
-
-    def test_merge_from_adds_and_chains(self, rng):
-        a, b = SupportShard(3), SupportShard(3)
-        a.ingest(rng.random((10, 3)) < 0.5)
-        b.ingest(rng.random((20, 3)) < 0.5)
-        expected = a.pattern_counts() + b.pattern_counts()
-        assert a.merge_from(b) is a
-        assert np.array_equal(a.pattern_counts(), expected)
-        assert a.n_seen == 30
+        assert np.array_equal(direct.merged_patterns(), prepared.merged_patterns())
 
     def test_merge_rejects_mismatched_universe(self):
+        """Baskets packed over 4 items never land in a 3-item set."""
+        shards = SupportShardSet(3)
+        foreign = SupportShardSet(4).prepare(np.ones((1, 4), dtype=bool))
         with pytest.raises(ValidationError):
-            SupportShard(3).merge_from(SupportShard(4))
+            shards.ingest_prepared(foreign)
+        assert shards.n_seen == 0
 
     def test_merge_racing_writers_copies_counts_and_total_together(self):
         """Four writers share one shard buffer: no update is lost, and a
         merge racing them copies counts and transaction total in one
         read, so the merged counts always sum to the merged total."""
-        source = SupportShard(3)
+        source = SupportShardSet(3)
         batch = np.ones((16, 3), dtype=bool)
 
         def writer():
@@ -107,45 +104,45 @@ class TestSupportShard:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 writers = [pool.submit(writer) for _ in range(4)]
                 while not all(w.done() for w in writers):
-                    merged = SupportShard(3).merge_from(source)
-                    assert merged.pattern_counts().sum() == merged.n_seen
+                    counts, seen = source.merge()
+                    assert counts.sum() == seen[0]
                 for w in writers:
                     w.result(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert source.n_seen == 4 * 2_000 * 16
-        assert source.pattern_counts()[-1] == 4 * 2_000 * 16
+        assert source.merged_patterns()[-1] == 4 * 2_000 * 16
 
     def test_clear(self, rng):
-        shard = SupportShard(3)
-        shard.ingest(rng.random((10, 3)) < 0.5)
-        shard.clear()
-        assert shard.n_seen == 0
-        assert shard.pattern_counts().sum() == 0.0
+        shards = SupportShardSet(3)
+        shards.ingest(rng.random((10, 3)) < 0.5)
+        shards.clear()
+        assert shards.n_seen == 0
+        assert shards.merged_patterns().sum() == 0.0
 
     def test_rejects_bad_matrices(self):
-        shard = SupportShard(3)
+        shards = SupportShardSet(3)
         with pytest.raises(ValidationError):
-            shard.ingest(np.zeros((2, 4), dtype=bool))  # wrong width
+            shards.ingest(np.zeros((2, 4), dtype=bool))  # wrong width
         with pytest.raises(ValidationError):
-            shard.ingest(np.zeros(3, dtype=bool))  # 1-D
+            shards.ingest(np.zeros(3, dtype=bool))  # 1-D
         with pytest.raises(ValidationError):
-            shard.ingest(np.zeros((2, 3)))  # float, not boolean
+            shards.ingest(np.zeros((2, 3)))  # float, not boolean
 
     def test_rejects_untrackable_universes(self):
         with pytest.raises(ValidationError):
-            SupportShard(0)
+            SupportShardSet(0)
         with pytest.raises(ValidationError):
-            SupportShard(MAX_TRACKED_ITEMS + 1)
-        SupportShard(MAX_TRACKED_ITEMS)  # the boundary itself is fine
+            SupportShardSet(MAX_TRACKED_ITEMS + 1)
+        SupportShardSet(MAX_TRACKED_ITEMS)  # the boundary itself is fine
 
 
 class TestMarginalPatternCounts:
     def test_matches_direct_tally(self, rng):
         matrix = rng.random((200, 6)) < 0.4
-        shard = SupportShard(6)
-        shard.ingest(matrix)
-        full = shard.pattern_counts()
+        shards = SupportShardSet(6)
+        shards.ingest(matrix)
+        full = shards.merged_patterns()
         miner = MaskMiner(RandomizedResponse(0.9), max_size=6)
         for itemset in ([0], [5], [1, 3], [0, 2, 4], list(range(6))):
             expected = miner._pattern_counts(matrix, itemset)
@@ -154,9 +151,9 @@ class TestMarginalPatternCounts:
 
     def test_marginal_sums_preserve_total(self, rng):
         matrix = rng.random((100, 4)) < 0.5
-        shard = SupportShard(4)
-        shard.ingest(matrix)
-        marginal = marginal_pattern_counts(shard.pattern_counts(), 4, [1, 2])
+        shards = SupportShardSet(4)
+        shards.ingest(matrix)
+        marginal = marginal_pattern_counts(shards.merged_patterns(), 4, [1, 2])
         assert marginal.sum() == 100.0
 
     def test_rejects_bad_itemsets(self):
@@ -174,13 +171,13 @@ class TestSupportShardSet:
         shards = SupportShardSet(3, n_shards=4)
         for _ in range(6):
             shards.ingest(rng.random((10, 3)) < 0.5)
-        assert [s.n_seen for s in shards] == [20, 20, 10, 10]
+        assert [shards.read_shard(i)[1][0] for i in range(4)] == [20, 20, 10, 10]
         assert shards.n_seen == 60
 
     def test_shard_pinning(self, rng):
         shards = SupportShardSet(3, n_shards=4)
         shards.ingest(rng.random((10, 3)) < 0.5, shard=2)
-        assert [s.n_seen for s in shards] == [0, 0, 10, 0]
+        assert [shards.read_shard(i)[1][0] for i in range(4)] == [0, 0, 10, 0]
         with pytest.raises(ValidationError):
             shards.ingest(np.zeros((1, 3), dtype=bool), shard=4)
         with pytest.raises(ValidationError):
@@ -205,7 +202,8 @@ class TestSupportShardSet:
         miner = MaskMiner(RandomizedResponse(0.9), max_size=5)
         for itemset in ({0}, {1, 4}, {0, 2, 3}):
             expected = miner._pattern_counts(matrix, sorted(itemset))
-            assert np.array_equal(shards.pattern_counts_for(itemset), expected)
+            got = marginal_pattern_counts(shards.merged_patterns(), 5, itemset)
+            assert np.array_equal(got, expected)
 
     def test_clear_resets_every_shard(self, rng):
         shards = SupportShardSet(3, n_shards=2)
