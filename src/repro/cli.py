@@ -1314,9 +1314,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=None,
-        help="spawn N worker processes and serve as their coordinator: "
-        "workers ingest on their own ports and ship merged partials "
-        "upstream; incompatible with --snapshot and --max-requests",
+        help="start N worker processes (forked at launch on Linux, "
+        "spawned on restart) and serve as their coordinator: workers "
+        "ingest on their own ports and ship merged partials upstream; "
+        "incompatible with --snapshot and --max-requests",
     )
     p.add_argument(
         "--sync-interval", type=float, default=5.0,

@@ -2,7 +2,7 @@
 
 One ``ppdm serve`` process scales to the cores of one machine (shards
 binned outside their locks, e20); this module scales *out*:
-``ppdm serve --workers N`` spawns N worker processes, each a full
+``ppdm serve --workers N`` starts N worker processes, each a full
 :class:`~repro.service.AggregationService` ingesting independently on
 its own port, and one coordinator process that serves every
 ``/estimate`` and ``/train`` over the union of their state.  The paper
@@ -42,9 +42,16 @@ is ``stale`` once its last successful sync is older than
 ``stale_after`` seconds (or it was unreachable on the last attempt),
 and the cluster is ``degraded`` while any worker is stale or missing.
 
-Everything here is standard library + the existing service tier; the
-worker processes are spawned (never forked) so each child imports a
-fresh interpreter.
+Everything here is standard library + the existing service tier.  On
+Linux, :func:`start_cluster` forks the launch's workers from the
+coordinator process, which has already imported NumPy, the HTTP stack
+and ``repro``, so no worker starts a new interpreter; it forks after
+binding the coordinator's socket and before starting any thread of its
+own.  A supervised restart spawns a fresh interpreter instead: by then
+the coordinator serves from threads, and a fork copies every lock
+another thread holds, still held, with no thread left to release it.
+Other platforms spawn at launch too (Windows has no fork, and macOS
+system libraries are unsafe after one).
 """
 
 from __future__ import annotations
@@ -55,10 +62,12 @@ import logging
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 from repro.exceptions import (
@@ -731,7 +740,7 @@ class PartialShipper:
 # Process topology
 # ----------------------------------------------------------------------
 def _worker_main(config: dict) -> None:
-    """Entry point of one spawned worker process.
+    """Entry point of one worker process.
 
     Builds a full service (plus training when configured) from the
     deployment spec, serves it on an ephemeral port, registers with the
@@ -826,6 +835,18 @@ def _worker_main(config: dict) -> None:
         raise SystemExit(_DRAIN_FAILED_EXIT)
 
 
+def _forked_worker_main(coordinator: ServiceHTTPServer, config: dict) -> None:
+    """Entry point of a worker forked at launch; runs :func:`_worker_main`.
+
+    The fork copied the coordinator's listening socket into this
+    process.  Closing it first keeps the port the coordinator's alone:
+    no connection queues at a worker, and the port refuses connections
+    once the coordinator closes it.
+    """
+    coordinator.close()
+    _worker_main(config)
+
+
 class ClusterSupervisor:
     """Owns a running cluster: coordinator server + worker processes.
 
@@ -838,12 +859,13 @@ class ClusterSupervisor:
     ``ok`` flag is False when any worker lost its final drain.
 
     Given a spawn ``context`` and per-worker ``configs``, the supervisor
-    also *monitors*: a thread polls worker liveness, respawns dead
-    processes under each worker's :class:`RestartBudget` (exponential
-    backoff, sliding-window cap), and reports restart counts plus
-    exhausted (permanently degraded) slots through the coordinator's
-    health payload.  A fault plan with a ``supervisor.kill`` point lets
-    a chaos run SIGKILL live workers deterministically.
+    also *monitors*: a thread polls worker liveness, spawns a fresh
+    process for each dead one under its :class:`RestartBudget`
+    (exponential backoff, sliding-window cap), and reports restart
+    counts plus exhausted (permanently degraded) slots through the
+    coordinator's health payload.  A fault plan with a
+    ``supervisor.kill`` point lets a chaos run SIGKILL live workers
+    deterministically.
     """
 
     def __init__(
@@ -1098,12 +1120,24 @@ def start_cluster(
 
     The coordinator's service is built from the same deployment ``spec``
     as the workers but with one shard slot per worker (worker ``i``
-    syncs into slot ``i``); each worker process is *spawned* — a fresh
-    interpreter, no inherited locks — binds an ephemeral port, and
-    registers itself.  ``stale_after`` defaults to three sync intervals.
-    Returns a :class:`ClusterSupervisor`; call
+    syncs into slot ``i``); each worker process binds an ephemeral port
+    and registers itself.  ``stale_after`` defaults to three sync
+    intervals.  Returns a :class:`ClusterSupervisor`; call
     :meth:`~ClusterSupervisor.wait_ready` to block until every worker is
     registered and :meth:`~ClusterSupervisor.shutdown` to drain and stop.
+
+    On Linux the workers are *forked* from the calling thread, after the
+    coordinator's socket is bound and before this function starts any
+    thread, so they reuse every module the caller has imported instead
+    of importing their own.  A fork copies whatever locks the caller's
+    other threads hold at that moment, so call this before starting
+    threads that take locks (``ppdm serve --workers`` calls it before
+    starting any).  Elsewhere the workers are *spawned* (fresh
+    interpreters), and so is every supervised restart, on every
+    platform.  If any step after the bind fails — a worker that cannot
+    be started, say — the coordinator's socket is closed and the
+    workers already started are killed before the error propagates;
+    none of them has registered, so none has anything to drain.
 
     Resilience knobs: ``snapshot_dir`` gives every worker a private
     snapshot file (``worker-<i>.json``) it recovers from after a
@@ -1146,6 +1180,14 @@ def start_cluster(
         )
     plan = faults if isinstance(faults, FaultPlan) else FaultPlan.from_spec(faults)
     fault_spec = plan.to_spec() if plan is not None else None
+    budgets = [
+        RestartBudget(
+            max_restarts=restart_limit,
+            window=restart_window,
+            backoff=restart_backoff,
+        )
+        for _ in range(n_workers)
+    ]
     coordinator_spec = dict(spec)
     coordinator_spec["shards"] = int(n_workers)
     service = service_from_spec(coordinator_spec)
@@ -1162,50 +1204,64 @@ def start_cluster(
         service, host, port, cluster=coordinator, training=training,
         snapshot_path=snapshot_path, faults=plan,
     )
-    context = multiprocessing.get_context("spawn")
-    processes = []
+    spawn = multiprocessing.get_context("spawn")
+    processes: list[BaseProcess] = []
+    process: BaseProcess
     configs = []
-    for worker in range(n_workers):
-        worker_snapshot = None
-        if snapshot_dir is not None:
-            worker_snapshot = str(Path(snapshot_dir) / f"worker-{worker}.json")
-        config = {
-            "spec": dict(spec),
-            "worker": worker,
-            "coordinator_url": server.url,
-            "host": host,
-            "train": bool(train),
-            "sync_interval": float(sync_interval),
-            "snapshot_path": worker_snapshot,
-            "snapshot_interval": (
-                float(snapshot_interval) if snapshot_interval else None
-            ),
-            "faults": fault_spec,
-            "max_inflight": max_inflight,
-            "codec": codec,
-        }
-        configs.append(config)
-        process = context.Process(
-            target=_worker_main, args=(config,),
-            name=f"ppdm-worker-{worker}", daemon=True,
-        )
-        process.start()
-        processes.append(process)
-    budgets = [
-        RestartBudget(
-            max_restarts=restart_limit,
-            window=restart_window,
-            backoff=restart_backoff,
-        )
-        for _ in range(n_workers)
-    ]
     manager = None
-    if snapshot_path is not None and snapshot_interval:
-        manager = SnapshotManager(
-            server.persist, float(snapshot_interval)
-        ).start()
-    return ClusterSupervisor(
-        server, coordinator, processes,
-        context=context, configs=configs, budgets=budgets, faults=plan,
-        snapshot_manager=manager,
-    )
+    try:
+        for worker in range(n_workers):
+            worker_snapshot = None
+            if snapshot_dir is not None:
+                worker_snapshot = str(
+                    Path(snapshot_dir) / f"worker-{worker}.json"
+                )
+            config = {
+                "spec": dict(spec),
+                "worker": worker,
+                "coordinator_url": server.url,
+                "host": host,
+                "train": bool(train),
+                "sync_interval": float(sync_interval),
+                "snapshot_path": worker_snapshot,
+                "snapshot_interval": (
+                    float(snapshot_interval) if snapshot_interval else None
+                ),
+                "faults": fault_spec,
+                "max_inflight": max_inflight,
+                "codec": codec,
+            }
+            configs.append(config)
+            name = f"ppdm-worker-{worker}"
+            if sys.platform == "linux":
+                process = multiprocessing.get_context("fork").Process(
+                    target=_forked_worker_main, args=(server, config),
+                    name=name, daemon=True,
+                )
+            else:
+                process = spawn.Process(
+                    target=_worker_main, args=(config,), name=name,
+                    daemon=True,
+                )
+            process.start()
+            processes.append(process)
+        if snapshot_path is not None and snapshot_interval:
+            manager = SnapshotManager(
+                server.persist, float(snapshot_interval)
+            ).start()
+        return ClusterSupervisor(
+            server, coordinator, processes,
+            context=spawn, configs=configs, budgets=budgets, faults=plan,
+            snapshot_manager=manager,
+        )
+    except BaseException:
+        # no worker has registered yet, so there is nothing to drain:
+        # free the port and stop every process this launch started
+        if manager is not None:
+            manager.stop(final=False)
+        server.close()
+        for process in processes:
+            process.kill()
+        for process in processes:
+            process.join()
+        raise

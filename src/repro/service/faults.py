@@ -248,7 +248,7 @@ class FaultPlan:
     def to_spec(self) -> dict:
         """The (immutable) spec this plan was built from.
 
-        Ship this to spawned worker processes — each side rebuilds its
+        Ship this to worker processes — each side rebuilds its
         own plan, so counters are per-process but the schedule each
         process walks is identical run to run.
         """

@@ -257,6 +257,15 @@ class ServiceHTTPServer:
     def shutdown(self) -> None:
         """Stop a concurrent :meth:`serve_forever` and close the socket."""
         self._httpd.shutdown()
+        self.close()
+
+    def close(self) -> None:
+        """Close the listening socket of a server that is not serving.
+
+        For a server whose :meth:`serve_forever` never ran (or has
+        returned); :meth:`shutdown` would wait forever for a loop that
+        is not there.
+        """
         self._httpd.server_close()
 
     @property

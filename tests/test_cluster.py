@@ -4,13 +4,17 @@ Covers the partial wire frame (version 3), the export/replace sync
 primitives, coordinator registration/push/pull/health, the failure
 modes the operator's guide promises (worker death, retry-with-backoff,
 drain-on-shutdown, malformed pushes absorbing nothing), the HTTP
-surface, and one real spawned-process topology smoke.
+surface, and the real process topology: a two-worker smoke, how launch
+starts its workers, and a launch whose second worker cannot start.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -1019,7 +1023,8 @@ class TestClusterHTTPTraining:
 
 
 # ----------------------------------------------------------------------
-# Spawned-process topology
+# Process topology: on Linux, launch forks the workers from this test
+# process; a supervised restart spawns (see test_resilience.py)
 # ----------------------------------------------------------------------
 SPEC = {
     "shards": 2,
@@ -1071,12 +1076,68 @@ class TestStartCluster:
             assert np.array_equal(
                 np.asarray(estimate["probs"]), expected.distribution.probs
             )
-            # the workers only counted, so none maps a SciPy kernel
-            # (checked where the platform has /proc)
-            if Path("/proc/self/maps").exists():
-                for process in supervisor.processes:
-                    maps = Path(f"/proc/{process.pid}/maps").read_text()
-                    assert "scipy/special" not in maps, process.pid
         finally:
             supervisor.shutdown()
         assert all(not p.is_alive() for p in supervisor.processes)
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or not Path("/proc/self/fd").exists(),
+        reason="launch forks on Linux, and the check reads /proc",
+    )
+    def test_launch_forks_workers_that_drop_the_coordinator_socket(self):
+        supervisor = start_cluster(SPEC, n_workers=2, sync_interval=60.0)
+        try:
+            supervisor.wait_ready(timeout=60.0)
+            own = Path("/proc/self/cmdline").read_bytes()
+            inode = os.fstat(supervisor.server._httpd.fileno()).st_ino
+            listener = f"socket:[{inode}]"
+            for process in supervisor.processes:
+                proc = Path(f"/proc/{process.pid}")
+                # a fork keeps this interpreter's command line; a spawn
+                # would read "... from multiprocessing.spawn import ..."
+                assert (proc / "cmdline").read_bytes() == own
+                links = {os.readlink(fd) for fd in (proc / "fd").iterdir()}
+                assert listener not in links, process.pid
+        finally:
+            supervisor.shutdown()
+
+    def test_failed_worker_start_stops_the_launch(self, monkeypatch):
+        from multiprocessing.process import BaseProcess
+
+        import repro.service.cluster as cluster_module
+
+        error = OSError(errno.EAGAIN, "injected: no process for worker 1")
+        real_start = BaseProcess.start
+        started = []
+
+        def start_once(process):
+            if started:
+                raise error
+            started.append(process)
+            real_start(process)
+
+        servers = []
+
+        class SpyServer(ServiceHTTPServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                servers.append(self)
+
+        monkeypatch.setattr(BaseProcess, "start", start_once)
+        monkeypatch.setattr(cluster_module, "ServiceHTTPServer", SpyServer)
+        try:
+            with pytest.raises(OSError) as raised:
+                start_cluster(SPEC, n_workers=2, sync_interval=60.0)
+            assert raised.value is error
+            (worker,) = started
+            assert not worker.is_alive()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(servers[0].address, timeout=5.0)
+        finally:
+            # whatever the launch left behind must not outlive the test
+            for process in started:
+                if process.is_alive():
+                    process.kill()
+                    process.join(10.0)
+            for server in servers:
+                server.close()

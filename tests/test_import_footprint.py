@@ -1,7 +1,7 @@
 """What SciPy a process loads, and when.
 
-Every ``ppdm`` command, server process and spawned cluster worker pays
-for what the library imports.  ``scipy.stats`` alone adds about half a
+Every ``ppdm`` command, server process and cluster worker pays for what
+the library imports.  ``scipy.stats`` alone adds about half a
 second and tens of megabytes per process, and even ``scipy.special``
 costs about 0.35 s and 20 MB, because SciPy's array-API shim copies
 NumPy's namespace.  The library therefore never imports SciPy at module
@@ -10,8 +10,11 @@ for dof 1 to 512, so a process on uniform noise never loads SciPy: not
 a cluster worker that only counts, and not a server that estimates,
 trains and mines.  ``scipy.special`` loads when a Gaussian spec is built
 and at the first threshold past the table.  These tests check which
-modules a fresh interpreter holds at each step, not how long anything
-took, so they are deterministic.
+modules a fresh interpreter holds at each step, and which of a fresh
+cluster's processes map a SciPy extension, not how long anything took,
+so they are deterministic.  The cluster check runs here, not in the
+cluster suite, because a worker forked from a test process maps
+whatever that process has loaded.
 """
 
 from __future__ import annotations
@@ -140,6 +143,46 @@ server.shutdown()
 checkpoint()
 """
 
+#: a uniform two-worker cluster: one body at each worker and one
+#: estimate at the coordinator; then, per process, whether it maps
+#: scipy.special's extension
+CLUSTER_PATH = """
+import os
+import urllib.request
+
+from repro.service.cluster import start_cluster
+from repro.service.wire import CONTENT_TYPE_COLUMNS, encode_columns
+
+supervisor = start_cluster({
+    "shards": 2, "intervals": 8,
+    "attributes": [
+        {"name": "age", "low": 20, "high": 80,
+         "noise": "uniform", "privacy": 1.0},
+    ],
+}, n_workers=2, sync_interval=60.0)
+try:
+    supervisor.wait_ready(timeout=60.0)
+    for worker, url in enumerate(supervisor.worker_urls()):
+        request = urllib.request.Request(
+            url + "/ingest",
+            data=encode_columns(
+                {"age": [20.0 + (7 * i + worker) % 60 for i in range(200)]}
+            ),
+            headers={"Content-Type": CONTENT_TYPE_COLUMNS},
+        )
+        with urllib.request.urlopen(request) as reply:
+            assert reply.status == 200
+    estimate = supervisor.url + "/estimate?attribute=age"
+    with urllib.request.urlopen(estimate) as reply:
+        assert reply.status == 200
+    pids = [os.getpid()] + [process.pid for process in supervisor.processes]
+    print("MAPPED " + json.dumps([
+        "scipy/special" in open(f"/proc/{pid}/maps").read() for pid in pids
+    ]))
+finally:
+    supervisor.shutdown()
+"""
+
 #: a grid past the critical-value table: 600 equal cells are dof 599
 PAST_THE_TABLE = """
 import numpy as np
@@ -166,8 +209,8 @@ checkpoint()
 """
 
 
-def scipy_checkpoints(body: str) -> list:
-    """Run ``body`` in a fresh interpreter; SciPy modules per checkpoint."""
+def fresh_output(body: str, tag: str) -> list:
+    """Run ``body`` in a fresh interpreter; the JSON after each ``tag``."""
     result = subprocess.run(
         [sys.executable, "-c", PRELUDE.format(src=str(SRC)) + body],
         capture_output=True,
@@ -176,10 +219,15 @@ def scipy_checkpoints(body: str) -> list:
     )
     assert result.returncode == 0, result.stderr
     return [
-        set(json.loads(line.split(" ", 1)[1]))
+        json.loads(line.split(" ", 1)[1])
         for line in result.stdout.splitlines()
-        if line.startswith("CHECKPOINT ")
+        if line.startswith(tag + " ")
     ]
+
+
+def scipy_checkpoints(body: str) -> list:
+    """Run ``body`` in a fresh interpreter; SciPy modules per checkpoint."""
+    return [set(loaded) for loaded in fresh_output(body, "CHECKPOINT")]
 
 
 @pytest.mark.parametrize("module", ["repro.service", "repro.cli"])
@@ -204,6 +252,12 @@ def test_uniform_worker_path_loads_no_scipy():
 def test_uniform_server_path_loads_no_scipy():
     (served,) = scipy_checkpoints(SERVER_PATH)
     assert served == set()
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc")
+def test_uniform_cluster_maps_no_scipy_special():
+    (mapped,) = fresh_output(CLUSTER_PATH, "MAPPED")
+    assert mapped == [False, False, False]  # coordinator, worker 0, worker 1
 
 
 def test_threshold_past_the_table_loads_scipy_special_only():

@@ -22,6 +22,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -978,10 +979,28 @@ class TestSupervision:
                 lambda: supervisor.supervision()["restarts"][0] >= 1,
                 message="the fault plan never killed worker 0",
             )
+            # re-registration keeps "registered" at 2, so wait on the
+            # slot's own URL: the dead worker's port refuses, and the
+            # restarted worker's answers once it has registered
+            def reregistered():
+                entry = supervisor.coordinator.health()["workers"][0]
+                try:
+                    return http_get(entry["url"] + "/healthz")[0] == 200
+                except (urllib.error.URLError, ConnectionError, OSError):
+                    return False
+
             poll_until(
-                lambda: supervisor.coordinator.health()["registered"] >= 2,
+                reregistered,
                 message="restarted worker never re-registered",
             )
+            # launch forks workers from this process; a restart spawns
+            # a fresh interpreter (checked where the platform has /proc)
+            if Path("/proc/self/cmdline").exists():
+                pid = supervisor.processes[0].pid
+                cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+                assert b"from multiprocessing.spawn import spawn_main" in (
+                    cmdline
+                ), cmdline
             poll_until(
                 lambda: coordinator_records(supervisor.url) == 300,
                 message="the union never reflected worker 1's batch",
