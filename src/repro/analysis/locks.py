@@ -143,7 +143,7 @@ def _is_owning_value(node: ast.expr, owned: set) -> bool:
 
     Covers direct construction (``cls(...)``, ``SomeClass(...)``),
     aliases of owned names, and calls/attributes reached *through* an
-    owned name (``service._state(name)`` when ``service`` is owned).
+    owned name (``service.domain.spec(name)`` when ``service`` is owned).
     """
     if isinstance(node, ast.Call):
         func = node.func

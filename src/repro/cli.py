@@ -986,7 +986,7 @@ def _cmd_ingest(args) -> int:
 
     # --url: act as a randomizing client pool against a running server,
     # over persistent keep-alive connections (one per worker)
-    from repro.core.privacy import noise_for_privacy
+    from repro.serialize import from_jsonable
     from repro.service.wire import CONTENT_TYPE_COLUMNS, encode_columns
 
     base = args.url.rstrip("/")
@@ -1005,11 +1005,13 @@ def _cmd_ingest(args) -> int:
             rng = ensure_rng(args.seed)
             batch = {}
             for name, column in columns.items():
-                attr = schema[name]
-                randomizer = noise_for_privacy(
-                    attr["noise"], attr["privacy"], attr["high"] - attr["low"]
-                )
-                batch[name] = randomizer.randomize(column, seed=rng)
+                record = schema[name].get("randomizer")
+                if record is None:
+                    raise ReproError(
+                        f"the server's /attributes reply has no randomizer "
+                        f"record for {name!r}"
+                    )
+                batch[name] = from_jsonable(record).randomize(column, seed=rng)
 
         # the body is encoded once and reused by every request, so the
         # run measures wire + server cost, not client re-serialization

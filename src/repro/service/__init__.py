@@ -4,12 +4,14 @@ The paper's deployment is a server reconstructing distributions from
 millions of independently randomized disclosures.  This subpackage is
 that server's aggregation tier:
 
-* :mod:`repro.service.shards` — :class:`ShardSet`: a fixed number of
-  mergeable noise-expanded histogram shards, each one counts buffer,
-  one record-counter matrix and one lock, fed by a fused flat-offset
-  bincount (:class:`ColumnLayout` / :class:`PreparedBatch`) computed
-  outside the lock, so N ingestion workers hold a shard's lock only for
-  an O(bins) add, and a refresh merges in O(shards x bins),
+* :mod:`repro.service.shards` — :class:`Domain`: the service schema
+  (each attribute's spec, noise-expanded grid and place in the flat
+  counts buffer) and the one validation pass of every batch; and
+  :class:`ShardSet`: a fixed number of mergeable histogram shards over
+  a domain, each one counts buffer, one record-counter matrix and one
+  lock, fed by a fused flat-offset bincount (:class:`PreparedBatch`)
+  computed outside the lock, so N ingestion workers hold a shard's lock
+  only for an O(bins) add, and a refresh merges in O(shards x bins),
 * :mod:`repro.service.wire` — the ``application/x-ppdm-columns`` binary
   columnar wire format (:func:`encode_columns` /
   :func:`iter_labeled_frames`): raw little-endian float64 columns decoded
@@ -86,7 +88,7 @@ from repro.service.mining import MinedRules, MiningService, mining_from_spec
 from repro.service.service import AggregationService, service_from_spec
 from repro.service.shards import (
     AttributeSpec,
-    ColumnLayout,
+    Domain,
     PreparedBatch,
     ShardSet,
 )
@@ -113,7 +115,7 @@ __all__ = [
     "AttributeSpec",
     "CircuitBreaker",
     "ClusterCoordinator",
-    "ColumnLayout",
+    "Domain",
     "FaultPlan",
     "MinedRules",
     "MiningService",

@@ -334,12 +334,15 @@ class ClusterCoordinator:
                     "sync body carries row frames but the coordinator has "
                     "no training service"
                 )
+            # rows are checked, never located: the partial frame already
+            # carries their counts
+            check = self.service.domain.check
             for batch, classes, _ in iter_labeled_frames(rest):
                 if classes is None:
                     raise ValidationError(
                         "sync row frames must carry a class column"
                     )
-                blocks.append(self.training.prepare_rows(batch, classes))
+                blocks.append(self.training.rows(*check(batch, classes)))
         with self._lock:
             link = self._links.get(worker)
         if link is None:

@@ -94,7 +94,6 @@ from repro.service.wire import (
     CONTENT_TYPE_NDJSON,
     CONTENT_TYPE_PARTIAL,
     WIRE_CODEC_IDENTITY,
-    _has_quantized_columns,
     _read_record,
     decompress_payload,
     iter_basket_frames,
@@ -375,6 +374,8 @@ class ServiceHTTPServer:
                 service, self.training if include_rows else None
             )
         if path == "/attributes":
+            from repro.serialize import to_jsonable
+
             return 200, {
                 "attributes": [
                     {
@@ -387,6 +388,8 @@ class ServiceHTTPServer:
                             service.spec(name).randomizer,
                             service.spec(name).x_partition.span,
                         ),
+                        # the exact noise process, as snapshots store it
+                        "randomizer": to_jsonable(service.spec(name).randomizer),
                     }
                     for name in service.attributes
                 ]
@@ -578,7 +581,8 @@ class ServiceHTTPServer:
         All-or-nothing per request body: every frame is decoded,
         validated, and located (pure, lock-free) *before* the first one
         is accumulated — and when training is enabled, labeled frames
-        are additionally normalized into full training rows first — so
+        are also built into full training rows from the columns that
+        check returned — so
         a 400 means nothing from the body was absorbed and the client
         can safely re-send the whole thing.  Returns
         ``(records, n_frames)``.
@@ -593,16 +597,7 @@ class ServiceHTTPServer:
             prepared = self.service.prepare(batch, classes)
             rows = None
             if self.training is not None and classes is not None:
-                if _has_quantized_columns(batch):
-                    # bin indices are not randomized values: buffering
-                    # them as training rows would silently corrupt the
-                    # tree's per-leaf reconstruction inputs
-                    raise ValidationError(
-                        "labeled quantized columns cannot feed training; "
-                        "send raw float64 columns (wire v1/v2, or v5 "
-                        "dtype code 0) when training is enabled"
-                    )
-                rows = self.training.prepare_rows(batch, classes)
+                rows = self.training.rows(prepared.columns, prepared.labels)
             prepared_frames.append((prepared, rows, shard))
         ingested = 0
         for prepared, rows, shard in prepared_frames:

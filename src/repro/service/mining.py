@@ -34,6 +34,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.mining.apriori import association_rules, candidate_itemsets
 from repro.mining.mask import RandomizedResponse, support_from_pattern_counts
+from repro.service.service import _spec_number
 from repro.service.shards import PreparedBatch
 from repro.service.support import SupportShardSet, marginal_pattern_counts
 from repro.utils.validation import check_fraction
@@ -317,17 +318,10 @@ def mining_from_spec(section: dict) -> MiningService:
     """
     if not isinstance(section, dict):
         raise ValidationError("the 'mining' spec section must be a dict")
-    try:
-        n_items = int(section["items"])
-        keep_prob = float(section["keep_prob"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(
-            "the 'mining' spec section needs integer 'items' and float "
-            f"'keep_prob': {exc}"
-        ) from exc
+    where = "mining spec"
     return MiningService(
-        RandomizedResponse(keep_prob=keep_prob),
-        n_items,
-        n_shards=section.get("shards", 1),
-        max_size=int(section.get("max_size", 3)),
+        RandomizedResponse(float(_spec_number(section, "keep_prob", where))),
+        _spec_number(section, "items", where, integer=True),
+        n_shards=_spec_number(section, "shards", where, 1, integer=True),
+        max_size=_spec_number(section, "max_size", where, 3, integer=True),
     )

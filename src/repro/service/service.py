@@ -6,7 +6,10 @@ deployment: N ingestion workers accumulate randomized disclosures into
 merges the partials in O(shards x bins) and refreshes the attribute's
 distribution with warm-started Bayes sweeps on one shared
 :class:`~repro.core.engine.ReconstructionEngine` (one
-:class:`~repro.core.engine.KernelCache` across all attributes).
+:class:`~repro.core.engine.KernelCache` across all attributes).  The
+schema lives in one :class:`~repro.service.shards.Domain`, which every
+batch is checked against once; beside it the service keeps only each
+attribute's kernel and carried warm start, by name.
 
 The estimates it serves are **bit-identical** to feeding the same
 disclosures through a single-stream
@@ -36,20 +39,8 @@ from repro.core.engine import (
 from repro.core.partition import Partition
 from repro.core.privacy import NOISE_KINDS, noise_for_privacy
 from repro.exceptions import SerializationError, ValidationError
-from repro.service.shards import AttributeSpec, ShardSet
-from repro.utils.validation import check_counts
-
-
-class _AttributeState:
-    """Per-attribute serving state: kernel, grid, and carried estimate."""
-
-    __slots__ = ("spec", "y_partition", "kernel", "theta")
-
-    def __init__(self, spec, y_partition, kernel, theta) -> None:
-        self.spec = spec
-        self.y_partition = y_partition
-        self.kernel = kernel
-        self.theta = theta
+from repro.service.shards import AttributeSpec, Domain, ShardSet
+from repro.utils.validation import check_counts, check_json_number
 
 
 class AggregationService:
@@ -60,7 +51,8 @@ class AggregationService:
     attributes:
         Iterable of :class:`~repro.service.AttributeSpec` (or
         ``(name, x_partition, randomizer)`` triples), one per collected
-        attribute.  Names must be unique.
+        attribute, from which the service builds its
+        :class:`~repro.service.shards.Domain`.  Names must be unique.
     n_shards:
         Number of ingestion shards (see
         :class:`~repro.service.shards.ShardSet`).
@@ -118,29 +110,18 @@ class AggregationService:
             coverage=coverage,
         )
         self._engine = ReconstructionEngine(config, kernel_cache=kernel_cache)
-        self._states: dict = {}
-        for spec in attributes:
-            if not isinstance(spec, AttributeSpec):
-                spec = AttributeSpec(*spec)
-            if spec.name in self._states:
-                raise ValidationError(f"duplicate attribute name {spec.name!r}")
-            y_partition, kernel = self._engine.kernel_for(
+        self._domain = Domain(attributes, classes=classes, coverage=config.coverage)
+        self._kernels: dict = {}
+        for name in self._domain.names:
+            spec = self._domain.spec(name)
+            _, self._kernels[name] = self._engine.kernel_for(
                 spec.x_partition, spec.randomizer
             )
-            m = spec.x_partition.n_intervals
-            self._states[spec.name] = _AttributeState(
-                spec, y_partition, kernel, np.full(m, 1.0 / m)
-            )
-        if not self._states:
-            raise ValidationError("the service needs at least one attribute")
-        self._shards = ShardSet(
-            {name: state.y_partition for name, state in self._states.items()},
-            n_shards,
-            n_classes=int(classes),
-        )
-        # estimate() mutates the carried theta; refreshes are serialized
-        # so concurrent queries cannot interleave a warm start.
+        self._shards = ShardSet(self._domain, n_shards)
+        # estimate() replaces the carried warm starts; refreshes are
+        # serialized so concurrent queries cannot interleave a warm start.
         self._estimate_lock = threading.Lock()
+        self._thetas = self._uniform_thetas()
 
     max_iterations = config_property("max_iterations", engine_attr="_engine")
     tol = config_property("tol", engine_attr="_engine")
@@ -152,7 +133,12 @@ class AggregationService:
     @property
     def attributes(self) -> tuple:
         """Collected attribute names, in schema order."""
-        return tuple(self._states)
+        return self._domain.names
+
+    @property
+    def domain(self) -> Domain:
+        """The schema: specs, noise-expanded grids, and the batch check."""
+        return self._domain
 
     @property
     def shards(self) -> ShardSet:
@@ -171,16 +157,14 @@ class AggregationService:
     @property
     def classes(self) -> int:
         """Class labels the shards count records by (0 = class-unaware)."""
-        return self._shards.n_classes
+        return self._domain.classes
 
     def spec(self, name: str) -> AttributeSpec:
         """The :class:`AttributeSpec` registered under ``name``."""
-        return self._state(name).spec
+        return self._domain.spec(name)
 
     def n_seen(self, name: str | None = None):
         """Records absorbed for one attribute, or ``{name: n}`` for all."""
-        if name is not None:
-            self._state(name)
         return self._shards.n_seen(name)
 
     def n_seen_by_class(self, name: str) -> dict:
@@ -192,11 +176,9 @@ class AggregationService:
         serve this verbatim).  Records a coordinator holds through
         :meth:`replace_partial` count as unlabeled.
         """
-        self._state(name)
-        layout = self._shards.layout
-        _, seen = self._shards.merge(layout.slice_of(name))
+        _, seen = self._shards.merge(self._domain.slice_of(name))
         keys = ["unlabeled", *map(str, range(self.classes))]
-        return dict(zip(keys, seen[:, layout.index_of(name)].tolist()))
+        return dict(zip(keys, seen[:, self._domain.index_of(name)].tolist()))
 
     def export_partial(self) -> dict:
         """Merged partials for every attribute: the sync unit.
@@ -209,8 +191,8 @@ class AggregationService:
         from one locked read per shard.
         """
         counts, _ = self._shards.merge()
-        layout = self._shards.layout
-        return {name: counts[None, layout.slice_of(name)] for name in self._states}
+        domain = self._domain
+        return {name: counts[None, domain.slice_of(name)] for name in domain.names}
 
     def replace_partial(self, slot: int, partials: dict) -> int:
         """Replace shard ``slot`` with one worker's cumulative partials.
@@ -259,9 +241,10 @@ class AggregationService:
         The pure half of ingestion, exposed so front ends (e.g. the
         columnar HTTP fast path) can decode + locate per request thread
         and hand the :class:`~repro.service.shards.PreparedBatch` to
-        :meth:`ingest_prepared`.
+        :meth:`ingest_prepared` (see
+        :meth:`~repro.service.shards.Domain.prepare`).
         """
-        return self._shards.prepare(batch, classes)
+        return self._domain.prepare(batch, classes)
 
     def ingest_prepared(self, prepared, *, shard: int | None = None) -> int:
         """Absorb a batch pre-located by :meth:`prepare`."""
@@ -271,7 +254,7 @@ class AggregationService:
         """Locate a value batch into narrow int8/int16 bin-index columns.
 
         The client half of the quantized wire path (see
-        :meth:`~repro.service.shards.ColumnLayout.quantize`): the
+        :meth:`~repro.service.shards.Domain.quantize`): the
         returned ``{attribute: indices}`` mapping feeds
         :func:`~repro.service.wire.encode_quantized`, and ingesting the
         quantized stream yields estimates bit-identical to ingesting
@@ -287,7 +270,7 @@ class AggregationService:
         >>> service.quantize({"age": [0.05, 0.95]})["age"].dtype.name
         'int8'
         """
-        return self._shards.layout.quantize(batch)
+        return self._domain.quantize(batch)
 
     # ------------------------------------------------------------------
     # Control plane
@@ -306,7 +289,7 @@ class AggregationService:
         HTTP front end reports ``converged`` in the payload instead —
         and per-request warning-filter toggling is not thread-safe).
         """
-        state = self._state(name)
+        x_partition = self._domain.spec(name).x_partition
         # The merge happens under the estimate lock too: merging outside
         # would let two concurrent refreshes pair a stale histogram with
         # a newer warm start, breaking the single-stream equivalence.
@@ -316,8 +299,8 @@ class AggregationService:
                 raise ValidationError(
                     f"no data for attribute {name!r}: ingest() before estimate()"
                 )
-            result, state.theta = self._engine.estimate_counts(
-                counts, state.kernel, state.theta, state.spec.x_partition,
+            result, self._thetas[name] = self._engine.estimate_counts(
+                counts, self._kernels[name], self._thetas[name], x_partition,
                 _stacklevel=2, warn=warn,
             )
         return result
@@ -329,7 +312,7 @@ class AggregationService:
         service raises, matching :meth:`estimate`).
         """
         results = {}
-        for name in self._states:
+        for name in self._domain.names:
             if self._shards.n_seen(name):
                 results[name] = self.estimate(name, warn=warn)
         if not results:
@@ -345,10 +328,16 @@ class AggregationService:
         """
         with self._estimate_lock:
             self._shards.clear()
-            for state in self._states.values():
-                m = state.spec.x_partition.n_intervals
-                state.theta = np.full(m, 1.0 / m)
+            self._thetas = self._uniform_thetas()
         return self
+
+    def _uniform_thetas(self) -> dict:
+        """The uniform warm start of every attribute, by name."""
+        thetas = {}
+        for name in self._domain.names:
+            m = self._domain.spec(name).x_partition.n_intervals
+            thetas[name] = np.full(m, 1.0 / m)
+        return thetas
 
     # ------------------------------------------------------------------
     # Persistence
@@ -368,23 +357,24 @@ class AggregationService:
         from repro.serialize import FORMAT_VERSION, to_jsonable
 
         config = self._engine.config
-        layout = self._shards.layout
+        domain = self._domain
         counts, seen = self._shards.merge()
         attributes = []
         state_section = {}
-        for name, state in self._states.items():
+        for name in domain.names:
+            spec = domain.spec(name)
             attributes.append(
                 {
                     "name": name,
-                    "edges": state.spec.x_partition.edges.tolist(),
-                    "randomizer": to_jsonable(state.spec.randomizer),
+                    "edges": spec.x_partition.edges.tolist(),
+                    "randomizer": to_jsonable(spec.randomizer),
                 }
             )
-            by_class = seen[:, layout.index_of(name)]
+            by_class = seen[:, domain.index_of(name)]
             saved = {
-                "y_counts": counts[layout.slice_of(name)].tolist(),
+                "y_counts": counts[domain.slice_of(name)].tolist(),
                 "n_seen": int(by_class.sum()),
-                "theta": state.theta.tolist(),
+                "theta": self._thetas[name].tolist(),
             }
             if self.classes:
                 saved["n_seen_by_class"] = by_class.tolist()
@@ -421,12 +411,13 @@ class AggregationService:
 
         try:
             config = payload["config"]
-            classes = payload.get("classes", 0)
-            if not _is_json_int(classes) or classes < 0:
-                raise SerializationError(
-                    "malformed aggregation_service snapshot: classes must be "
-                    f"a non-negative integer, got {classes!r}"
-                )
+            what = "malformed aggregation_service snapshot: classes"
+            classes = check_json_number(
+                payload.get("classes", 0), what, integer=True,
+                error=SerializationError,
+            )
+            if classes < 0:
+                raise SerializationError(f"{what} is negative: got {classes}")
             service = cls(
                 [
                     AttributeSpec(
@@ -440,20 +431,20 @@ class AggregationService:
                 classes=classes,
                 **config,
             )
-            layout = service._shards.layout
-            counts = np.zeros(layout.total_bins)
-            seen = np.zeros((classes + 1, len(layout.names)), dtype=np.int64)
+            domain = service.domain
+            counts = np.zeros(domain.total_bins)
+            seen = np.zeros((classes + 1, len(domain.names)), dtype=np.int64)
             for name, saved in payload["state"].items():
-                state = service._state(name)
+                stripe = domain.slice_of(name)
                 y_counts, by_class = _snapshot_counts(
-                    name, saved, classes, state.y_partition.n_intervals
+                    name, saved, classes, stripe.stop - stripe.start
                 )
-                counts[layout.slice_of(name)] = y_counts
-                seen[:, layout.index_of(name)] = by_class
+                counts[stripe] = y_counts
+                seen[:, domain.index_of(name)] = by_class
                 theta = _snapshot_array(
                     saved["theta"],
                     f"snapshot estimate for {name!r}",
-                    (state.spec.x_partition.n_intervals,),
+                    (domain.spec(name).x_partition.n_intervals,),
                 )
                 if not (np.isfinite(theta).all() and theta.min() >= 0.0
                         and theta.sum() > 0.0):
@@ -461,7 +452,7 @@ class AggregationService:
                         f"snapshot estimate for {name!r} must be finite and "
                         "non-negative with a positive sum"
                     )
-                state.theta = theta
+                service._thetas[name] = theta
             service._shards.absorb_merged(counts, seen)
         except SerializationError:
             raise
@@ -495,39 +486,24 @@ class AggregationService:
         return service
 
     # ------------------------------------------------------------------
-    def _state(self, name: str) -> _AttributeState:
-        try:
-            return self._states[name]
-        except KeyError:
-            raise ValidationError(
-                f"unknown attribute {name!r}; the service collects "
-                f"{list(self._states)}"
-            ) from None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"AggregationService(attributes={len(self._states)}, "
+            f"AggregationService(attributes={len(self._domain.names)}, "
             f"n_shards={self._shards.n_shards}, "
             f"records={sum(self._shards.n_seen().values())})"
         )
-
-
-def _is_json_int(value) -> bool:
-    """``value`` is an integer, and not a boolean."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _snapshot_array(value, what: str, shape: tuple | None = None) -> np.ndarray:
     """``value`` as a float array of ``shape``, else a SerializationError.
 
     The one check of a snapshot's numeric fields: every entry must be a
-    JSON number, so strings such as ``"3"`` and booleans are rejected,
-    not coerced.
+    JSON number (:func:`~repro.utils.validation.check_json_number`), so
+    strings such as ``"3"`` and booleans are rejected, not coerced.
     """
     leaves = np.asarray(value, dtype=object)
     for leaf in leaves.flat:
-        if not (_is_json_int(leaf) or isinstance(leaf, float)):
-            raise SerializationError(f"{what} are not numeric: got {leaf!r}")
+        check_json_number(leaf, f"an entry of {what}", error=SerializationError)
     array = leaves.astype(float)
     if shape is not None and array.shape != shape:
         raise SerializationError(
@@ -611,33 +587,54 @@ def service_from_spec(spec: dict) -> AggregationService:
     attributes = spec.get("attributes")
     if not attributes:
         raise ValidationError("service spec needs a non-empty 'attributes' list")
-    default_intervals = int(spec.get("intervals", 24))
+    default_intervals = _spec_number(
+        spec, "intervals", "service spec", 24, integer=True
+    )
     specs = []
     for attr in attributes:
         try:
-            name = attr["name"]
-            low, high = float(attr["low"]), float(attr["high"])
+            where = f"attribute {attr['name']!r}"
         except (KeyError, TypeError) as exc:
             raise ValidationError(
                 f"malformed attribute entry {attr!r}: {exc}"
             ) from exc
+        low = float(_spec_number(attr, "low", where))
+        high = float(_spec_number(attr, "high", where))
         kind = attr.get("noise", "uniform")
         if kind not in NOISE_KINDS:
             raise ValidationError(
                 f"unknown noise kind {kind!r}; choose from {NOISE_KINDS}"
             )
-        partition = Partition.uniform(
-            low, high, int(attr.get("intervals", default_intervals))
+        intervals = _spec_number(
+            attr, "intervals", where, default_intervals, integer=True
         )
+        partition = Partition.uniform(low, high, intervals)
         randomizer = noise_for_privacy(
             kind,
-            float(attr.get("privacy", 1.0)),
+            float(_spec_number(attr, "privacy", where, 1.0)),
             high - low,
-            float(attr.get("confidence", 0.95)),
+            float(_spec_number(attr, "confidence", where, 0.95)),
         )
-        specs.append(AttributeSpec(name, partition, randomizer))
+        specs.append(AttributeSpec(attr["name"], partition, randomizer))
     return AggregationService(
         specs,
-        n_shards=spec.get("shards", 1),
-        classes=int(spec.get("classes", 0)),
+        n_shards=_spec_number(spec, "shards", "service spec", 1, integer=True),
+        classes=_spec_number(spec, "classes", "service spec", 0, integer=True),
+    )
+
+
+def _spec_number(
+    section: dict, key: str, where: str, default=None, *, integer: bool = False
+):
+    """``section[key]`` (or ``default``) from a deployment spec, checked.
+
+    Specs are outside input: the value must be a JSON number, and a
+    non-boolean integer when ``integer``
+    (:func:`~repro.utils.validation.check_json_number`); a missing
+    required field or a wrong value is a ValidationError naming it.
+    """
+    if key not in section and default is None:
+        raise ValidationError(f"{where} needs {key!r}")
+    return check_json_number(
+        section.get(key, default), f"{where} field {key!r}", integer=integer
     )

@@ -1,4 +1,4 @@
-"""Mergeable histogram partials for sharded disclosure ingestion.
+"""The service schema and mergeable histogram partials.
 
 The reconstruction algorithm never needs raw disclosures — only the
 histogram of randomized values on the noise-expanded grid.  Histograms
@@ -6,9 +6,14 @@ are *mergeable*: the histogram of a union of batches is the elementwise
 sum of the batches' histograms, exactly (counts are integers, and float64
 addition of integers is exact far beyond any realistic record count).
 
+A service describes its schema once, as a :class:`Domain`: for each
+attribute the :class:`AttributeSpec` (domain grid and public noise), the
+noise-expanded grid disclosures bin on, and its place in the flat
+counts buffer and the record counters.  The domain is also the one
+validation pass of every batch (:meth:`Domain.check`).
+
 That makes server-side aggregation embarrassingly shardable.  A
-:class:`ShardSet` holds a fixed number of shards over one attribute
-schema:
+:class:`ShardSet` holds a fixed number of shards over one domain:
 
 * each ingestion worker is routed to a shard (round-robin, or pinned
   with ``shard=i``) and accumulates its batches in O(batch) work with no
@@ -20,12 +25,13 @@ schema:
 The hot path is built for memory bandwidth, not Python speed:
 
 * every attribute's noise-expanded grid occupies one contiguous stripe
-  of a single flat counts buffer (:class:`ColumnLayout`), so a batch
-  touching any subset of attributes bins **all** of them in one fused
-  ``np.bincount`` over offset indices (``offset + locate(values)``, the
-  same flat-offset trick the tree's split search uses),
+  of a single flat counts buffer, so a batch touching any subset of
+  attributes bins **all** of them in one fused ``np.bincount`` over
+  offset indices (``offset + locate(values)``, the same flat-offset
+  trick the tree's split search uses),
 * :meth:`ShardSet.ingest_prepared` accepts those pre-located indices
-  (:class:`PreparedBatch`, built once per batch outside any lock), and
+  (:class:`PreparedBatch`, built once per batch by
+  :meth:`Domain.prepare` outside any lock), and
 * each shard is a private record of **one** flat counts buffer, one
   record-counter matrix and one lock, and every access is one locked
   add, copy or write: the ``np.bincount`` runs before the lock is taken,
@@ -58,18 +64,6 @@ from repro.utils.validation import check_1d_array, check_label_column
 
 #: the column dtypes the quantized wire path ships bin indices in
 _QUANTIZED_DTYPES = (np.dtype("<i1"), np.dtype("<i2"))
-
-
-def _quantized_column(values):
-    """Return ``values`` when it is a quantized column, else ``None``.
-
-    Quantized columns — the wire v5 carriers — are int8/int16 ndarrays
-    of *pre-located bin indices*; every other input (lists, float
-    arrays, wider integer arrays) stays on the locate-by-value path.
-    """
-    if isinstance(values, np.ndarray) and values.dtype in _QUANTIZED_DTYPES:
-        return values
-    return None
 
 
 @dataclass(frozen=True)
@@ -115,186 +109,200 @@ class AttributeSpec:
             )
 
 
-class ColumnLayout:
-    """Flat-offset layout of a schema's noise-expanded grids.
+class Domain:
+    """The schema a service bins disclosures on, checked once per batch.
 
-    Attribute ``j``'s bins occupy ``[offsets[j], offsets[j] + m_j)`` of
-    one flat counts vector of ``total_bins`` entries, so locating a
-    value and adding the attribute's offset yields a *global* bin index
-    — and one ``np.bincount`` over those fused indices bins every
-    attribute of a batch in a single vectorized pass.
+    Built once per service from its attribute specs
+    (:class:`AttributeSpec`, or ``(name, x_partition, randomizer)``
+    triples), its class count and its engine's ``coverage``.  For each
+    attribute (``names``, in schema order) it holds the spec, the
+    noise-expanded grid disclosures bin on
+    (``x_partition.expanded(randomizer.support_half_width(coverage))``,
+    the kernel cache's own rule), the attribute's stripe of one flat
+    counts vector of ``total_bins`` entries, and its column of the
+    record counters.  Locating a value and adding its stripe's offset
+    yields a *global* bin index, so one ``np.bincount`` over those fused
+    indices bins every attribute of a batch in a single vectorized pass.
 
-    With ``n_classes >= 1`` batches may carry a class column.  Labeled
-    records bin exactly like unlabeled ones; ``n_classes`` only checks
-    the labels and shapes the record counters a prepared batch carries:
-    ``(n_classes + 1, attributes)``, row 0 for unlabeled records and
-    row ``c + 1`` for class ``c``.
-
-    Shared by every shard of a :class:`ShardSet` (the layout is
-    immutable schema geometry, not state).
+    With ``classes >= 1`` batches may carry a class column.  Labeled
+    records bin exactly like unlabeled ones; ``classes`` only checks the
+    labels and shapes the record counters a prepared batch carries:
+    ``(classes + 1, attributes)``, row 0 for unlabeled records and row
+    ``c + 1`` for class ``c``.  The domain is immutable schema, not
+    state: every shard of a :class:`ShardSet` shares it.
 
     Examples
     --------
-    >>> from repro.core import Partition
-    >>> from repro.service.shards import ColumnLayout
-    >>> layout = ColumnLayout({"a": Partition.uniform(0, 1, 4),
-    ...                        "b": Partition.uniform(0, 1, 6)})
-    >>> layout.total_bins, layout.offset_of("b")
-    (10, 4)
-    >>> layout.prepare({"b": [0.05, 0.95]}).flat.tolist()
-    [4, 9]
-    >>> labeled = ColumnLayout({"a": Partition.uniform(0, 1, 4)}, n_classes=2)
-    >>> prepared = labeled.prepare({"a": [0.1, 0.9]}, classes=[0, 1])
+    >>> from repro.core import Partition, UniformRandomizer
+    >>> from repro.service import Domain
+    >>> noise = UniformRandomizer(half_width=0.25)
+    >>> domain = Domain([("a", Partition.uniform(0, 1, 4), noise),
+    ...                  ("b", Partition.uniform(0, 1, 2), noise)], classes=2)
+    >>> domain.grid("a").n_intervals, domain.total_bins  # a margin bin per side
+    (6, 10)
+    >>> prepared = domain.prepare({"b": [0.3, 0.9]}, classes=[0, 1])
     >>> prepared.flat.tolist(), prepared.seen.tolist()  # counters: row per class
-    ([0, 3], [[0], [1], [1]])
+    ([7, 8], [[0, 0], [0, 1], [0, 1]])
     """
 
-    __slots__ = (
-        "_partitions", "_names", "_offsets", "_index", "n_classes", "total_bins",
-    )
+    __slots__ = ("_attributes", "names", "classes", "total_bins")
 
-    def __init__(self, y_partitions, *, n_classes: int = 0) -> None:
-        if not y_partitions:
-            raise ValidationError("a layout needs at least one attribute")
-        if not isinstance(n_classes, int) or n_classes < 0:
+    def __init__(
+        self, attributes, *, classes: int = 0, coverage: float = 1.0 - 1e-9
+    ) -> None:
+        if (
+            isinstance(classes, bool)
+            or not isinstance(classes, (int, np.integer))
+            or classes < 0
+        ):
             raise ValidationError(
-                f"n_classes must be a non-negative integer, got {n_classes!r}"
+                f"classes must be a non-negative integer, got {classes!r}"
             )
-        self._partitions = dict(y_partitions)
-        self._names = tuple(self._partitions)
-        self._index = {name: k for k, name in enumerate(self._names)}
-        self._offsets = {}
-        total = 0
-        for name, partition in self._partitions.items():
-            self._offsets[name] = total
-            total += partition.n_intervals
-        self.n_classes = int(n_classes)
-        self.total_bins = total
+        # name -> (spec, noise-expanded grid, stripe, counter column)
+        self._attributes: dict = {}
+        stop = 0
+        for row, spec in enumerate(attributes):
+            if not isinstance(spec, AttributeSpec):
+                spec = AttributeSpec(*spec)
+            if spec.name in self._attributes:
+                raise ValidationError(f"duplicate attribute name {spec.name!r}")
+            grid = spec.x_partition.expanded(
+                spec.randomizer.support_half_width(coverage)
+            )
+            stripe = slice(stop, stop + grid.n_intervals)
+            self._attributes[spec.name] = (spec, grid, stripe, row)
+            stop = stripe.stop
+        if not self._attributes:
+            raise ValidationError("a domain needs at least one attribute")
+        self.names = tuple(self._attributes)
+        self.classes = int(classes)
+        self.total_bins = stop
 
-    @property
-    def names(self) -> tuple:
-        """Attribute names, in schema order."""
-        return self._names
+    def _attribute(self, name: str) -> tuple:
+        try:
+            return self._attributes[name]
+        except KeyError:
+            raise ValidationError(
+                f"unknown attribute {name!r}; the schema holds {list(self.names)}"
+            ) from None
 
-    def partition(self, name: str) -> Partition:
-        """The noise-expanded grid of attribute ``name``."""
-        self.require(name)
-        return self._partitions[name]
+    def spec(self, name: str) -> AttributeSpec:
+        """The :class:`AttributeSpec` of attribute ``name``."""
+        return self._attribute(name)[0]
 
-    def offset_of(self, name: str) -> int:
-        """First flat bin of attribute ``name``."""
-        self.require(name)
-        return self._offsets[name]
-
-    def index_of(self, name: str) -> int:
-        """Schema position of attribute ``name`` (for per-attribute counters)."""
-        self.require(name)
-        return self._index[name]
+    def grid(self, name: str) -> Partition:
+        """The noise-expanded grid attribute ``name``'s disclosures bin on."""
+        return self._attribute(name)[1]
 
     def slice_of(self, name: str) -> slice:
-        """``name``'s bin range within the flat vector."""
-        self.require(name)
-        offset = self._offsets[name]
-        return slice(offset, offset + self._partitions[name].n_intervals)
+        """``name``'s stripe of bins within the flat vector."""
+        return self._attribute(name)[2]
 
-    def require(self, name: str) -> None:
-        """Raise :class:`ValidationError` unless ``name`` is in the schema."""
-        if name not in self._partitions:
-            raise ValidationError(
-                f"unknown attribute {name!r}; schema holds {list(self._names)}"
-            )
+    def index_of(self, name: str) -> int:
+        """Schema position of attribute ``name`` (its record-counter column)."""
+        return self._attribute(name)[3]
 
-    def compatible_with(self, other: "ColumnLayout") -> bool:
+    def compatible_with(self, other: object) -> bool:
         """Same attributes, grids, and class count (ingest compatibility)."""
         if self is other:
             return True
         return (
-            isinstance(other, ColumnLayout)
-            and self._names == other._names
-            and self.n_classes == other.n_classes
+            isinstance(other, Domain)
+            and self.names == other.names
+            and self.classes == other.classes
             and all(
-                np.array_equal(
-                    self._partitions[n].edges, other._partitions[n].edges
-                )
-                for n in self._names
+                np.array_equal(self.grid(n).edges, other.grid(n).edges)
+                for n in self.names
             )
         )
 
-    def check_classes(self, classes) -> np.ndarray:
-        """Validate a class column: 1-D integer labels in ``[0, n_classes)``."""
-        if self.n_classes == 0:
-            raise ValidationError(
-                "this layout has no class labels; build it with "
-                "n_classes >= 1 to ingest labeled records"
-            )
-        return check_label_column(classes, n_classes=self.n_classes)
+    def check(self, batch, classes=None) -> tuple:
+        """Validate a ``{attribute: values}`` batch: ``(columns, labels)``.
 
-    def prepare(self, batch, classes=None) -> "PreparedBatch":
-        """Locate a ``{attribute: values}`` batch into fused flat indices.
-
-        The pure, lock-free half of ingestion: values are validated,
-        bucketed on their attribute's grid, and offset into the flat bin
-        space.  Quantized columns (int8/int16 ndarrays of pre-located
-        bin indices, the wire v5 payload) skip the ``locate`` entirely —
-        each index is range-checked against the attribute's grid and
-        offset directly, so compressed clients cost the server no
-        ``searchsorted``.  ``classes`` (one integer label per record,
-        shared by every column of the batch) leaves the indices alone
-        and moves the batch's record counts from the unlabeled counter
-        row to one row per class.  The returned :class:`PreparedBatch`
-        can be handed to any shard built on this layout.
+        The one validation pass of every batch.  ``columns`` maps each
+        attribute of the batch to a 1-D float array of finite values, or
+        to its quantized column as sent: an int8/int16 ndarray of
+        pre-located bin indices (the wire v5 payload), range-checked
+        against the attribute's grid.  ``labels`` is the class column
+        (one integer label in ``[0, classes)`` per record, shared by
+        every column of the batch) as an integer array, or ``None``.
+        Nothing is located; :meth:`prepare` does that.
         """
         if not isinstance(batch, dict):
             raise ValidationError("batch must map attribute -> values")
-        labels = None if classes is None else self.check_classes(classes)
-        by_class = (
-            None if labels is None
-            else np.bincount(labels, minlength=self.n_classes)
-        )
-        located = []
-        seen = np.zeros((self.n_classes + 1, len(self._names)), dtype=np.int64)
-        total = 0
+        labels = None
+        if classes is not None:
+            if self.classes == 0:
+                raise ValidationError(
+                    "this domain has no class labels; build it with "
+                    "classes >= 1 to ingest labeled records"
+                )
+            labels = check_label_column(classes, n_classes=self.classes)
+        columns = {}
         for name, values in batch.items():
-            partition = self._partitions.get(name)
-            if partition is None:
-                raise ValidationError(
-                    f"unknown attribute {name!r}; schema holds "
-                    f"{list(self._names)}"
+            grid = self._attribute(name)[1]
+            what = f"batch[{name!r}]"
+            if isinstance(values, np.ndarray) and values.dtype in _QUANTIZED_DTYPES:
+                n_bins = grid.n_intervals
+                if values.ndim != 1:
+                    raise ValidationError(
+                        f"{what} must be 1-dimensional, got shape {values.shape}"
+                    )
+                low, high = (
+                    (int(values.min()), int(values.max())) if values.size
+                    else (0, 0)
                 )
-            indices = _quantized_column(values)
-            if indices is None:
-                arr = check_1d_array(values, f"batch[{name!r}]", allow_empty=True)
-            elif indices.ndim != 1:
-                raise ValidationError(
-                    f"batch[{name!r}] must be 1-dimensional, got shape "
-                    f"{indices.shape}"
-                )
+                if low < 0 or high >= n_bins:
+                    raise ValidationError(
+                        f"{what} quantized bin indices must lie in "
+                        f"[0, {n_bins}), got [{low}, {high}]"
+                    )
+                column = values
             else:
-                arr = indices
-            if labels is not None and arr.size != labels.size:
+                column = check_1d_array(values, what, allow_empty=True)
+            if labels is not None and column.size != labels.size:
                 raise ValidationError(
-                    f"batch[{name!r}] has {arr.size} value(s) but the class "
+                    f"{what} has {column.size} value(s) but the class "
                     f"column has {labels.size}; labeled batches need one "
                     "class label per record"
                 )
-            if arr.size == 0:
+            columns[name] = column
+        return columns, labels
+
+    def prepare(self, batch, classes=None) -> "PreparedBatch":
+        """:meth:`check` a batch, then locate it into fused flat indices.
+
+        The pure, lock-free half of ingestion: each float column is
+        bucketed on its attribute's grid, and each quantized column is
+        taken as its bin indices, so compressed clients cost the server
+        no ``searchsorted``; both are offset into the flat bin space.  A
+        class column leaves the indices alone and moves the batch's
+        record counts from the unlabeled counter row to one row per
+        class.  The returned :class:`PreparedBatch` keeps the checked
+        ``columns`` and ``labels``, and can be handed to any shard set
+        built on this domain.
+        """
+        columns, labels = self.check(batch, classes)
+        by_class = (
+            None if labels is None
+            else np.bincount(labels, minlength=self.classes)
+        )
+        located = []
+        seen = np.zeros((self.classes + 1, len(self.names)), dtype=np.int64)
+        total = 0
+        for name, column in columns.items():
+            if column.size == 0:
                 continue
-            if indices is None:
-                fused = partition.locate(arr) + self._offsets[name]
-            else:
-                low, high = int(indices.min()), int(indices.max())
-                if low < 0 or high >= partition.n_intervals:
-                    raise ValidationError(
-                        f"batch[{name!r}] quantized bin indices must lie in "
-                        f"[0, {partition.n_intervals}), got [{low}, {high}]"
-                    )
-                fused = indices.astype(np.intp) + self._offsets[name]
-            located.append(fused)
+            _, grid, stripe, row = self._attributes[name]
+            if column.dtype.kind == "f":
+                located.append(grid.locate(column) + stripe.start)
+            else:  # quantized bin indices, range-checked by check()
+                located.append(column.astype(np.intp) + stripe.start)
             if by_class is None:
-                seen[0, self._index[name]] = arr.size
+                seen[0, row] = column.size
             else:
-                seen[1:, self._index[name]] = by_class
-            total += arr.size
+                seen[1:, row] = by_class
+            total += column.size
         if not located:
             flat = np.empty(0, dtype=np.intp)
         elif len(located) == 1:
@@ -302,7 +310,7 @@ class ColumnLayout:
             flat = located[0]
         else:
             flat = np.concatenate(located)
-        return PreparedBatch(self, flat, seen, total)
+        return PreparedBatch(self, flat, seen, total, columns, labels)
 
     def quantize(self, batch) -> dict:
         """Locate a value batch into narrow per-attribute bin-index columns.
@@ -320,25 +328,21 @@ class ColumnLayout:
 
         Examples
         --------
-        >>> from repro.core import Partition
-        >>> from repro.service.shards import ColumnLayout
-        >>> layout = ColumnLayout({"a": Partition.uniform(0, 1, 4)})
-        >>> columns = layout.quantize({"a": [0.05, 0.95]})
+        >>> from repro.core import Partition, UniformRandomizer
+        >>> from repro.service import Domain
+        >>> noise = UniformRandomizer(half_width=0.25)
+        >>> domain = Domain([("a", Partition.uniform(0, 1, 4), noise)])
+        >>> columns = domain.quantize({"a": [0.05, 0.95]})
         >>> columns["a"].tolist(), columns["a"].dtype.name
-        ([0, 3], 'int8')
+        ([1, 4], 'int8')
         """
         if not isinstance(batch, dict):
             raise ValidationError("batch must map attribute -> values")
         quantized = {}
         for name, values in batch.items():
-            partition = self._partitions.get(name)
-            if partition is None:
-                raise ValidationError(
-                    f"unknown attribute {name!r}; schema holds "
-                    f"{list(self._names)}"
-                )
+            grid = self._attribute(name)[1]
             arr = check_1d_array(values, f"batch[{name!r}]", allow_empty=True)
-            n_intervals = partition.n_intervals
+            n_intervals = grid.n_intervals
             if n_intervals <= 0x80:
                 dtype = _QUANTIZED_DTYPES[0]
             elif n_intervals <= 0x8000:
@@ -348,37 +352,43 @@ class ColumnLayout:
                     f"attribute {name!r} has {n_intervals} intervals; "
                     "quantized columns cap grids at 32768 (int16 indices)"
                 )
-            quantized[name] = partition.locate(arr).astype(dtype)
+            quantized[name] = grid.locate(arr).astype(dtype)
         return quantized
 
 
 class PreparedBatch:
     """A batch located into flat cell indices, ready to accumulate.
 
-    Produced by :meth:`ColumnLayout.prepare` (fused bin indices) or
+    Produced by :meth:`Domain.prepare` (fused bin indices, plus the
+    ``columns`` and ``labels`` its :meth:`~Domain.check` returned) or
     :meth:`~repro.service.support.PatternLayout.prepare` (basket pattern
-    codes), or by the ``prepare`` methods of the shard sets and services
-    built on them; consumed by ``ingest_prepared``.  Splitting
-    ingestion this way keeps the O(batch) locate work outside every lock
-    and lets one prepared batch be binned with a single ``np.bincount``.
+    codes), or by the ``prepare`` methods of the services built on them;
+    consumed by ``ingest_prepared``.  Splitting ingestion this way keeps
+    the O(batch) locate work outside every lock and lets one prepared
+    batch be binned with a single ``np.bincount``.
 
     Examples
     --------
-    >>> from repro.core import Partition
-    >>> from repro.service.shards import ColumnLayout
-    >>> layout = ColumnLayout({"x": Partition.uniform(0, 1, 4)})
-    >>> prepared = layout.prepare({"x": [0.1, 0.9]})
-    >>> prepared.total, prepared.flat.tolist()
-    (2, [0, 3])
+    >>> from repro.core import Partition, UniformRandomizer
+    >>> from repro.service import Domain
+    >>> domain = Domain([("x", Partition.uniform(0, 1, 4),
+    ...                   UniformRandomizer(half_width=0.25))])
+    >>> prepared = domain.prepare({"x": [0.1, 0.9]})
+    >>> prepared.total, prepared.flat.tolist(), prepared.columns["x"].tolist()
+    (2, [1, 4], [0.1, 0.9])
     """
 
-    __slots__ = ("layout", "flat", "seen", "total")
+    __slots__ = ("layout", "flat", "seen", "total", "columns", "labels")
 
-    def __init__(self, layout, flat, seen, total) -> None:
+    def __init__(
+        self, layout, flat, seen, total, columns=None, labels=None
+    ) -> None:
         self.layout = layout
         self.flat = flat
         self.seen = seen
         self.total = int(total)
+        self.columns = columns
+        self.labels = labels
 
 
 class _Shard:
@@ -446,7 +456,8 @@ class _ShardSet:
 
     @property
     def layout(self):
-        """The layout shared by every shard."""
+        """The layout shared by every shard: a :class:`Domain`, or the
+        mining tier's :class:`~repro.service.support.PatternLayout`."""
         return self._layout
 
     @property
@@ -529,7 +540,7 @@ class _ShardSet:
 
 
 class ShardSet(_ShardSet):
-    """A fixed number of histogram shards over one attribute schema.
+    """A fixed number of histogram shards over one :class:`Domain`.
 
     Workers either address a shard explicitly (``shard=i`` — the
     one-worker-per-shard deployment) or let the set route round-robin;
@@ -545,11 +556,9 @@ class ShardSet(_ShardSet):
     Examples
     --------
     >>> from repro.core import Partition, UniformRandomizer
-    >>> from repro.service.shards import ShardSet
-    >>> part = Partition.uniform(0, 1, 4)
+    >>> from repro.service.shards import Domain, ShardSet
     >>> noise = UniformRandomizer(half_width=0.25)
-    >>> y_part = part.expanded(noise.support_half_width())
-    >>> shards = ShardSet({"x": y_part}, n_shards=2)
+    >>> shards = ShardSet(Domain([("x", Partition.uniform(0, 1, 4), noise)]), 2)
     >>> shards.ingest({"x": [0.1, 0.2]}, shard=0)
     2
     >>> shards.ingest({"x": [0.8]}, shard=1)
@@ -561,26 +570,9 @@ class ShardSet(_ShardSet):
     [[1]]
     """
 
-    def __init__(
-        self, y_partitions, n_shards: int = 1, *, n_classes: int = 0
-    ) -> None:
-        layout = ColumnLayout(y_partitions, n_classes=n_classes)
-        counters = (layout.n_classes + 1, len(layout.names))
-        super().__init__(layout, n_shards, counters)
-
-    @property
-    def n_classes(self) -> int:
-        """Class labels the layout partitions by (0 = class-unaware)."""
-        return self._layout.n_classes
-
-    @property
-    def attributes(self) -> tuple:
-        """Attribute names, in schema order."""
-        return self._layout.names
-
-    def prepare(self, batch, classes=None) -> PreparedBatch:
-        """Locate a batch into fused flat indices, outside any lock."""
-        return self._layout.prepare(batch, classes)
+    def __init__(self, domain: Domain, n_shards: int = 1) -> None:
+        counters = (domain.classes + 1, len(domain.names))
+        super().__init__(domain, n_shards, counters)
 
     def ingest(self, batch, *, shard: int | None = None, classes=None) -> int:
         """Route a batch to a shard (round-robin unless ``shard`` given).
@@ -614,7 +606,7 @@ class ShardSet(_ShardSet):
 
         ``partials`` maps attribute name to a ``(1, bins)`` count matrix
         (:meth:`~repro.service.AggregationService.export_partial`), or
-        to ``(n_classes + 1, bins)`` rows, unlabeled then one per class,
+        to ``(classes + 1, bins)`` rows, unlabeled then one per class,
         as workers that kept a histogram per class send them; rows are
         summed.  Partials carry no class split, so the records count as
         unlabeled.  This is the cluster coordinator's sync primitive: a
@@ -630,11 +622,11 @@ class ShardSet(_ShardSet):
         target = self._shard(index)
         if not isinstance(partials, dict):
             raise ValidationError("partials must map attribute -> (1, bins) counts")
-        layout = self._layout
-        flat = np.zeros(layout.total_bins)
-        seen = np.zeros((layout.n_classes + 1, len(layout.names)), dtype=np.int64)
+        domain = self._layout
+        flat = np.zeros(domain.total_bins)
+        seen = np.zeros((domain.classes + 1, len(domain.names)), dtype=np.int64)
         for name, counts in partials.items():
-            sl = layout.slice_of(name)
+            sl = domain.slice_of(name)
             shapes = ((1, sl.stop - sl.start), (len(seen), sl.stop - sl.start))
             matrix = np.asarray(counts, dtype=float)
             if matrix.shape not in shapes:
@@ -643,7 +635,7 @@ class ShardSet(_ShardSet):
                     f"{shapes[1]}, got {matrix.shape}"
                 )
             flat[sl] = matrix.sum(axis=0)
-            seen[0, layout.index_of(name)] = int(flat[sl].sum())
+            seen[0, domain.index_of(name)] = int(flat[sl].sum())
         target._write(flat, seen)
         return int(seen.sum())
 

@@ -111,7 +111,7 @@ def marginal_pattern_counts(full, n_items: int, itemset) -> np.ndarray:
 class PatternLayout:
     """Full-row pattern codes of an ``n_items`` basket universe.
 
-    The mining twin of :class:`~repro.service.shards.ColumnLayout`:
+    The mining twin of :class:`~repro.service.shards.Domain`:
     :meth:`prepare` packs each transaction into one MSB-first
     ``n_items``-bit code (item 0 in the top bit), so the shard set's
     fused ``np.bincount`` tallies a batch into ``2^n_items`` cells,

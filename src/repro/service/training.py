@@ -9,9 +9,12 @@ same server that ingests randomized streams at memory bandwidth can now
 
 A labeled batch lands twice: in the service's shards (the histograms
 every estimate reads, plus per-class record counters for ``/stats``)
-and in a **training buffer** of the labeled randomized rows.
-:meth:`train` reads the buffer only.  It hands the rows, the service's
-grids and randomizers, and the service's warm, cache-shared
+and in a **training buffer** of the labeled randomized rows.  It is
+validated once, by the service's :class:`~repro.service.shards.Domain`:
+:meth:`TrainingService.rows` builds the buffer's rows from the columns
+and labels that check returned.  :meth:`train` reads the buffer only.
+It hands the rows, the service's grids and randomizers, and the
+service's warm, cache-shared
 :class:`~repro.core.engine.ReconstructionEngine` to the offline
 pipeline's own strategy functions
 (:func:`~repro.tree.pipeline.correct_intervals`,
@@ -44,7 +47,6 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.tree.pipeline import build_tree, correct_intervals, local_refit
 from repro.tree.tree import DecisionTreeClassifier
-from repro.utils.validation import check_1d_array, check_label_column
 
 #: strategies the service can train: the paper's §4.1 reconstruction
 #: algorithms (the raw-data baselines need clean records a server never has)
@@ -181,46 +183,44 @@ class TrainingService:
         with self._rows_lock:
             return sum(labels.size for _, labels in self._rows)
 
-    def prepare_rows(self, batch, classes) -> tuple:
-        """Normalize a labeled batch into full training rows (pure).
+    def rows(self, columns: dict, labels) -> tuple:
+        """Full training rows from one checked labeled batch (pure).
 
-        Validates that every service attribute is present with one value
-        per class label and returns a ``(matrix, labels)`` pair of
-        fresh arrays (wire-decoded zero-copy views are materialized here
-        — the request body's buffer is not retained).
+        ``columns`` and ``labels`` are what the service's
+        :meth:`~repro.service.shards.Domain.check` returned (a
+        :class:`~repro.service.shards.PreparedBatch` keeps them too), so
+        nothing is validated twice.  Rows need every service attribute,
+        as float64 randomized values: quantized bin indices are not
+        disclosures, and buffering them would corrupt every leaf's
+        reconstruction.  Returns a fresh ``(matrix, labels)`` pair
+        (wire-decoded zero-copy views are materialized here — the
+        request body's buffer is not retained).
         """
-        if not isinstance(batch, dict):
-            raise ValidationError("batch must map attribute -> values")
+        if labels is None:
+            raise ValidationError("training rows need a class column")
         names = self.service.attributes
-        missing = [name for name in names if name not in batch]
+        missing = [name for name in names if name not in columns]
         if missing:
             raise ValidationError(
                 f"training rows need every attribute; missing {missing} "
                 f"(the service collects {list(names)})"
             )
-        labels = check_label_column(
-            classes, n_classes=self.service.classes
-        ).astype(np.int64, copy=True)
-        columns = []
         for name in names:
-            arr = check_1d_array(
-                batch[name], f"batch[{name!r}]", allow_empty=True
-            )
-            if arr.size != labels.size:
+            if columns[name].dtype != np.float64:
                 raise ValidationError(
-                    f"batch[{name!r}] has {arr.size} value(s) but the "
-                    f"class column has {labels.size}"
+                    "labeled quantized columns cannot feed training; "
+                    "send raw float64 columns (wire v1/v2, or v5 dtype "
+                    "code 0) when training is enabled"
                 )
-            columns.append(np.array(arr, dtype=float))
         matrix = (
-            np.column_stack(columns)
+            np.column_stack([columns[name] for name in names])
             if labels.size
             else np.empty((0, len(names)))
         )
-        return matrix, labels
+        return matrix, labels.astype(np.int64, copy=True)
 
     def absorb_rows(self, rows: tuple) -> int:
-        """Append rows prepared by :meth:`prepare_rows`; return row count."""
+        """Append rows built by :meth:`rows`; return row count."""
         matrix, labels = rows
         if labels.size == 0:
             return 0
@@ -241,51 +241,32 @@ class TrainingService:
             ]
 
     def replace_rows(self, blocks) -> int:
-        """Swap the whole training buffer for ``blocks`` of prepared rows.
+        """Swap the whole training buffer for ``blocks`` built by :meth:`rows`.
 
         The coordinator side of cluster row sync: ``blocks`` is a
-        sequence of ``(matrix, labels)`` pairs (the shape
-        :meth:`prepare_rows` produces), typically one worker's buffer
-        after another in worker order.  Replacing — never appending —
-        makes a re-synced buffer idempotent, mirroring
+        sequence of ``(matrix, labels)`` pairs, typically one worker's
+        buffer after another in worker order, each already checked when
+        :meth:`rows` built it.  Replacing — never appending — makes a
+        re-synced buffer idempotent, mirroring
         :meth:`~repro.service.AggregationService.replace_partial`.
-        Everything is validated before the swap.  Returns the rows now
-        buffered.
+        Returns the rows now buffered.
         """
-        d = len(self.service.attributes)
-        checked = []
-        total = 0
-        for block in blocks:
-            try:
-                matrix, labels = block
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"row blocks must be (matrix, labels) pairs: {exc}"
-                ) from exc
-            matrix = np.asarray(matrix, dtype=float)
-            labels = check_label_column(labels, n_classes=self.service.classes)
-            if matrix.ndim != 2 or matrix.shape != (labels.size, d):
-                raise ValidationError(
-                    f"row block matrix must have shape ({labels.size}, {d}) "
-                    f"to match its labels, got {matrix.shape}"
-                )
-            if labels.size == 0:
-                continue
-            checked.append((matrix, labels.astype(np.int64, copy=False)))
-            total += int(labels.size)
+        checked = [block for block in blocks if block[1].size]
         with self._rows_lock:
             self._rows = checked
-        return total
+        return sum(int(labels.size) for _, labels in checked)
 
     def ingest(self, batch, classes, *, shard: int | None = None) -> int:
         """Absorb labeled rows into the shards *and* the training buffer.
 
         The convenience path for library users (the HTTP front end
         splits the two halves to keep request bodies all-or-nothing).
-        Returns the records added to the shards.
+        The batch is checked and located once.  Returns the records
+        added to the shards.
         """
-        rows = self.prepare_rows(batch, classes)
-        added = self.service.ingest(batch, shard=shard, classes=classes)
+        prepared = self.service.prepare(batch, classes)
+        rows = self.rows(prepared.columns, prepared.labels)
+        added = self.service.ingest_prepared(prepared, shard=shard)
         self.absorb_rows(rows)
         return added
 

@@ -1164,10 +1164,3 @@ def decompress_payload(payload, codec: str, *, max_decoded: int) -> bytes:
         f"{', '.join(supported_codecs())}"
     )
 
-
-def _has_quantized_columns(batch) -> bool:
-    """True when any decoded column carries bin indices (int8/int16)."""
-    return any(
-        isinstance(values, np.ndarray) and values.dtype.kind in "iu"
-        for values in batch.values()
-    )

@@ -82,6 +82,30 @@ def check_counts(
         raise error(f"{name} are not integer-valued histogram counts")
 
 
+def check_json_number(
+    value,
+    name: str = "value",
+    *,
+    integer: bool = False,
+    error: type[ValidationError] = ValidationError,
+):
+    """``value`` itself when it is a JSON number; else ``error`` naming ``name``.
+
+    The one rule for numbers read from outside the process (deployment
+    specs, snapshot files): ``float()``, ``int()`` and NumPy would read
+    ``True`` as 1 and ``"3"`` as 3, so booleans and strings are rejected,
+    never coerced, and ``integer`` rejects floats too, rather than
+    truncating them.  ``error`` lets each surface raise its own
+    :class:`ValidationError` subclass.
+    """
+    if isinstance(value, bool) or not isinstance(
+        value, int if integer else (int, float)
+    ):
+        kind = "an integer" if integer else "numeric"
+        raise error(f"{name} is not {kind}: got {value!r}")
+    return value
+
+
 def check_fraction(value, name: str = "value", *, inclusive_low: bool = False) -> float:
     """Validate a fraction in ``(0, 1]`` (or ``[0, 1]`` with ``inclusive_low``)."""
     value = float(value)

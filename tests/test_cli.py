@@ -362,6 +362,20 @@ class TestServeIngestCommands:
         assert code == 2
         assert "spec file" in capsys.readouterr().err
 
+    def test_serve_non_numeric_spec_field_exits_2(self, capsys, tmp_path):
+        """A spec field that is not a JSON number is a clean error, not a
+        ValueError traceback."""
+        import json
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"attributes": [
+            {"name": "age", "low": "twenty", "high": 80}
+        ]}))
+        code = main(["serve", "--spec", str(bad), "--port", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'low'" in err
+
     def test_ingest_malformed_json_values_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -582,6 +596,53 @@ class TestServeIngestCommands:
             assert "ingested 300 record(s) in 5 request(s) (columns wire)" in out
             assert "load run: 2 connection(s)" in out
             assert service.n_seen("age") == 300
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+
+
+    def test_ingest_url_randomizes_with_the_servers_own_noise(
+        self, capsys, tmp_path
+    ):
+        """URL-mode ingest discloses through the server's exact randomizer:
+        one rebuilt from /attributes' rounded privacy figure has a
+        half-width off in its last digits, which moves many disclosures."""
+        import json
+        import threading
+
+        import numpy as np
+
+        from repro.service import (
+            ServiceHTTPServer,
+            TrainingService,
+            service_from_spec,
+        )
+        from repro.utils.rng import ensure_rng
+
+        service = service_from_spec({"classes": 2, "attributes": [
+            {"name": "salary", "low": 0, "high": 500000, "noise": "uniform",
+             "privacy": 1.0}
+        ]})
+        training = TrainingService(service)
+        server = ServiceHTTPServer(service, port=0, training=training)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            values = np.random.default_rng(5).uniform(20000, 150000, 1000)
+            path = tmp_path / "salary.json"
+            path.write_text(json.dumps(values.tolist()))
+            code = main(
+                ["ingest", str(path), "--url", server.url,
+                 "--attribute", "salary", "--class-label", "0",
+                 "--seed", "7", "--wire", "columns"]
+            )
+            assert code == 0, capsys.readouterr().err
+            [(matrix, labels)] = training.export_rows()
+            expected = service.spec("salary").randomizer.randomize(
+                values, seed=ensure_rng(7)
+            )
+            assert np.array_equal(matrix[:, 0], expected)
+            assert labels.tolist() == [0] * 1000
         finally:
             server.shutdown()
             thread.join(timeout=5)

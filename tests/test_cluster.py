@@ -133,7 +133,7 @@ class TestPartialWire:
                 for name in names
             ],
         })
-        bins = sum(service.shards.layout.partition(n).n_intervals for n in names)
+        bins = sum(service.domain.grid(n).n_intervals for n in names)
         one_block = 12 + sum(2 + len(n) + 8 for n in names) + 8 * bins
         assert len(export_sync_body(service)) == one_block
 
@@ -236,7 +236,7 @@ class TestExportReplace:
         reference.ingest(unlabeled)
         partials = {}
         for name in ("x", "y"):
-            grid = reference.shards.layout.partition(name)
+            grid = reference.domain.grid(name)
             partials[name] = np.stack(
                 [grid.histogram(unlabeled[name])]
                 + [grid.histogram(labeled[name][labels == c]) for c in (0, 1)]

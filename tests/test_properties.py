@@ -50,6 +50,7 @@ from repro.exceptions import ValidationError
 from repro.service import (
     AggregationService,
     AttributeSpec,
+    Domain,
     ShardSet,
     encode_columns,
     iter_labeled_frames,
@@ -277,21 +278,29 @@ def _gen_shard_case(rng: random.Random) -> dict:
     }
 
 
-def _shard_partitions(case) -> dict:
-    return {
-        a["name"]: Partition.uniform(a["low"], a["high"], a["n_intervals"])
-        for a in case["attributes"]
-    }
+def _shard_domain(case) -> Domain:
+    """The case's schema, each grid disclosed under quarter-span noise."""
+    return Domain(
+        [
+            (
+                a["name"],
+                Partition.uniform(a["low"], a["high"], a["n_intervals"]),
+                UniformRandomizer(half_width=(a["high"] - a["low"]) / 4),
+            )
+            for a in case["attributes"]
+        ],
+        classes=case["n_classes"],
+    )
 
 
 def _fill(case, shard_counts_order, batch_order):
     """Ingest the case's batches into a fresh ShardSet; return merged state."""
-    parts = _shard_partitions(case)
-    shards = ShardSet(parts, shard_counts_order, n_classes=case["n_classes"])
+    domain = _shard_domain(case)
+    shards = ShardSet(domain, shard_counts_order)
     for index in batch_order:
         batch = case["batches"][index]
         shards.ingest(batch["values"], classes=batch["classes"])
-    merged = {name: shards.merged(name) for name in parts}
+    merged = {name: shards.merged(name) for name in domain.names}
     return merged, shards.merge()[1]
 
 
@@ -330,9 +339,9 @@ def _check_shard_merge(case) -> None:
 
     # associative: any grouping of the batches into pinned shards, summed
     # in any slot order, is bitwise the same
-    parts = _shard_partitions(case)
+    domain = _shard_domain(case)
     for groups in _groupings(len(case["batches"])):
-        shards = ShardSet(parts, len(groups), n_classes=case["n_classes"])
+        shards = ShardSet(domain, len(groups))
         for slot, group in enumerate(groups):
             for index in group:
                 batch = case["batches"][index]

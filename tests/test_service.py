@@ -27,7 +27,7 @@ from repro.exceptions import (
 from repro.service import (
     AggregationService,
     AttributeSpec,
-    ColumnLayout,
+    Domain,
     ShardSet,
     SupportShardSet,
     encode_columns,
@@ -68,6 +68,12 @@ def spec(part, noise):
     return AttributeSpec("x", part, noise)
 
 
+def _shards(part, noise, n_shards=1, *, classes=0, name="x"):
+    """A shard set over one attribute ``name``: ``part`` under ``noise``."""
+    domain = Domain([AttributeSpec(name, part, noise)], classes=classes)
+    return ShardSet(domain, n_shards)
+
+
 def _disclose(noise, n, seed):
     density = shapes.plateau()
     return noise.randomize(density.sample(n, seed=seed), seed=seed + 1)
@@ -87,12 +93,50 @@ class TestAttributeSpec:
             AttributeSpec("x", part, NullRandomizer())
 
 
+class TestDomain:
+    """The one schema object: grids, the batch check, and prepare."""
+
+    @pytest.mark.parametrize("coverage", [1.0 - 1e-9, 0.999, 0.9])
+    @pytest.mark.parametrize(
+        "noise", [UniformRandomizer(half_width=0.2), GaussianRandomizer(0.15)],
+        ids=["uniform", "gaussian"],
+    )
+    def test_grid_is_the_kernels_grid(self, part, noise, coverage):
+        """The domain bins on exactly the grid its kernel was built for."""
+        service = AggregationService(
+            [AttributeSpec("x", part, noise)], coverage=coverage
+        )
+        y_partition, _ = service.engine.kernel_for(part, noise)
+        grid = service.domain.grid("x")
+        assert grid.edges.tobytes() == y_partition.edges.tobytes()
+
+    def test_check_validates_without_locating(self, spec):
+        domain = Domain([spec], classes=2)
+        columns, labels = domain.check({"x": [0.1, 0.9]}, classes=[1, 0])
+        assert columns["x"].dtype == np.float64
+        assert columns["x"].tolist() == [0.1, 0.9]
+        assert labels.tolist() == [1, 0]
+        columns, labels = domain.check({"x": []})
+        assert columns["x"].size == 0 and labels is None
+        with pytest.raises(ValidationError, match="one class label"):
+            domain.check({"x": [0.1, 0.9]}, classes=[1])
+        with pytest.raises(ValidationError, match="unknown attribute"):
+            domain.check({"y": [0.1]})
+
+    def test_prepare_keeps_the_checked_batch(self, spec):
+        domain = Domain([spec], classes=2)
+        prepared = domain.prepare({"x": [0.1, 0.9]}, classes=[1, 0])
+        assert prepared.columns["x"].tolist() == [0.1, 0.9]
+        assert prepared.labels.tolist() == [1, 0]
+        grid = domain.grid("x")
+        assert prepared.flat.tolist() == grid.locate([0.1, 0.9]).tolist()
+
+
 class TestHistogramShard:
     """One shard's state, read through a one-shard set."""
 
     def test_ingest_counts(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part})
+        shards = _shards(part, noise)
         added = shards.ingest({"x": [0.1, 0.5, 0.9]})
         assert added == 3
         assert shards.n_seen("x") == 3
@@ -101,14 +145,12 @@ class TestHistogramShard:
         assert seen.tolist() == [[3]]
 
     def test_empty_batches_are_fine(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part})
+        shards = _shards(part, noise)
         assert shards.ingest({"x": []}) == 0
         assert shards.n_seen("x") == 0
 
     def test_unknown_attribute_rejected(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part})
+        shards = _shards(part, noise)
         with pytest.raises(ValidationError):
             shards.ingest({"nope": [0.5]})
         with pytest.raises(ValidationError):
@@ -116,13 +158,12 @@ class TestHistogramShard:
 
     def test_needs_at_least_one_attribute(self):
         with pytest.raises(ValidationError):
-            ShardSet({})
+            Domain([])
 
     def test_merge_from_rejects_different_schema(self, part, noise):
         """A shard's state folds only into a set over the same attributes."""
-        y_part = part.expanded(noise.support_half_width())
-        a = ShardSet({"x": y_part})
-        b = ShardSet({"y": y_part})
+        a = _shards(part, noise)
+        b = _shards(part, noise, name="y")
         a.ingest({"x": [0.3]})
         b.ingest({"y": [0.5]})
         before = a.read_shard(0)
@@ -130,15 +171,15 @@ class TestHistogramShard:
         with pytest.raises(ValidationError):
             a.replace_slot(0, {"y": counts[None, :]})
         with pytest.raises(ValidationError):
-            a.ingest_prepared(b.prepare({"y": [0.5]}))
+            a.ingest_prepared(b.layout.prepare({"y": [0.5]}))
         after = a.read_shard(0)
         assert np.array_equal(after[0], before[0])
         assert np.array_equal(after[1], before[1])
 
     def test_merge_from_rejects_different_grid(self, part, noise):
         """A shard's state folds only into a set over the same grid."""
-        a = ShardSet({"x": part.expanded(noise.support_half_width())})
-        b = ShardSet({"x": Partition.uniform(-1, 2, 7)})
+        a = _shards(part, noise)
+        b = _shards(Partition.uniform(-1, 2, 7), noise)
         a.ingest({"x": [0.3]})
         b.ingest({"x": [0.5]})
         before = a.read_shard(0)
@@ -146,7 +187,7 @@ class TestHistogramShard:
         with pytest.raises(ValidationError):
             a.replace_slot(0, {"x": counts[None, :]})
         with pytest.raises(ValidationError):
-            a.ingest_prepared(b.prepare({"x": [0.5]}))
+            a.ingest_prepared(b.layout.prepare({"x": [0.5]}))
         after = a.read_shard(0)
         assert np.array_equal(after[0], before[0])
         assert np.array_equal(after[1], before[1])
@@ -154,32 +195,28 @@ class TestHistogramShard:
 
 class TestShardSet:
     def test_round_robin_routing(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part}, n_shards=3)
+        shards = _shards(part, noise, n_shards=3)
         for _ in range(6):
             shards.ingest({"x": [0.5]})
         assert [shards.read_shard(i)[1].sum() for i in range(3)] == [2, 2, 2]
 
     def test_explicit_shard_pinning(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part}, n_shards=2)
+        shards = _shards(part, noise, n_shards=2)
         shards.ingest({"x": [0.5, 0.6]}, shard=1)
         assert shards.read_shard(0)[1].sum() == 0
         assert shards.read_shard(1)[1].sum() == 2
 
     def test_shard_index_validated(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part}, n_shards=2)
+        shards = _shards(part, noise, n_shards=2)
         with pytest.raises(ValidationError):
             shards.read_shard(2)
         with pytest.raises(ValidationError):
             shards.ingest({"x": [0.5]}, shard=-1)
 
     def test_rejects_bad_shard_count(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
         for bad in (0, 1.5, "2", True):
             with pytest.raises(ValidationError):
-                ShardSet({"x": y_part}, n_shards=bad)
+                _shards(part, noise, n_shards=bad)
 
     def test_merged_equals_single_histogram(self, part, noise):
         """The acceptance contract at the histogram level: merged shard
@@ -188,7 +225,7 @@ class TestShardSet:
         w = _disclose(noise, 5_000, seed=3)
         expected = y_part.histogram(w).astype(float)
         for n_shards in (1, 2, 4, 8):
-            shards = ShardSet({"x": y_part}, n_shards=n_shards)
+            shards = _shards(part, noise, n_shards=n_shards)
             for chunk in np.array_split(w, 17):
                 shards.ingest({"x": chunk})
             counts, seen = shards.merged("x")
@@ -196,14 +233,12 @@ class TestShardSet:
             assert seen == w.size
 
     def test_unknown_attribute(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part}, n_shards=2)
+        shards = _shards(part, noise, n_shards=2)
         with pytest.raises(ValidationError):
             shards.merged("nope")
 
     def test_clear(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part}, n_shards=2)
+        shards = _shards(part, noise, n_shards=2)
         shards.ingest({"x": [0.5]})
         shards.clear()
         assert shards.n_seen("x") == 0
@@ -213,12 +248,11 @@ class TestPreparedFastPath:
     """The zero-copy ingest path: prepare() + ingest_prepared()."""
 
     def test_prepare_then_ingest_matches_ingest(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
         w = _disclose(noise, 2_000, seed=40)
-        plain = ShardSet({"x": y_part})
-        fast = ShardSet({"x": y_part})
+        plain = _shards(part, noise)
+        fast = _shards(part, noise)
         plain.ingest({"x": w})
-        assert fast.ingest_prepared(fast.prepare({"x": w})) == w.size
+        assert fast.ingest_prepared(fast.layout.prepare({"x": w})) == w.size
         a, seen_a = plain.merged("x")
         b, seen_b = fast.merged("x")
         assert np.array_equal(a, b)
@@ -227,44 +261,42 @@ class TestPreparedFastPath:
     def test_fused_multi_attribute_bincount(self, noise):
         """One prepared batch bins every attribute; per-attribute partials
         match bucketing each attribute separately."""
-        parts = {
-            "a": Partition.uniform(0, 1, 6),
-            "b": Partition.uniform(-2, 2, 9),
-        }
-        shards = ShardSet(parts)
+        domain = Domain([
+            ("a", Partition.uniform(0, 1, 6), noise),
+            ("b", Partition.uniform(-2, 2, 9), noise),
+        ])
+        shards = ShardSet(domain)
         rng = np.random.default_rng(8)
         batch = {"a": rng.uniform(0, 1, 500), "b": rng.uniform(-2, 2, 700)}
-        assert shards.ingest_prepared(shards.prepare(batch)) == 1200
-        for name, partition in parts.items():
+        assert shards.ingest_prepared(domain.prepare(batch)) == 1200
+        for name in domain.names:
             counts, seen = shards.merged(name)
-            assert np.array_equal(counts, partition.histogram(batch[name]))
+            grid = domain.grid(name)
+            assert np.array_equal(counts, grid.histogram(batch[name]))
             assert seen == batch[name].size
 
     def test_prepared_batch_reusable_across_shards(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part}, n_shards=2)
-        prepared = shards.prepare({"x": [0.1, 0.9]})
+        shards = _shards(part, noise, n_shards=2)
+        prepared = shards.layout.prepare({"x": [0.1, 0.9]})
         shards.ingest_prepared(prepared, shard=0)
         shards.ingest_prepared(prepared, shard=1)
         assert shards.n_seen("x") == 4
 
     def test_prepare_validates_like_ingest(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part})
+        shards = _shards(part, noise)
         with pytest.raises(ValidationError):
-            shards.prepare({"nope": [0.5]})
+            shards.layout.prepare({"nope": [0.5]})
         with pytest.raises(ValidationError):
-            shards.prepare({"x": [float("nan")]})
+            shards.layout.prepare({"x": [float("nan")]})
         with pytest.raises(ValidationError):
-            shards.prepare({"x": [[0.5]]})
+            shards.layout.prepare({"x": [[0.5]]})
         with pytest.raises(ValidationError):
-            shards.prepare([("x", [0.5])])
+            shards.layout.prepare([("x", [0.5])])
 
     def test_ingest_prepared_rejects_foreign_layout(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part})
-        other_grid = ColumnLayout({"x": Partition.uniform(-9, 9, 5)})
-        other_schema = ColumnLayout({"y": y_part})
+        shards = _shards(part, noise)
+        other_grid = Domain([("x", Partition.uniform(-9, 9, 5), noise)])
+        other_schema = Domain([("y", part, noise)])
         for foreign in (
             other_grid.prepare({"x": [0.5]}),
             other_schema.prepare({"y": [0.5]}),
@@ -276,10 +308,9 @@ class TestPreparedFastPath:
 
     def test_equal_layouts_are_compatible(self, part, noise):
         """Two services over the same schema can exchange prepared batches."""
-        y_part = part.expanded(noise.support_half_width())
-        a = ShardSet({"x": y_part})
-        b = ShardSet({"x": y_part})
-        assert b.ingest_prepared(a.prepare({"x": [0.5]})) == 1
+        a = _shards(part, noise)
+        b = _shards(part, noise)
+        assert b.ingest_prepared(a.layout.prepare({"x": [0.5]})) == 1
 
     def test_decoded_readonly_columns_ingest_fine(self, part, noise):
         """Wire-decoded columns are read-only frombuffer views; the fast
@@ -297,10 +328,9 @@ class TestPreparedFastPath:
         )
 
     def test_empty_prepared_batch(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part})
-        assert shards.ingest_prepared(shards.prepare({})) == 0
-        assert shards.ingest_prepared(shards.prepare({"x": []})) == 0
+        shards = _shards(part, noise)
+        assert shards.ingest_prepared(shards.layout.prepare({})) == 0
+        assert shards.ingest_prepared(shards.layout.prepare({"x": []})) == 0
 
 
 class TestQuantizedColumns:
@@ -311,7 +341,7 @@ class TestQuantizedColumns:
         w = _disclose(noise, 100, seed=50)
         indices = service.quantize({"x": w})
         assert indices["x"].dtype == np.dtype("int8")
-        big = ColumnLayout({"x": Partition.uniform(0, 1, 300)})
+        big = Domain([("x", Partition.uniform(0, 1, 300), noise)])
         assert big.quantize({"x": [0.5]})["x"].dtype == np.dtype("int16")
 
     def test_quantized_prepare_matches_float_prepare(self, part, noise):
@@ -378,7 +408,7 @@ class TestStripedAccumulators:
         """Six writer threads into one shard; merged() is still the
         exact histogram of everything ingested."""
         y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part})
+        shards = _shards(part, noise)
         w = _disclose(noise, 6_000, seed=42)
         chunks = np.array_split(w, 24)
         barrier = threading.Barrier(6)
@@ -395,8 +425,7 @@ class TestStripedAccumulators:
         assert seen == w.size
 
     def test_clear_zeroes_every_stripe(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part})
+        shards = _shards(part, noise)
         shards.ingest({"x": [0.5]})
 
         def other_thread():
@@ -864,7 +893,7 @@ class TestClassConditionalShards:
         """Labeled and unlabeled records share one histogram; the
         record counters partition them by class."""
         y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part}, n_shards=2, n_classes=3)
+        shards = _shards(part, noise, n_shards=2, classes=3)
         shards.ingest({"x": [0.1, 0.5, 0.9]}, classes=[0, 2, 2])
         shards.ingest({"x": [0.3]})  # unlabeled traffic still lands
         counts, seen = shards.merge()
@@ -882,7 +911,7 @@ class TestClassConditionalShards:
         w = _disclose(noise, 4_000, seed=60)
         rng = np.random.default_rng(61)
         labels = rng.integers(0, 2, w.size)
-        shards = ShardSet({"x": y_part}, n_shards=4, n_classes=2)
+        shards = _shards(part, noise, n_shards=4, classes=2)
         for chunk in np.array_split(np.arange(w.size), 13):
             shards.ingest({"x": w[chunk]}, classes=labels[chunk])
         counts, seen = shards.merge()
@@ -891,8 +920,7 @@ class TestClassConditionalShards:
         assert seen[:, 0].tolist() == [0] + [int(h.sum()) for h in per_class]
 
     def test_class_labels_validated(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part}, n_classes=2)
+        shards = _shards(part, noise, classes=2)
         with pytest.raises(ValidationError):
             shards.ingest({"x": [0.5]}, classes=[2])
         with pytest.raises(ValidationError):
@@ -901,21 +929,20 @@ class TestClassConditionalShards:
             shards.ingest({"x": [0.5]}, classes=[0.5])
         with pytest.raises(ValidationError):
             shards.ingest({"x": [0.5]}, classes=[0, 1])
-        with pytest.raises(ValidationError):
-            ShardSet({"x": y_part}, n_classes=-1)
+        for bad in (-1, True, 1.5, "2"):  # refused, never coerced
+            with pytest.raises(ValidationError, match="classes"):
+                Domain([AttributeSpec("x", part, noise)], classes=bad)
 
     def test_classes_need_class_aware_layout(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        shards = ShardSet({"x": y_part})
+        shards = _shards(part, noise)
         with pytest.raises(ValidationError, match="class"):
             shards.ingest({"x": [0.5]}, classes=[0])
 
     def test_layout_compatibility_includes_classes(self, part, noise):
-        y_part = part.expanded(noise.support_half_width())
-        plain = ShardSet({"x": y_part})
-        labeled = ShardSet({"x": y_part}, n_classes=2)
+        plain = _shards(part, noise)
+        labeled = _shards(part, noise, classes=2)
         with pytest.raises(ValidationError):
-            labeled.ingest_prepared(plain.prepare({"x": [0.5]}))
+            labeled.ingest_prepared(plain.layout.prepare({"x": [0.5]}))
 
     def test_estimates_unchanged_by_class_partitioning(self, part, noise):
         """Class-aware and class-unaware services serve bit-identical
@@ -1253,3 +1280,29 @@ class TestServiceFromSpec:
         for bad in (0, 1.5, "x", True):
             with pytest.raises(ValidationError):
                 service_from_spec({"shards": bad, "attributes": attributes})
+
+    @pytest.mark.parametrize(
+        "top, attribute, field",
+        [
+            ({"classes": True}, {}, "'classes'"),
+            ({"classes": 2.5}, {}, "'classes'"),
+            ({"classes": "2"}, {}, "'classes'"),
+            ({}, {"intervals": 24.7}, "'intervals'"),
+            ({"intervals": "12"}, {}, "'intervals'"),
+            ({}, {"low": "twenty"}, "'low'"),
+        ],
+        ids=[
+            "classes_bool", "classes_float", "classes_string",
+            "attribute_intervals_float", "spec_intervals_string", "low_string",
+        ],
+    )
+    def test_numbers_are_checked_not_coerced(self, top, attribute, field):
+        """Spec numbers are outside input: a boolean, a string or a
+        fractional count is refused with the field's name, never read as
+        1, a number or a truncated integer."""
+        spec = {
+            **top,
+            "attributes": [{"name": "x", "low": 0, "high": 1, **attribute}],
+        }
+        with pytest.raises(ValidationError, match=field):
+            service_from_spec(spec)

@@ -74,13 +74,17 @@ class TestRoutes:
         assert status == 200
         assert payload == {"status": "ok", "records": 0}
 
-    def test_attributes(self, server):
+    def test_attributes(self, server, noise):
+        from repro.serialize import from_jsonable
+
         _, payload = _get(server, "/attributes")
         (attr,) = payload["attributes"]
         assert attr["name"] == "opinion"
         assert attr["n_intervals"] == 10
         assert attr["noise"] == "uniform"
         assert attr["privacy"] == pytest.approx(0.38)
+        # the exact noise process, which clients randomize through
+        assert from_jsonable(attr["randomizer"]) == noise
 
     def test_ingest_and_stats(self, server):
         status, payload = _post(

@@ -316,6 +316,24 @@ class TestMiningFromSpec:
             with pytest.raises(ValidationError):
                 mining_from_spec({"items": 5, "keep_prob": 0.9, "shards": bad})
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            ({"items": 8.9}, "'items'"),
+            ({"items": True}, "'items'"),
+            ({"items": "8"}, "'items'"),
+            ({"max_size": 2.5}, "'max_size'"),
+            ({"keep_prob": "0.9"}, "'keep_prob'"),
+        ],
+        ids=["items_float", "items_bool", "items_string", "max_size_float",
+             "keep_prob_string"],
+    )
+    def test_numbers_are_checked_not_coerced(self, edit, field):
+        """A section field that is not a JSON number of the right kind is
+        refused with its name, never truncated or parsed."""
+        with pytest.raises(ValidationError, match=field):
+            mining_from_spec({"items": 8, "keep_prob": 0.9, **edit})
+
 
 class TestMinedRulesSnapshot:
     def _mined(self, disclosed) -> MinedRules:

@@ -311,15 +311,108 @@ class TestTrainingServiceBasics:
 
     def test_ingested_wire_views_are_materialized(self, small):
         """Zero-copy frombuffer views must not keep the request body
-        alive (or mutate under the buffer) — prepare_rows copies."""
+        alive (or mutate under the buffer) — rows() copies."""
         from repro.service import encode_columns, iter_labeled_frames
 
         _, training, noise = small
         w = noise.randomize(np.linspace(0.1, 0.9, 50), seed=3)
         frame = encode_columns({"x": w}, classes=[0, 1] * 25)
         [(batch, classes, _)] = iter_labeled_frames(frame)
-        rows = training.prepare_rows(batch, classes)
+        rows = training.rows(*training.service.domain.check(batch, classes))
         assert rows[0].flags.owndata or rows[0].base is None
         assert rows[0].flags.writeable
         training.absorb_rows(rows)
         assert training.n_buffered == 50
+
+
+class TestOneCheckPerLabeledBatch:
+    """Deterministic work counts: a labeled batch is validated once, and
+    the coordinator checks its synced rows without locating them."""
+
+    NAMES = ("age", "salary", "loan", "hvalue")
+
+    def _service(self, n_shards=1):
+        noise = UniformRandomizer(half_width=0.25)
+        return AggregationService(
+            [AttributeSpec(name, Partition.uniform(0, 1, 12), noise)
+             for name in self.NAMES],
+            n_shards=n_shards,
+            classes=2,
+        )
+
+    def _labeled(self, rows=64):
+        rng = np.random.default_rng(21)
+        batch = {name: rng.uniform(0, 1, rows) for name in self.NAMES}
+        return batch, rng.integers(0, 2, rows)
+
+    def test_labeled_body_checks_each_column_once(self, monkeypatch):
+        """A 4-attribute v2 body through a training server's ingest:
+        one check_1d_array per column, never a second pass over the rows."""
+        import sys
+
+        from repro.service import ServiceHTTPServer, encode_columns
+        from repro.service.wire import iter_labeled_frames
+        from repro.utils import validation
+
+        real = validation.check_1d_array
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1] if len(args) > 1 else kwargs.get("name"))
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (
+                getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, "check_1d_array", None) is real
+            ):
+                monkeypatch.setattr(module, "check_1d_array", counting)
+        service = self._service()
+        training = TrainingService(service)
+        server = ServiceHTTPServer(service, port=0, training=training)
+        try:
+            batch, labels = self._labeled()
+            body = encode_columns(batch, classes=labels)
+            records, frames = server._absorb_frames(iter_labeled_frames(body))
+        finally:
+            server.close()
+        assert (records, frames) == (64 * len(self.NAMES), 1)
+        assert sorted(calls) == sorted(f"batch[{n!r}]" for n in self.NAMES)
+        assert training.n_buffered == 64
+
+    def test_coordinator_rows_are_checked_never_located(self, monkeypatch):
+        """apply_push of a sync body with one row frame locates nothing:
+        the partial frame carries the counts, the rows only feed /train."""
+        from repro.core.partition import Partition as PartitionClass
+        from repro.service import ClusterCoordinator, export_sync_body
+
+        worker = self._service()
+        worker_training = TrainingService(worker)
+        batch, labels = self._labeled()
+        worker_training.ingest(batch, labels)
+        body = export_sync_body(worker, worker_training)
+
+        coordinator_service = self._service()
+        coordinator = ClusterCoordinator(
+            coordinator_service,
+            training=TrainingService(coordinator_service),
+            fetch=lambda url, **_: body,
+        )
+        coordinator.register(0, "http://127.0.0.1:0")
+        real = PartitionClass.locate
+        located = []
+
+        def counting(self, values):
+            located.append(len(values))
+            return real(self, values)
+
+        monkeypatch.setattr(PartitionClass, "locate", counting)
+        assert coordinator.apply_push(0, body) == 64 * len(self.NAMES)
+        assert located == []
+        monkeypatch.undo()
+        assert coordinator.train("byclass").n_train == 64
+        [(matrix, buffered)] = coordinator.training.export_rows()
+        assert np.array_equal(buffered, labels)
+        assert np.array_equal(
+            matrix, np.column_stack([batch[name] for name in self.NAMES])
+        )
