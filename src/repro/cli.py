@@ -365,25 +365,27 @@ def _load_values(path: Path):
     return check_1d_array(values, "values")
 
 
-def _load_fault_plan(raw):
-    """``--fault-plan VALUE``: inline JSON when it starts with ``{``, else a file."""
+def _load_spec(args) -> dict:
+    """``--spec FILE`` as a JSON object, with ``--shards`` applied."""
     import json
 
-    from repro.service.faults import FaultPlan
-
-    if raw is None:
-        return None
-    text = str(raw).strip()
-    if not text.startswith("{"):
-        path = Path(text)
-        if not path.is_file():
-            raise ReproError(f"fault plan file {text!r} does not exist")
-        text = path.read_text()
+    spec_path = Path(args.spec)
+    if not spec_path.is_file():
+        raise ReproError(f"spec file {str(spec_path)!r} does not exist")
     try:
-        spec = json.loads(text)
+        spec = json.loads(spec_path.read_text())
     except json.JSONDecodeError as exc:
-        raise ReproError(f"--fault-plan is not valid JSON: {exc}") from exc
-    return FaultPlan.from_spec(spec)
+        raise ReproError(f"spec file {str(spec_path)!r}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ReproError(
+            f"spec file {str(spec_path)!r} must hold a JSON object, "
+            f"got {type(spec).__name__}"
+        )
+    if args.shards is not None:
+        # a cluster's workers stripe this way; its coordinator keeps
+        # one shard slot per worker
+        spec["shards"] = args.shards
+    return spec
 
 
 @contextlib.contextmanager
@@ -414,9 +416,8 @@ def _graceful_sigterm():
 
 def _serve_cluster(args) -> int:
     """``ppdm serve --workers N``: coordinator + worker-process cluster."""
-    import json
-
     from repro.service.cluster import start_cluster
+    from repro.service.faults import FaultPlan
 
     if args.workers < 1:
         raise ReproError(f"--workers must be >= 1, got {args.workers}")
@@ -430,24 +431,8 @@ def _serve_cluster(args) -> int:
         raise ReproError("--max-requests is not supported with --workers")
     if not args.spec:
         raise ReproError("serve --workers needs --spec")
-    spec_path = Path(args.spec)
-    if not spec_path.is_file():
-        raise ReproError(f"spec file {str(spec_path)!r} does not exist")
-    try:
-        spec = json.loads(spec_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"spec file {str(spec_path)!r}: {exc}") from exc
-    if args.shards is not None:
-        # workers keep the spec's (or overridden) intra-process striping;
-        # the coordinator's shard layout is one slot per worker
-        spec["shards"] = args.shards
-    if args.train and int(spec.get("classes", 0) or 0) < 1:
-        raise ReproError(
-            "--train needs a class-aware service: set \"classes\" in "
-            "the spec (or snapshot) to the number of class labels"
-        )
     supervisor = start_cluster(
-        spec,
+        _load_spec(args),
         n_workers=args.workers,
         host=args.host,
         port=args.port,
@@ -455,7 +440,7 @@ def _serve_cluster(args) -> int:
         sync_interval=args.sync_interval,
         snapshot_dir=args.snapshot_dir,
         snapshot_interval=args.snapshot_interval,
-        faults=_load_fault_plan(args.fault_plan),
+        faults=FaultPlan.from_text(args.fault_plan),
         max_inflight=args.max_inflight,
         codec=_CODEC_BY_FLAG[args.codec],
     )
@@ -492,10 +477,9 @@ def _serve_cluster(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import json
-
     from repro.service import (
         AggregationService,
+        FaultPlan,
         ServiceHTTPServer,
         TrainingService,
         mining_from_spec,
@@ -513,11 +497,7 @@ def _cmd_serve(args) -> int:
     if args.snapshot_interval is not None and not args.snapshot:
         raise ReproError("--snapshot-interval needs --snapshot to write to")
 
-    from repro.service.resilience import (
-        SnapshotManager,
-        previous_snapshot_path,
-        recover_service,
-    )
+    from repro.service.resilience import previous_snapshot_path, recover_service
 
     mining = None
     snapshot = Path(args.snapshot) if args.snapshot else None
@@ -542,15 +522,7 @@ def _cmd_serve(args) -> int:
             )
         )
     elif args.spec:
-        spec_path = Path(args.spec)
-        if not spec_path.is_file():
-            raise ReproError(f"spec file {str(spec_path)!r} does not exist")
-        try:
-            spec = json.loads(spec_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ReproError(f"spec file {str(spec_path)!r}: {exc}") from exc
-        if args.shards is not None:
-            spec["shards"] = args.shards
+        spec = _load_spec(args)
         service = service_from_spec(spec)
         if "mining" in spec:
             mining = mining_from_spec(spec["mining"])
@@ -567,9 +539,10 @@ def _cmd_serve(args) -> int:
         training = TrainingService(service)
     server = ServiceHTTPServer(
         service, args.host, args.port, snapshot_path=snapshot,
+        snapshot_interval=args.snapshot_interval,
         training=training, mining=mining,
         max_inflight=args.max_inflight,
-        faults=_load_fault_plan(args.fault_plan),
+        faults=FaultPlan.from_text(args.fault_plan),
     )
     records = sum(service.n_seen().values())
     print(
@@ -589,10 +562,7 @@ def _cmd_serve(args) -> int:
         + (" /train /model" if training is not None else "")
         + (" /mine /rules" if mining is not None else "")
     )
-    manager = None
     if args.snapshot_interval is not None:
-        manager = SnapshotManager(server.persist, args.snapshot_interval)
-        manager.start()
         print(f"auto-snapshot every {args.snapshot_interval:g}s")
     try:
         with _graceful_sigterm():
@@ -600,13 +570,8 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive
         pass
     finally:
-        server.begin_drain()
-        if manager is not None:
-            manager.stop(final=False)  # the exit-time persist follows
+        server.drain()
         if snapshot is not None:
-            # through the server's snapshot lock, so an in-flight
-            # POST /snapshot cannot interleave with the exit-time save
-            server.persist()
             print(f"snapshot persisted to {snapshot}")
     return 0
 

@@ -27,7 +27,9 @@ that server's aggregation tier:
   snapshot/restore through :mod:`repro.serialize`,
 * :mod:`repro.service.httpd` — a stdlib HTTP front end behind
   ``ppdm serve``, negotiating JSON / NDJSON / columnar ingest bodies
-  per Content-Type over keep-alive connections,
+  per Content-Type over keep-alive connections; it owns its process's
+  auto-snapshots and its one drain (:meth:`ServiceHTTPServer.drain`),
+  which lets every admitted body finish before the last write,
 * :mod:`repro.service.training` — :class:`TrainingService`: the
   training tier, growing the paper's Global/ByClass/Local decision
   trees from its buffer of labeled randomized rows through the offline
@@ -57,12 +59,12 @@ that server's aggregation tier:
   chaos runs replay bit-identically,
 * :mod:`repro.service.resilience` — crash-safe durability (atomic
   fsynced snapshot writes with an integrity digest, one rotated
-  generation, newest-valid-generation recovery, periodic
-  auto-snapshots) plus the degradation primitives:
-  :class:`CircuitBreaker` (closed/open/half-open pushes),
-  :class:`AdmissionController` (bounded in-flight ingest, 429 +
-  Retry-After), and :class:`RestartBudget` (supervised worker restarts
-  under a sliding-window cap).
+  generation, newest-valid-generation recovery) plus the degradation
+  primitives: :class:`CircuitBreaker` (closed/open/half-open pushes),
+  :class:`AdmissionController` (the in-flight ingest count, bounded
+  with 429 + Retry-After and closed by a drain), and
+  :class:`RestartBudget` (supervised worker restarts under a
+  sliding-window cap).
 
 Estimates are bit-identical to a single-stream
 :class:`~repro.core.streaming.StreamingReconstructor` fed the same

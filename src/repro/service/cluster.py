@@ -37,6 +37,12 @@ sync can never double-count.  State flows through two channels:
   synced before, and raises :class:`~repro.exceptions.ClusterError`
   (HTTP 503) if it has *never* synced.
 
+At shutdown a worker drains its server first
+(:meth:`~repro.service.httpd.ServiceHTTPServer.drain`: shed new ingest,
+finish the admitted bodies, write its snapshot) and pushes last, so the
+union holds every record it acknowledged.  The coordinator keeps no
+snapshot: a relaunched cluster re-derives its union from the workers'.
+
 ``/healthz`` on the coordinator reports per-worker staleness: a worker
 is ``stale`` once its last successful sync is older than
 ``stale_after`` seconds (or it was unreachable on the last attempt),
@@ -81,7 +87,6 @@ from repro.service.httpd import ServiceHTTPServer
 from repro.service.resilience import (
     CircuitBreaker,
     RestartBudget,
-    SnapshotManager,
     recover_service,
 )
 from repro.service.service import AggregationService, service_from_spec
@@ -114,6 +119,9 @@ _DEFAULT_TIMEOUT = 10.0
 
 #: exit code a worker uses when its final drain push (or snapshot) failed
 _DRAIN_FAILED_EXIT = 3
+
+#: seconds between the supervisor's worker liveness checks
+_MONITOR_INTERVAL = 0.2
 
 logger = logging.getLogger("repro.service.cluster")
 
@@ -747,15 +755,15 @@ def _worker_main(config: dict) -> None:
 
     Builds a full service (plus training when configured) from the
     deployment spec, serves it on an ephemeral port, registers with the
-    coordinator (retrying until it is up), ships partials on the sync
-    interval, and on the supervisor's stop signal (SIGTERM) drains one
-    final push before exiting.  With a per-worker ``snapshot_path`` the
-    worker recovers its cumulative state from the newest valid
-    generation at startup (so a supervised restart resumes the slot
-    instead of replacing it with empty counts), auto-snapshots every
-    ``snapshot_interval`` seconds, and persists once more at exit.  A
-    failed final drain (or final snapshot) exits with code
-    ``_DRAIN_FAILED_EXIT`` so the supervisor can report the loss.
+    coordinator (retrying until it is up), and ships partials on the
+    sync interval.  On the supervisor's stop signal (SIGTERM) it drains
+    its server, then pushes once more.  With a per-worker
+    ``snapshot_path`` the worker recovers its cumulative state from the
+    newest valid generation at startup (so a supervised restart resumes
+    the slot instead of replacing it with empty counts), and its server
+    auto-snapshots every ``snapshot_interval`` seconds.  A failed final
+    push (or final snapshot) exits with code ``_DRAIN_FAILED_EXIT`` so
+    the supervisor can report the loss.
 
     The stop signal is deliberately an OS signal and a *process-local*
     event, never shared IPC state: a ``multiprocessing.Event`` waiter
@@ -789,7 +797,8 @@ def _worker_main(config: dict) -> None:
     training = TrainingService(service) if config.get("train") else None
     server = ServiceHTTPServer(
         service, config.get("host", "127.0.0.1"), 0, training=training,
-        snapshot_path=snapshot_path, faults=faults,
+        snapshot_path=snapshot_path,
+        snapshot_interval=config.get("snapshot_interval"), faults=faults,
         max_inflight=config.get("max_inflight"),
     )
     serve_thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -803,12 +812,6 @@ def _worker_main(config: dict) -> None:
         faults=faults,
         codec=config.get("codec") or WIRE_CODEC_IDENTITY,
     )
-    manager = None
-    if snapshot_path is not None and config.get("snapshot_interval"):
-        manager = SnapshotManager(
-            server.persist, float(config["snapshot_interval"])
-        ).start()
-    drained = True
     persisted = True
     try:
         register_worker(
@@ -818,19 +821,15 @@ def _worker_main(config: dict) -> None:
         shipper.start()
         stop.wait()
     finally:
-        server.begin_drain()
+        try:
+            server.drain()
+        except ReproError as exc:
+            logger.warning(
+                "worker %d exit-time snapshot failed: %s",
+                config["worker"], exc,
+            )
+            persisted = False
         drained = shipper.stop(drain=True)
-        if manager is not None:
-            persisted = manager.stop(final=True)
-        elif snapshot_path is not None:
-            try:
-                server.persist()
-            except (ReproError, OSError) as exc:
-                logger.warning(
-                    "worker %d exit-time snapshot failed: %s",
-                    config["worker"], exc,
-                )
-                persisted = False
         server.shutdown()
     if not drained or not persisted:
         # reached only on a clean stop signal: surface the lost drain as
@@ -861,14 +860,14 @@ class ClusterSupervisor:
     coordinator), coordinator last — and returns a result dict whose
     ``ok`` flag is False when any worker lost its final drain.
 
-    Given a spawn ``context`` and per-worker ``configs``, the supervisor
-    also *monitors*: a thread polls worker liveness, spawns a fresh
-    process for each dead one under its :class:`RestartBudget`
-    (exponential backoff, sliding-window cap), and reports restart
-    counts plus exhausted (permanently degraded) slots through the
-    coordinator's health payload.  A fault plan with a
-    ``supervisor.kill`` point lets a chaos run SIGKILL live workers
-    deterministically.
+    The supervisor also *monitors*: a thread polls worker liveness,
+    starts a fresh process from the spawn ``context`` and the worker's
+    entry in ``configs`` for each dead one under its entry in
+    ``budgets`` (a :class:`RestartBudget`: exponential backoff,
+    sliding-window cap), and reports restart counts plus exhausted
+    (permanently degraded) slots through the coordinator's health
+    payload.  A fault plan with a ``supervisor.kill`` point lets a
+    chaos run SIGKILL live workers deterministically.
     """
 
     def __init__(
@@ -877,44 +876,36 @@ class ClusterSupervisor:
         coordinator: ClusterCoordinator,
         processes,
         *,
-        context=None,
-        configs=None,
-        budgets=None,
+        context,
+        configs,
+        budgets,
         faults: FaultPlan | None = None,
-        poll_interval: float = 0.2,
-        snapshot_manager: SnapshotManager | None = None,
     ) -> None:
         self.server = server
         self.coordinator = coordinator
         self.processes = list(processes)
-        self._snapshot_manager = snapshot_manager
         self._done = threading.Event()
         self._context = context
-        self._configs = list(configs) if configs is not None else None
+        self._configs = list(configs)
         self._faults = faults
-        self._poll_interval = float(poll_interval)
         # guards self.processes / restart bookkeeping: the monitor thread
         # swaps restarted Process objects in while other threads iterate
         self._plock = threading.Lock()
         self.restarts = [0] * len(self.processes)
         self._exhausted = [False] * len(self.processes)
-        if budgets is None:
-            budgets = [RestartBudget() for _ in self.processes]
         self._budgets = list(budgets)
         self._shutdown_result: dict | None = None
         self._monitor_stop = threading.Event()
-        self._monitor: threading.Thread | None = None
         coordinator.attach_supervision(self.supervision)
         self._serve_thread = threading.Thread(
             target=self.server.serve_forever, name="cluster-coordinator",
             daemon=True,
         )
         self._serve_thread.start()
-        if self._context is not None and self._configs is not None:
-            self._monitor = threading.Thread(
-                target=self._watch, name="cluster-supervisor", daemon=True,
-            )
-            self._monitor.start()
+        self._monitor = threading.Thread(
+            target=self._watch, name="cluster-supervisor", daemon=True,
+        )
+        self._monitor.start()
 
     @property
     def url(self) -> str:
@@ -931,7 +922,7 @@ class ClusterSupervisor:
         """Live supervision status (surfaced by the coordinator's health)."""
         with self._plock:
             return {
-                "supervised": self._monitor is not None,
+                "supervised": True,
                 "alive": [p.is_alive() for p in self.processes],
                 "restarts": list(self.restarts),
                 "exhausted": [
@@ -951,7 +942,7 @@ class ClusterSupervisor:
         return process
 
     def _watch(self) -> None:
-        while not self._monitor_stop.wait(self._poll_interval):
+        while not self._monitor_stop.wait(_MONITOR_INTERVAL):
             with self._plock:
                 snapshot = list(enumerate(self.processes))
             for index, process in snapshot:
@@ -1002,10 +993,9 @@ class ClusterSupervisor:
             with self._plock:
                 snapshot = list(enumerate(self.processes))
             for index, process in snapshot:
-                dead = not process.is_alive()
-                # under supervision a dead worker may be mid-restart;
-                # only an exhausted slot is hopeless
-                if dead and (self._monitor is None or self._exhausted[index]):
+                # a dead worker may be mid-restart; only an exhausted
+                # slot is hopeless
+                if not process.is_alive() and self._exhausted[index]:
                     raise ClusterError(
                         f"worker process pid={process.pid} exited with "
                         f"code {process.exitcode} before registering"
@@ -1036,8 +1026,7 @@ class ClusterSupervisor:
         if self._shutdown_result is not None:
             return self._shutdown_result
         self._monitor_stop.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout)
+        self._monitor.join(timeout)
         failures = []
         with self._plock:
             processes = list(self.processes)
@@ -1072,14 +1061,6 @@ class ClusterSupervisor:
                     else f"exit code {process.exitcode}"
                 )
                 failures.append({"worker": index, "reason": reason})
-        if self._snapshot_manager is not None:
-            # after the drain pushes landed, so the final coordinator
-            # snapshot holds every worker's last cumulative state
-            if not self._snapshot_manager.stop(final=True):
-                failures.append({
-                    "worker": "coordinator",
-                    "reason": "final coordinator snapshot failed",
-                })
         self.server.shutdown()
         self._serve_thread.join(timeout)
         self._done.set()
@@ -1109,12 +1090,10 @@ def start_cluster(
     train: bool = False,
     sync_interval: float = 5.0,
     stale_after: float | None = None,
-    snapshot_path=None,
     snapshot_dir=None,
     snapshot_interval: float | None = None,
     faults=None,
     restart_limit: int = 5,
-    restart_window: float = 60.0,
     restart_backoff: float = 0.1,
     max_inflight: int | None = None,
     codec: str = WIRE_CODEC_IDENTITY,
@@ -1145,12 +1124,15 @@ def start_cluster(
     Resilience knobs: ``snapshot_dir`` gives every worker a private
     snapshot file (``worker-<i>.json``) it recovers from after a
     supervised restart and persists at exit; ``snapshot_interval``
-    auto-snapshots workers (and, when ``snapshot_path`` is set, the
-    coordinator) on that period; ``faults`` is a
+    auto-snapshots the workers on that period.  The coordinator keeps
+    no snapshot: its union is derived state, which a relaunched
+    cluster's workers re-derive from their own files at their first
+    sync.  ``faults`` is a
     :class:`~repro.service.faults.FaultPlan` (or spec dict) shipped to
-    every process; ``restart_limit``/``restart_window``/
-    ``restart_backoff`` parameterize each worker's
-    :class:`~repro.service.resilience.RestartBudget`; ``max_inflight``
+    every process; each worker's
+    :class:`~repro.service.resilience.RestartBudget` allows
+    ``restart_limit`` restarts per 60 s window, the first after
+    ``restart_backoff`` seconds; ``max_inflight``
     bounds each worker's concurrent ingest bodies (429 + Retry-After
     past it); ``codec`` compresses every worker's partial pushes
     (``Content-Encoding``-labelled, decoded bounded on the
@@ -1169,13 +1151,10 @@ def start_cluster(
             "snapshot, so a recovered worker would sync aggregates "
             "without their labeled rows"
         )
-    if snapshot_interval is not None and (
-        snapshot_dir is None and snapshot_path is None
-    ):
-        raise ValidationError(
-            "snapshot_interval needs snapshot_dir (worker snapshots) "
-            "or snapshot_path (coordinator snapshot) to write to"
-        )
+    if snapshot_interval is not None and snapshot_dir is None:
+        raise ValidationError("snapshot_interval needs snapshot_dir to write to")
+    if snapshot_interval is not None and not snapshot_interval > 0:
+        raise ValidationError("snapshot interval must be > 0 seconds")
     if codec not in supported_codecs():
         raise ValidationError(
             f"unsupported push codec {codec!r}; this process supports "
@@ -1184,11 +1163,7 @@ def start_cluster(
     plan = faults if isinstance(faults, FaultPlan) else FaultPlan.from_spec(faults)
     fault_spec = plan.to_spec() if plan is not None else None
     budgets = [
-        RestartBudget(
-            max_restarts=restart_limit,
-            window=restart_window,
-            backoff=restart_backoff,
-        )
+        RestartBudget(max_restarts=restart_limit, backoff=restart_backoff)
         for _ in range(n_workers)
     ]
     coordinator_spec = dict(spec)
@@ -1205,13 +1180,12 @@ def start_cluster(
     )
     server = ServiceHTTPServer(
         service, host, port, cluster=coordinator, training=training,
-        snapshot_path=snapshot_path, faults=plan,
+        faults=plan,
     )
     spawn = multiprocessing.get_context("spawn")
     processes: list[BaseProcess] = []
     process: BaseProcess
     configs = []
-    manager = None
     try:
         for worker in range(n_workers):
             worker_snapshot = None
@@ -1227,9 +1201,7 @@ def start_cluster(
                 "train": bool(train),
                 "sync_interval": float(sync_interval),
                 "snapshot_path": worker_snapshot,
-                "snapshot_interval": (
-                    float(snapshot_interval) if snapshot_interval else None
-                ),
+                "snapshot_interval": snapshot_interval,
                 "faults": fault_spec,
                 "max_inflight": max_inflight,
                 "codec": codec,
@@ -1248,20 +1220,13 @@ def start_cluster(
                 )
             process.start()
             processes.append(process)
-        if snapshot_path is not None and snapshot_interval:
-            manager = SnapshotManager(
-                server.persist, float(snapshot_interval)
-            ).start()
         return ClusterSupervisor(
             server, coordinator, processes,
             context=spawn, configs=configs, budgets=budgets, faults=plan,
-            snapshot_manager=manager,
         )
     except BaseException:
         # no worker has registered yet, so there is nothing to drain:
         # free the port and stop every process this launch started
-        if manager is not None:
-            manager.stop(final=False)
         server.close()
         for process in processes:
             process.kill()

@@ -57,12 +57,14 @@ import copy
 import hashlib
 import json
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
 from repro.exceptions import ValidationError
+from repro.utils.validation import check_json_number
 
 __all__ = ["ACTION_KINDS", "FaultAction", "FaultPlan"]
 
@@ -73,6 +75,19 @@ ACTION_KINDS = ("drop", "error", "delay", "truncate", "fail", "kill")
 PLAN_ENV_VAR = "PPDM_FAULT_PLAN"
 
 _POINT_OPTIONS = ("max", "status", "delay_seconds", "fraction")
+
+
+def _number(key: str, name: str, raw, low, high=sys.float_info.max, *,
+            integer: bool = False):
+    """Point ``key``'s entry ``name``: a JSON number in ``[low, high]``."""
+    value = check_json_number(raw, f"fault point {key!r}: {name}", integer=integer)
+    if not low <= value <= high:
+        bound = (f"in [{low}, {high}]" if high < sys.float_info.max
+                 else f"a finite number >= {low}")
+        raise ValidationError(
+            f"fault point {key!r}: {name} must be {bound}, got {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -122,29 +137,16 @@ class _Point:
         self.fired = 0
         for name, raw in options.items():
             if name == "max":
-                self.max_fires = int(raw)  # type: ignore[call-overload]
-                if self.max_fires < 0:
-                    raise ValidationError(
-                        f"fault point {key!r}: max must be >= 0"
-                    )
+                self.max_fires = _number(key, name, raw, 0, integer=True)
             elif name == "status":
-                self.status = int(raw)  # type: ignore[call-overload]
+                # an injected error must look like one
+                self.status = _number(key, name, raw, 400, 599, integer=True)
             elif name == "delay_seconds":
-                self.delay_seconds = float(raw)  # type: ignore[arg-type]
+                self.delay_seconds = float(_number(key, name, raw, 0))
             elif name == "fraction":
-                self.fraction = float(raw)  # type: ignore[arg-type]
-                if not 0.0 <= self.fraction <= 1.0:
-                    raise ValidationError(
-                        f"fault point {key!r}: fraction must be in [0, 1]"
-                    )
+                self.fraction = float(_number(key, name, raw, 0, 1))
             elif name in ACTION_KINDS:
-                rate = float(raw)  # type: ignore[arg-type]
-                if not 0.0 <= rate <= 1.0:
-                    raise ValidationError(
-                        f"fault point {key!r}: rate for {name!r} must be "
-                        f"in [0, 1], got {rate}"
-                    )
-                self.rates[str(name)] = rate
+                self.rates[str(name)] = float(_number(key, name, raw, 0, 1))
             else:
                 raise ValidationError(
                     f"fault point {key!r}: unknown entry {name!r} "
@@ -199,7 +201,9 @@ class FaultPlan:
             raise ValidationError(
                 f"fault plan spec has unknown keys {sorted(unknown)}"
             )
-        self.seed = int(spec.get("seed", 0))  # type: ignore[call-overload]
+        self.seed = check_json_number(
+            spec.get("seed", 0), "fault plan seed", integer=True
+        )
         points = spec.get("points", {})
         if not isinstance(points, Mapping):
             raise ValidationError("fault plan 'points' must be a mapping")
@@ -218,32 +222,42 @@ class FaultPlan:
         return cls(spec)
 
     @classmethod
-    def from_env(
-        cls, environ: Optional[Mapping[str, str]] = None
-    ) -> Optional["FaultPlan"]:
-        """Build a plan from ``PPDM_FAULT_PLAN`` if set, else ``None``.
+    def from_text(cls, text: Optional[str]) -> Optional["FaultPlan"]:
+        """Build a plan from inline JSON or a plan file; blank -> ``None``.
 
-        The variable holds either inline JSON or ``@/path/to/plan.json``.
+        Text starting with ``{`` is the spec itself; anything else names
+        a JSON file, with or without a leading ``@``.  The one parser of
+        ``--fault-plan`` and ``PPDM_FAULT_PLAN``.
         """
-        env = os.environ if environ is None else environ
-        raw = env.get(PLAN_ENV_VAR, "").strip()
-        if not raw:
+        text = (text or "").strip()
+        if not text:
             return None
-        if raw.startswith("@"):
-            path = Path(raw[1:])
+        if not text.startswith("{"):
+            path = Path(text.removeprefix("@"))
             try:
-                raw = path.read_text()
+                text = path.read_text()
             except OSError as exc:
                 raise ValidationError(
                     f"cannot read fault plan file {str(path)!r}: {exc}"
                 ) from exc
         try:
-            spec = json.loads(raw)
+            spec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(
-                f"{PLAN_ENV_VAR} is not valid JSON: {exc}"
+                f"fault plan is not valid JSON: {exc}"
             ) from exc
         return cls.from_spec(spec)
+
+    @classmethod
+    def from_env(
+        cls, environ: Optional[Mapping[str, str]] = None
+    ) -> Optional["FaultPlan"]:
+        """Build a plan from ``PPDM_FAULT_PLAN`` if set, else ``None``.
+
+        The variable holds what :meth:`from_text` reads.
+        """
+        env = os.environ if environ is None else environ
+        return cls.from_text(env.get(PLAN_ENV_VAR))
 
     def to_spec(self) -> dict:
         """The (immutable) spec this plan was built from.

@@ -56,6 +56,11 @@ next sync), pulls registered workers before ``/estimate`` and
 ``/train``, and reports cluster health.  Plain servers — including the
 cluster's workers — serve ``GET /partial`` so their state can be pulled.
 
+The server owns its process's durability: it auto-snapshots while it
+serves, and :meth:`~ServiceHTTPServer.drain` is every serving process's
+one shutdown path — shed new ingest, let the admitted bodies finish,
+write once.
+
 Errors return ``{"error": message}`` with status 400 (validation),
 404 (unknown route / untrained model), 413 (body over the configured
 size cap), 429 (ingest admission control rejected the body;
@@ -73,6 +78,7 @@ verbatim without double counting.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -82,6 +88,7 @@ from repro.core.privacy import privacy_of_randomizer
 from repro.exceptions import (
     ClusterError,
     DecodedSizeError,
+    ReproError,
     SnapshotError,
     ValidationError,
 )
@@ -111,6 +118,8 @@ _REAP_INTERVAL = 64
 #: default request-body cap (bytes); oversized bodies get 413 + close
 _DEFAULT_MAX_BODY = 256 * 1024 * 1024
 
+logger = logging.getLogger("repro.service.httpd")
+
 
 class ServiceHTTPServer:
     """Serve an :class:`~repro.service.AggregationService` over HTTP.
@@ -123,8 +132,13 @@ class ServiceHTTPServer:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`address`).
     snapshot_path:
-        Where ``POST /snapshot`` persists the service; ``None`` disables
-        the endpoint (400).
+        Where ``POST /snapshot``, the auto-snapshot loop and
+        :meth:`drain` persist the service; ``None`` disables the
+        endpoint (400) and makes :meth:`drain` write nothing.
+    snapshot_interval:
+        Seconds between auto-snapshots to ``snapshot_path``, from
+        :meth:`serve_forever` until :meth:`drain`, :meth:`shutdown` or
+        :meth:`close`; a failed one is logged and retried at the next.
     training:
         Optional :class:`~repro.service.training.TrainingService` over
         ``service``; enables ``POST /train`` / ``GET /model`` and routes
@@ -152,8 +166,8 @@ class ServiceHTTPServer:
         (admission control).  Beyond the bound the server sheds load
         with ``429`` + ``Retry-After: retry_after`` *before* touching
         the body, so a rejected batch was never partially absorbed and
-        the client re-sends it verbatim.  ``None`` (default) disables
-        the gauge.
+        the client re-sends it verbatim.  ``None`` (default) admits any
+        number; the gauge still counts them for :meth:`drain`.
     retry_after:
         Seconds advertised in ``Retry-After`` on 429 (overload) and 503
         (draining) responses.
@@ -168,7 +182,8 @@ class ServiceHTTPServer:
 
     def __init__(
         self, service, host: str = "127.0.0.1", port: int = 0, *,
-        snapshot_path=None, training=None, cluster=None, mining=None,
+        snapshot_path=None, snapshot_interval: float | None = None,
+        training=None, cluster=None, mining=None,
         max_body_bytes: int = _DEFAULT_MAX_BODY,
         max_inflight: int | None = None, retry_after: float = 1.0,
         faults=None,
@@ -182,15 +197,8 @@ class ServiceHTTPServer:
         elif not isinstance(faults, FaultPlan):
             faults = FaultPlan.from_spec(faults)
         self.faults = faults
-        if retry_after < 0:
-            raise ValidationError("retry_after must be >= 0")
-        self.retry_after = float(retry_after)
-        self.admission = (
-            AdmissionController(max_inflight, retry_after)
-            if max_inflight is not None
-            else None
-        )
-        self._draining = False
+        # counts every admitted ingest body, so drain() can wait for them
+        self.admission = AdmissionController(max_inflight, retry_after)
         if training is not None and training.service is not service:
             raise ValidationError(
                 "the training service must wrap the served "
@@ -206,7 +214,14 @@ class ServiceHTTPServer:
                 f"max_body_bytes must be >= 1, got {max_body_bytes}"
             )
         self.max_body_bytes = int(max_body_bytes)
+        if snapshot_interval is not None and snapshot_path is None:
+            raise ValidationError("snapshot_interval needs a snapshot_path")
+        if snapshot_interval is not None and not snapshot_interval > 0:
+            raise ValidationError("snapshot interval must be > 0 seconds")
         self.snapshot_path = snapshot_path
+        self.snapshot_interval = snapshot_interval
+        self._snapshots_stop = threading.Event()
+        self._snapshots: threading.Thread | None = None
         self._requests_served = 0
         self._served_lock = threading.Lock()
         self._snapshot_lock = threading.Lock()
@@ -238,11 +253,18 @@ class ServiceHTTPServer:
     def serve_forever(self, *, max_requests: int | None = None) -> None:
         """Handle requests until :meth:`shutdown` (or ``max_requests``).
 
+        Starts the auto-snapshot loop here, never in ``__init__``: a
+        cluster coordinator forks its workers in between.
         With ``max_requests`` the server accepts exactly that many
         connections (each may carry several keep-alive requests), then
-        joins the handler threads and closes the socket itself; do not
-        also call :meth:`shutdown` in that mode.
+        joins the handler threads and closes itself; do not also call
+        :meth:`shutdown` in that mode.
         """
+        if self.snapshot_interval is not None and self._snapshots is None:
+            self._snapshots = threading.Thread(
+                target=self._snapshot_loop, name="ppdm-snapshot", daemon=True
+            )
+            self._snapshots.start()
         if max_requests is None:
             # a tight poll keeps shutdown() latency low (the default
             # 0.5 s poll makes every stop feel sluggish)
@@ -251,10 +273,10 @@ class ServiceHTTPServer:
             for _ in range(max_requests):
                 self._httpd.handle_request()
             # joins the per-connection handler threads before returning
-            self._httpd.server_close()
+            self.close()
 
     def shutdown(self) -> None:
-        """Stop a concurrent :meth:`serve_forever` and close the socket."""
+        """Stop a concurrent :meth:`serve_forever`; close, writing nothing."""
         self._httpd.shutdown()
         self.close()
 
@@ -263,24 +285,41 @@ class ServiceHTTPServer:
 
         For a server whose :meth:`serve_forever` never ran (or has
         returned); :meth:`shutdown` would wait forever for a loop that
-        is not there.
+        is not there.  Stops the auto-snapshot loop without writing.
         """
+        self._stop_snapshots()
         self._httpd.server_close()
 
     @property
     def draining(self) -> bool:
         """Is the server refusing new ingest while it shuts down?"""
-        return self._draining
+        return self.admission.closed
 
-    def begin_drain(self) -> None:
-        """Refuse new ``POST /ingest`` work with ``503`` + ``Retry-After``.
+    def drain(self) -> None:
+        """Refuse new ingest, finish the admitted bodies, then write once.
 
-        Called at the start of a graceful shutdown: in-flight bodies
-        finish (handler threads are joined at close), new ingest is shed
-        with a retryable status, and read endpoints keep serving — so an
-        exit-time snapshot can never race an admitted batch.
+        New ``POST /ingest`` bodies get ``503`` + ``Retry-After`` while
+        reads keep serving until :meth:`shutdown`.  Returns once every
+        admitted body is absorbed and, with a snapshot path, persisted
+        (a failed write raises :class:`~repro.exceptions.SnapshotError`),
+        so the snapshot holds every record the server acknowledged.
         """
-        self._draining = True
+        self.admission.close()
+        self._stop_snapshots()
+        if self.snapshot_path is not None:
+            self.persist()
+
+    def _snapshot_loop(self) -> None:
+        while not self._snapshots_stop.wait(self.snapshot_interval):
+            try:
+                self.persist()
+            except ReproError as exc:
+                logger.warning("auto-snapshot failed (will retry): %s", exc)
+
+    def _stop_snapshots(self) -> None:
+        self._snapshots_stop.set()
+        if self._snapshots is not None:
+            self._snapshots.join()
 
     def reap_handler_threads(self) -> int:
         """Drop finished handler threads from the join list; return count.
@@ -312,10 +351,9 @@ class ServiceHTTPServer:
         """Save the service to the configured snapshot path (serialized).
 
         The single snapshot-write entry point: ``POST /snapshot``, the
-        auto-snapshot loop, and the CLI's exit-time save all come
-        through here, so two writers can never interleave on the same
-        snapshot file.  Writes are atomic with one generation of
-        rotation (see
+        auto-snapshot loop, and :meth:`drain` all come through here, so
+        two writers can never interleave on the same snapshot file.
+        Writes are atomic with one generation of rotation (see
         :func:`~repro.service.resilience.persist_with_rotation`): a
         failed write surfaces as
         :class:`~repro.exceptions.SnapshotError` and leaves the
@@ -352,7 +390,7 @@ class ServiceHTTPServer:
                 payload["cluster"] = health
                 if health["degraded"]:
                     payload["status"] = "degraded"
-            if self._draining:
+            if self.draining:
                 payload["status"] = "draining"
             return 200, payload
         if path == "/cluster":
@@ -415,7 +453,7 @@ class ServiceHTTPServer:
                 }
             if self.training is not None:
                 payload["training_records"] = self.training.n_buffered
-            if self.admission is not None:
+            if self.admission.max_inflight is not None:
                 payload["admission"] = self.admission.stats()
             if self.faults is not None:
                 payload["faults"] = self.faults.stats()
@@ -738,7 +776,7 @@ def _make_handler(server: ServiceHTTPServer):
                     action.status,
                     {"error": f"injected fault ({action.point} "
                      f"#{action.index})"},
-                    retry_after=server.retry_after,
+                    retry_after=server.admission.retry_after,
                 )
                 return True
             if action.kind == "delay":
@@ -826,8 +864,8 @@ def _make_handler(server: ServiceHTTPServer):
             ctype = self._content_type()
             if self._inject_fault(path):
                 return
-            admitted = False
-            if path == "/ingest":
+            admitted = path == "/ingest"
+            if admitted and not server.admission.try_acquire():
                 # load shedding happens before any decoding: a 429/503
                 # here guarantees the body was not (even partially)
                 # absorbed, so the client re-sends it verbatim
@@ -835,20 +873,17 @@ def _make_handler(server: ServiceHTTPServer):
                     self._reply(
                         503,
                         {"error": "server is draining; retry shortly"},
-                        retry_after=server.retry_after,
+                        retry_after=server.admission.retry_after,
                     )
-                    return
-                if server.admission is not None:
-                    if not server.admission.try_acquire():
-                        self._reply(
-                            429,
-                            {"error": "too many in-flight ingest bodies "
-                             f"(max {server.admission.max_inflight}); "
-                             "retry later"},
-                            retry_after=server.admission.retry_after,
-                        )
-                        return
-                    admitted = True
+                else:
+                    self._reply(
+                        429,
+                        {"error": "too many in-flight ingest bodies "
+                         f"(max {server.admission.max_inflight}); "
+                         "retry later"},
+                        retry_after=server.admission.retry_after,
+                    )
+                return
             try:
                 try:
                     if codec != WIRE_CODEC_IDENTITY:

@@ -10,11 +10,14 @@ module holds the serving stack's resilience primitives:
   :mod:`repro.serialize`) while keeping the previous generation as
   ``<name>.1``; :func:`recover_service` walks the generations newest
   first at startup, rejecting corrupt snapshots loudly and settling on
-  the newest one that verifies.  :class:`SnapshotManager` runs the
-  periodic auto-snapshot behind ``--snapshot-interval``.
-* **Overload** — :class:`AdmissionController` bounds in-flight ingest
-  work (the HTTP front end turns a rejected acquire into ``429`` +
-  ``Retry-After``); :class:`CircuitBreaker` gives
+  the newest one that verifies.  The periodic auto-snapshot behind
+  ``--snapshot-interval`` and the exit-time write belong to
+  :class:`~repro.service.httpd.ServiceHTTPServer`, which owns the
+  state they persist.
+* **Overload and drain** — :class:`AdmissionController` counts
+  in-flight ingest work, bounds it (the HTTP front end turns a rejected
+  acquire into ``429`` + ``Retry-After``) and closes for a drain, which
+  waits for every admitted body; :class:`CircuitBreaker` gives
   :class:`~repro.service.cluster.PartialShipper` the classic
   closed/open/half-open discipline so a dead coordinator is probed, not
   hammered.
@@ -57,7 +60,6 @@ __all__ = [
     "AdmissionController",
     "CircuitBreaker",
     "RestartBudget",
-    "SnapshotManager",
     "persist_with_rotation",
     "previous_snapshot_path",
     "recover_service",
@@ -156,11 +158,14 @@ class CircuitBreaker:
 
 
 class AdmissionController:
-    """Bounded in-flight gauge guarding the ingest path.
+    """In-flight gauge guarding the ingest path, bounded and closable.
 
     ``try_acquire`` admits up to ``max_inflight`` concurrent units of
-    work; beyond that it refuses and the caller should shed load (the
-    HTTP front end replies ``429`` with ``Retry-After: retry_after``).
+    work (any number when ``None``); beyond that it refuses and the
+    caller should shed load (the HTTP front end replies ``429`` with
+    ``Retry-After: retry_after``).  :meth:`close` refuses every later
+    acquire and waits until the admitted work has been released, which
+    is how a draining server knows its last ingest body has landed.
     Thread-safe.
 
     >>> gauge = AdmissionController(max_inflight=1, retry_after=2.0)
@@ -168,16 +173,22 @@ class AdmissionController:
     (True, False)
     >>> gauge.release(); gauge.try_acquire()
     True
+    >>> gauge.release(); gauge.close(); gauge.try_acquire(), gauge.closed
+    (False, True)
     """
 
-    def __init__(self, max_inflight: int, retry_after: float = 1.0) -> None:
-        if max_inflight < 1:
+    def __init__(
+        self, max_inflight: int | None, retry_after: float = 1.0
+    ) -> None:
+        if max_inflight is not None and max_inflight < 1:
             raise ValidationError("max_inflight must be >= 1")
         if retry_after < 0:
             raise ValidationError("retry_after must be >= 0")
-        self.max_inflight = int(max_inflight)
+        self.max_inflight = None if max_inflight is None else int(max_inflight)
         self.retry_after = float(retry_after)
         self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)
+        self._closed = False
         self._inflight = 0
         self._admitted = 0
         self._rejected = 0
@@ -187,9 +198,17 @@ class AdmissionController:
         with self._lock:
             return self._inflight
 
+    @property
+    def closed(self) -> bool:
+        """Has :meth:`close` stopped admitting work?"""
+        with self._lock:
+            return self._closed
+
     def try_acquire(self) -> bool:
         with self._lock:
-            if self._inflight >= self.max_inflight:
+            if self._closed:
+                return False
+            if self.max_inflight is not None and self._inflight >= self.max_inflight:
                 self._rejected += 1
                 return False
             self._inflight += 1
@@ -201,6 +220,14 @@ class AdmissionController:
             if self._inflight <= 0:
                 raise ValidationError("release() without a matching acquire")
             self._inflight -= 1
+            if not self._inflight:
+                self._idle.notify_all()
+
+    def close(self) -> None:
+        """Admit nothing more; return once no admitted work is in flight."""
+        with self._lock:
+            self._closed = True
+            self._idle.wait_for(lambda: not self._inflight)
 
     def stats(self) -> dict:
         with self._lock:
@@ -291,18 +318,13 @@ def persist_with_rotation(service: "AggregationService", path) -> Path:
     freshly configured ``--snapshot-dir``.
     """
     path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise SnapshotError(
-            f"snapshot write to {str(path)!r} failed: {exc}"
-        ) from exc
     previous = previous_snapshot_path(path)
     rotated = False
-    if path.exists():
-        os.replace(path, previous)
-        rotated = True
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.exists():
+            os.replace(path, previous)
+            rotated = True
         service.save(path)
     except OSError as exc:
         if rotated:  # put the good generation back where recovery finds it
@@ -349,69 +371,3 @@ def recover_service(path) -> Tuple["AggregationService", Path]:
     raise SnapshotError(
         f"no valid snapshot generation for {str(path)!r}: {detail}"
     )
-
-
-class SnapshotManager:
-    """Background auto-snapshot loop (the ``--snapshot-interval`` engine).
-
-    Calls ``persist`` every ``interval`` seconds on a daemon thread; a
-    persist that fails is logged and counted, never fatal (the next
-    tick retries).  :meth:`stop` joins the thread and, by default,
-    takes one final snapshot so shutdown loses nothing.
-    """
-
-    def __init__(self, persist: Callable[[], object], interval: float) -> None:
-        if interval <= 0:
-            raise ValidationError("snapshot interval must be > 0 seconds")
-        self._persist = persist
-        self.interval = float(interval)
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._lock = threading.Lock()
-        self.snapshots = 0
-        self.failures = 0
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self._tick()
-
-    def _tick(self) -> bool:
-        try:
-            self._persist()
-        except (ReproError, OSError) as exc:
-            with self._lock:
-                self.failures += 1
-            logger.warning("auto-snapshot failed (will retry): %s", exc)
-            return False
-        with self._lock:
-            self.snapshots += 1
-        return True
-
-    def start(self) -> "SnapshotManager":
-        if self._thread is not None:
-            raise ValidationError("snapshot manager already started")
-        self._thread = threading.Thread(
-            target=self._run, name="ppdm-snapshot", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self, final: bool = True) -> bool:
-        """Stop the loop; with ``final``, persist once more.
-
-        Returns ``True`` when the final persist succeeded (or was not
-        requested) — callers surface a ``False`` as a failed drain.
-        """
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        return self._tick() if final else True
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "interval": self.interval,
-                "snapshots": self.snapshots,
-                "failures": self.failures,
-            }

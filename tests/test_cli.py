@@ -376,6 +376,33 @@ class TestServeIngestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'low'" in err
 
+    @pytest.mark.parametrize(
+        "spec, extra, match",
+        [
+            ([1, 2], ["--shards", "2"], "must hold a JSON object"),
+            ([1, 2], ["--workers", "1", "--train"], "must hold a JSON object"),
+            # refused by the library before any worker starts
+            (
+                {"classes": "x", "attributes": [
+                    {"name": "age", "low": 20, "high": 80}
+                ]},
+                ["--workers", "1", "--train"],
+                "field 'classes' is not an integer: got 'x'",
+            ),
+        ],
+    )
+    def test_serve_refuses_bad_specs_cleanly(
+        self, capsys, tmp_path, spec, extra, match
+    ):
+        import json
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code = main(["serve", "--spec", str(bad), "--port", "0", *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err
+
     def test_ingest_malformed_json_values_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

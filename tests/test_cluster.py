@@ -1043,6 +1043,15 @@ class TestStartCluster:
             start_cluster(SPEC, n_workers=0)
         with pytest.raises(ValidationError, match="dict"):
             start_cluster([], n_workers=1)
+        with pytest.raises(ValidationError, match="needs snapshot_dir"):
+            start_cluster(SPEC, n_workers=1, snapshot_interval=5.0)
+        # refused before any worker starts, as one server would refuse it
+        for interval in (0, -1.0):
+            with pytest.raises(ValidationError, match="must be > 0"):
+                start_cluster(
+                    SPEC, n_workers=1, snapshot_dir="unused",
+                    snapshot_interval=interval,
+                )
 
     def test_two_process_topology_end_to_end(self):
         from repro.core import noise_for_privacy

@@ -3,7 +3,8 @@
 The resilience contract (PR 9): injected faults never change results.
 Covers the seeded :class:`~repro.service.faults.FaultPlan`, the
 durability layer (atomic snapshot writes, integrity digests, generation
-rotation, newest-valid recovery), the degradation primitives
+rotation, newest-valid recovery, the server's auto-snapshot loop and its
+one drain), the degradation primitives
 (:class:`CircuitBreaker`, :class:`AdmissionController`,
 :class:`RestartBudget`), the HTTP overload surface (429/503 +
 ``Retry-After`` honored by the CLI client), and process-level
@@ -17,7 +18,10 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -49,7 +53,6 @@ from repro.service import (
 from repro.service.cluster import start_cluster
 from repro.service.faults import PLAN_ENV_VAR
 from repro.service.resilience import (
-    SnapshotManager,
     persist_with_rotation,
     previous_snapshot_path,
     recover_service,
@@ -170,6 +173,22 @@ class TestFaultPlan:
             ({"points": {"p": {"max": -1}}}, "max must be"),
             ({"points": {"p": {"truncate": 1.0, "fraction": 2.0}}},
              "fraction"),
+            # never coerced: a string, a float or a boolean is no integer
+            ({"seed": "7"}, "seed is not an integer"),
+            ({"seed": 7.9}, "seed is not an integer"),
+            ({"seed": True}, "seed is not an integer"),
+            ({"points": {"p": {"drop": True}}}, "'p': drop is not numeric"),
+            ({"points": {"p": {"drop": "0.5"}}}, "'p': drop is not numeric"),
+            ({"points": {"p": {"max": 2.7}}}, "'p': max is not an integer"),
+            ({"points": {"p": {"max": True}}}, "'p': max is not an integer"),
+            ({"points": {"p": {"max": "x"}}}, "'p': max is not an integer"),
+            ({"points": {"p": {"status": "503"}}}, "status is not an integer"),
+            ({"points": {"p": {"status": 503.9}}}, "status is not an integer"),
+            # an injected error must be an error status
+            ({"points": {"p": {"status": 200}}}, "status must be in"),
+            ({"points": {"p": {"delay_seconds": -1}}}, "delay_seconds must"),
+            ({"points": {"p": {"delay_seconds": float("inf")}}},
+             "delay_seconds must"),
         ],
     )
     def test_bad_specs_rejected(self, spec, match):
@@ -190,6 +209,9 @@ class TestFaultPlan:
         plan_file.write_text(json.dumps(self.SPEC))
         from_file = FaultPlan.from_env({PLAN_ENV_VAR: f"@{plan_file}"})
         assert from_file.to_spec() == inline.to_spec()
+        # --fault-plan's bare file path reads the same through one parser
+        bare = FaultPlan.from_env({PLAN_ENV_VAR: str(plan_file)})
+        assert bare.to_spec() == inline.to_spec()
         with pytest.raises(ValidationError, match="not valid JSON"):
             FaultPlan.from_env({PLAN_ENV_VAR: "{broken"})
         with pytest.raises(ValidationError, match="cannot read"):
@@ -374,6 +396,19 @@ class TestDurability:
         assert used == path
         assert_same_estimate(service, recovered)
 
+    def test_failed_rotation_is_a_snapshot_error(self, tmp_path):
+        """Regression: a rotation that fails must raise SnapshotError,
+        which the auto-snapshot loop and a worker's drain handle, not a
+        raw OSError."""
+        service = make_service()
+        path = tmp_path / "snap.json"
+        persist_with_rotation(service, path)
+        good = path.read_bytes()
+        (previous_snapshot_path(path) / "blocker").mkdir(parents=True)
+        with pytest.raises(SnapshotError, match="failed"):
+            persist_with_rotation(service, path)
+        assert path.read_bytes() == good
+
     def test_recovery_falls_back_past_corrupt_newest(self, tmp_path):
         service = make_service()
         service.ingest(make_batch(45))
@@ -423,41 +458,6 @@ class TestDurability:
         finally:
             server.shutdown()
             thread.join(timeout=5)
-
-
-class TestSnapshotManager:
-    def test_periodic_ticks_and_final_persist(self, tmp_path):
-        service = make_service()
-        service.ingest(make_batch(48))
-        path = tmp_path / "snap.json"
-        manager = SnapshotManager(
-            lambda: persist_with_rotation(service, path), interval=0.05
-        ).start()
-        deadline = time.monotonic() + 10.0
-        while manager.stats()["snapshots"] < 2:
-            assert time.monotonic() < deadline, "auto-snapshot never ticked"
-            time.sleep(0.02)
-        assert manager.stop(final=True) is True
-        assert_same_estimate(service, recover_service(path)[0])
-
-    def test_failed_tick_counted_not_fatal(self):
-        calls = []
-
-        def persist():
-            calls.append(True)
-            raise SnapshotError("injected")
-
-        manager = SnapshotManager(persist, interval=3600.0)
-        assert manager.stop(final=True) is False  # final persist failed
-        assert manager.stats()["failures"] == 1 and len(calls) == 1
-
-    def test_interval_validated_and_single_start(self):
-        with pytest.raises(ValidationError, match="interval"):
-            SnapshotManager(lambda: None, interval=0.0)
-        manager = SnapshotManager(lambda: None, interval=5.0).start()
-        with pytest.raises(ValidationError, match="already started"):
-            manager.start()
-        manager.stop(final=False)
 
 
 # ----------------------------------------------------------------------
@@ -758,7 +758,7 @@ class TestAdmissionHTTP:
     def test_draining_returns_503_and_healthz_reports(self, tmp_path):
         service, server, thread = make_server(tmp_path)
         try:
-            server.begin_drain()
+            server.drain()
             with urllib.request.urlopen(server.url + "/healthz") as response:
                 assert json.loads(response.read())["status"] == "draining"
             host, port = server.address
@@ -792,6 +792,228 @@ class TestAdmissionHTTP:
         finally:
             server.shutdown()
             thread.join(timeout=5)
+
+
+# ----------------------------------------------------------------------
+# The server owns its durability: auto-snapshots and the one drain
+# ----------------------------------------------------------------------
+def count_writes(server, until=1):
+    """Wrap ``server.persist``: list the writes, flag the ``until``-th."""
+    writes = []
+    reached = threading.Event()
+    persist = server.persist
+
+    def counted():
+        saved = persist()
+        writes.append(saved)
+        if len(writes) >= until:
+            reached.set()
+        return saved
+
+    server.persist = counted
+    return writes, reached
+
+
+def snapshot_threads():
+    return {t for t in threading.enumerate() if t.name == "ppdm-snapshot"}
+
+
+class TestServerSnapshots:
+    def test_auto_snapshot_ticks_once_serving(self, tmp_path):
+        service = make_service()
+        service.ingest(make_batch(48))
+        path = tmp_path / "snap.json"
+        server = ServiceHTTPServer(
+            service, port=0, snapshot_path=path, snapshot_interval=0.05
+        )
+        _, ticked = count_writes(server, until=2)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            assert ticked.wait(30), "auto-snapshot never ticked"
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+        assert_same_estimate(service, recover_service(path)[0])
+
+    def test_failed_tick_is_logged_and_retried(self, tmp_path, caplog):
+        faults = {"seed": 5,
+                  "points": {"snapshot.write": {"fail": 1.0, "max": 1}}}
+        server = ServiceHTTPServer(
+            make_service(), port=0, snapshot_path=tmp_path / "snap.json",
+            snapshot_interval=0.05, faults=faults,
+        )
+        _, written = count_writes(server)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        with caplog.at_level("WARNING", logger="repro.service.httpd"):
+            thread.start()
+            try:
+                assert written.wait(30), "no tick wrote after the failure"
+            finally:
+                server.shutdown()
+                thread.join(timeout=5)
+        assert server.faults.stats()["snapshot.write"]["fired"] == 1
+        assert any(
+            "auto-snapshot failed" in record.message
+            for record in caplog.records
+        )
+
+    def test_failed_final_write_raises(self, tmp_path):
+        faults = {"seed": 5, "points": {"snapshot.write": {"fail": 1.0}}}
+        _, server, thread = make_server(tmp_path, faults=faults)
+        try:
+            with pytest.raises(SnapshotError, match="injected fault"):
+                server.drain()
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+        assert not (tmp_path / "snap.json").exists()
+
+    def test_interval_validated(self, tmp_path):
+        for interval in (0.0, -1.0):
+            with pytest.raises(ValidationError, match="interval"):
+                ServiceHTTPServer(
+                    make_service(), snapshot_path=tmp_path / "snap.json",
+                    snapshot_interval=interval,
+                )
+        with pytest.raises(ValidationError, match="snapshot_path"):
+            ServiceHTTPServer(make_service(), snapshot_interval=5.0)
+
+    def test_one_write_per_drain_and_none_from_shutdown_or_close(
+        self, tmp_path
+    ):
+        before = snapshot_threads()
+        servers = {
+            stop: ServiceHTTPServer(
+                make_service(), port=0, snapshot_path=tmp_path / stop,
+                snapshot_interval=3600.0,
+            )
+            for stop in ("drain", "shutdown", "close")
+        }
+        writes = {stop: count_writes(server)[0]
+                  for stop, server in servers.items()}
+        # built is not serving: a coordinator forks between the two
+        assert snapshot_threads() == before
+        threads = [
+            threading.Thread(target=servers[stop].serve_forever, daemon=True)
+            for stop in ("drain", "shutdown")
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            for stop in ("drain", "shutdown"):
+                # answered, so serve_forever has started its loop
+                assert http_get(servers[stop].url + "/healthz")[0] == 200
+            assert len(snapshot_threads() - before) == 2
+            servers["drain"].drain()
+            assert len(writes["drain"]) == 1
+        finally:
+            servers["drain"].shutdown()
+            servers["shutdown"].shutdown()
+            servers["close"].close()
+            for thread in threads:
+                thread.join(timeout=5)
+        assert {stop: len(w) for stop, w in writes.items()} == {
+            "drain": 1, "shutdown": 0, "close": 0,
+        }
+        assert snapshot_threads() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["drain"]
+
+
+class TestDrain:
+    """One admitted body, held inside ``ingest_prepared`` during a drain."""
+
+    def drain_while_held(self, tmp_path):
+        service, server, thread = make_server(tmp_path)
+        entered, release = threading.Event(), threading.Event()
+        ingest_prepared = service.ingest_prepared
+
+        def held(*args, **kwargs):
+            entered.set()
+            release.wait(30)
+            return ingest_prepared(*args, **kwargs)
+
+        service.ingest_prepared = held
+        replies = []
+        client = threading.Thread(target=lambda: replies.append(
+            http_post_json(server.url + "/ingest",
+                           {"batch": {"x": [0.4, 0.5, 0.6]}})
+        ))
+        drainer = threading.Thread(target=server.drain)
+        try:
+            client.start()
+            assert entered.wait(10), "the body was never admitted"
+            drainer.start()
+            poll_until(lambda: server.draining, timeout=10)
+            # the body holds its admission, so drain() cannot be done
+            assert drainer.is_alive()
+            assert not (tmp_path / "snap.json").exists()
+        finally:
+            release.set()
+            client.join(timeout=10)
+            drainer.join(timeout=10)
+        assert not drainer.is_alive()
+        assert replies == [(200, {"ingested": 3, "records": 3})]
+        return service, server, thread
+
+    def test_snapshot_holds_the_admitted_body(self, tmp_path):
+        _, server, thread = self.drain_while_held(tmp_path)
+        server.shutdown()
+        thread.join(timeout=5)
+        recovered, _ = recover_service(tmp_path / "snap.json")
+        assert recovered.n_seen("x") == 3
+
+    def test_drain_push_carries_the_admitted_body(self, tmp_path):
+        """The worker's order: ``drain()``, then the shipper's push."""
+        upstream = InProcessCoordinator()
+        service, server, thread = self.drain_while_held(tmp_path)
+        shipper = PartialShipper(
+            service, "http://c", 0, fetch=upstream.fetch,
+            sleep=lambda seconds: None,
+        )
+        try:
+            assert shipper.stop(drain=True) is True
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+        assert upstream.coordinator.service.n_seen("x") == 3
+
+    def test_sigterm_leaves_every_acknowledged_record_in_the_snapshot(
+        self, tmp_path
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC))
+        snapshot = tmp_path / "snap.json"
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--spec", str(spec),
+             "--snapshot", str(snapshot), "--snapshot-interval", "60",
+             "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            match = None
+            while match is None:
+                line = process.stdout.readline()
+                assert line, "ppdm serve exited before serving"
+                match = re.search(r" on (http://\S+) ", line)
+            status, reply = ingest_age(match.group(1), age_batch(76))
+            assert (status, reply["ingested"]) == (200, 300)
+            process.send_signal(signal.SIGTERM)
+            out, err = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:  # pragma: no cover - hung server
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, err
+        assert f"snapshot persisted to {snapshot}" in out
+        recovered, _ = recover_service(snapshot)
+        assert recovered.n_seen("age") == 300
 
 
 # ----------------------------------------------------------------------
@@ -1031,52 +1253,6 @@ class TestSupervision:
             "restart budget exhausted" in failure["reason"]
             for failure in result["failures"]
         )
-
-    def test_coordinator_recovers_from_newest_valid_auto_snapshot(
-        self, tmp_path
-    ):
-        """Coordinator crash-safety: its auto-snapshot restores the union."""
-        coordinator_snapshot = tmp_path / "coordinator.json"
-        supervisor = start_cluster(
-            SPEC, n_workers=2, sync_interval=0.1,
-            snapshot_path=coordinator_snapshot, snapshot_interval=0.05,
-        )
-        reference = cluster_reference()
-        try:
-            supervisor.wait_ready(timeout=60.0)
-            urls = supervisor.worker_urls()
-            for worker, seed in enumerate((74, 75)):
-                batch = age_batch(seed)
-                assert ingest_age(urls[worker], batch)[0] == 200
-                reference.ingest(batch)
-            # shipper pushes land, then the coordinator auto-snapshot
-            # captures the union; a crash any time after this point
-            # (SIGKILL leaves no drain) can recover the 600 records
-            poll_until(
-                snapshot_holds(coordinator_snapshot, 600),
-                message="coordinator auto-snapshot never held the union",
-            )
-        finally:
-            result = supervisor.shutdown()
-        assert result["ok"], result["failures"]
-
-        # "restart" the coordinator: recovery loads the newest valid
-        # generation and the estimate matches the single-process
-        # reference bit-for-bit
-        recovered, used = recover_service(coordinator_snapshot)
-        assert sum(recovered.n_seen().values()) == 600
-        a = recovered.estimate("age", warn=False)
-        b = reference.estimate("age", warn=False)
-        assert a.n_iterations == b.n_iterations
-        assert np.array_equal(a.distribution.probs, b.distribution.probs)
-
-        # a torn newest generation falls back to the previous one
-        if previous_snapshot_path(coordinator_snapshot).is_file():
-            coordinator_snapshot.write_text(
-                coordinator_snapshot.read_text()[:80]
-            )
-            _, used = recover_service(coordinator_snapshot)
-            assert used == previous_snapshot_path(coordinator_snapshot)
 
 
 class TestServeClusterCLI:
