@@ -4,8 +4,7 @@ The resilience work (fault injection, crash-safe snapshots, worker
 supervision) is only trustworthy if the serving tier never *swallows* a
 failure: an ``except`` clause whose body is just ``pass`` (or ``...``)
 turns a dropped partial, a failed snapshot, or a dead worker into
-silence — precisely the bug class PR 9's satellites fixed in
-``PartialShipper.stop`` and ``ClusterSupervisor.shutdown``.
+silence.
 
 * **R001 — swallowed exception in the serving tier.**  An exception
   handler under ``src/repro/service`` whose body contains no statement

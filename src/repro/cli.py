@@ -442,7 +442,6 @@ def _serve_cluster(args) -> int:
         snapshot_interval=args.snapshot_interval,
         faults=FaultPlan.from_text(args.fault_plan),
         max_inflight=args.max_inflight,
-        codec=_CODEC_BY_FLAG[args.codec],
     )
     result = None
     try:
@@ -464,8 +463,8 @@ def _serve_cluster(args) -> int:
     finally:
         result = supervisor.shutdown()
     if result is not None and not result["ok"]:
-        # a worker lost its final drain (or its slot was down): surface
-        # the loss instead of exiting 0 as if the union were complete
+        # a worker's exit snapshot failed (or its slot was down): surface
+        # the loss instead of exiting 0 as if nothing were lost
         reasons = "; ".join(
             f"worker {failure['worker']}: {failure['reason']}"
             for failure in result["failures"]
@@ -488,10 +487,6 @@ def _cmd_serve(args) -> int:
 
     if args.workers is not None:
         return _serve_cluster(args)
-    if args.codec != "none":
-        raise ReproError(
-            "--codec compresses worker partial pushes; it needs --workers"
-        )
     if args.snapshot_dir is not None:
         raise ReproError("--snapshot-dir is for --workers; use --snapshot")
     if args.snapshot_interval is not None and not args.snapshot:
@@ -1283,13 +1278,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="start N worker processes (forked at launch on Linux, "
         "spawned on restart) and serve as their coordinator: workers "
-        "ingest on their own ports and ship merged partials upstream; "
-        "incompatible with --snapshot and --max-requests",
+        "ingest on their own ports and the coordinator pulls their "
+        "merged partials; incompatible with --snapshot and --max-requests",
     )
     p.add_argument(
         "--sync-interval", type=float, default=5.0,
-        help="seconds between worker partial pushes (--workers only); "
-        "/estimate and /train also pull on demand",
+        help="seconds between the coordinator's pulls of every worker "
+        "(--workers only); /estimate and /train also pull on demand",
     )
     p.add_argument(
         "--snapshot-interval", type=float, default=None,
@@ -1314,12 +1309,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded chaos: a fault-plan spec as inline JSON or a file "
         "path (also honored from PPDM_FAULT_PLAN; see "
         "repro.service.faults)",
-    )
-    p.add_argument(
-        "--codec", choices=("none", "zlib", "zstd"), default="none",
-        help="--workers only: compress worker partial pushes to the "
-        "coordinator and label them with Content-Encoding (zstd needs "
-        "the zstandard package)",
     )
     p.set_defaults(func=_cmd_serve)
 

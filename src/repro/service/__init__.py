@@ -46,23 +46,22 @@ that server's aggregation tier:
   (``POST /mine`` / ``GET /rules`` / ``ppdm mine``), with rule sets
   snapshotting as ``mined_rules`` (:class:`MinedRules`),
 * :mod:`repro.service.cluster` — the multi-node tier behind
-  ``ppdm serve --workers N``: worker processes ingest independently and
-  ship cumulative merged partials upstream as version 3 wire frames
-  (:func:`encode_partial` / :class:`PartialShipper`), a
-  :class:`ClusterCoordinator` replaces each worker's dedicated shard
-  slot idempotently, and estimates/training over the union stay
-  bit-identical to one process fed the same records,
+  ``ppdm serve --workers N``: worker processes ingest independently, a
+  :class:`ClusterCoordinator` pulls their cumulative merged partials as
+  version 3 wire frames (:func:`encode_partial`) on a timer and on
+  demand and replaces each worker's dedicated shard slot idempotently,
+  and estimates/training over the union stay bit-identical to one
+  process fed the same records,
 * :mod:`repro.service.faults` — :class:`FaultPlan`: deterministic,
-  seeded fault injection (drop/delay/5xx a response, truncate a wire
-  frame, fail a snapshot write, SIGKILL a worker) threaded through the
-  HTTP front end, the shipper, registration, and the supervisor so
-  chaos runs replay bit-identically,
+  seeded fault injection (drop/delay/5xx a response, fail a snapshot
+  write, SIGKILL a worker) threaded through the HTTP front end,
+  registration, and the supervisor so chaos runs replay
+  bit-identically,
 * :mod:`repro.service.resilience` — crash-safe durability (atomic
   fsynced snapshot writes with an integrity digest, one rotated
   generation, newest-valid-generation recovery) plus the degradation
-  primitives: :class:`CircuitBreaker` (closed/open/half-open pushes),
-  :class:`AdmissionController` (the in-flight ingest count, bounded
-  with 429 + Retry-After and closed by a drain), and
+  primitives: :class:`AdmissionController` (the in-flight ingest
+  count, bounded with 429 + Retry-After and closed by a drain), and
   :class:`RestartBudget` (supervised worker restarts under a
   sliding-window cap).
 
@@ -74,18 +73,10 @@ trees are bit-identical to the offline training pipeline fed the same
 randomized rows.
 """
 
-from repro.service.cluster import (
-    ClusterCoordinator,
-    PartialShipper,
-    export_sync_body,
-)
+from repro.service.cluster import ClusterCoordinator, export_sync_body
 from repro.service.faults import FaultPlan
 from repro.service.httpd import ServiceHTTPServer
-from repro.service.resilience import (
-    AdmissionController,
-    CircuitBreaker,
-    RestartBudget,
-)
+from repro.service.resilience import AdmissionController, RestartBudget
 from repro.service.mining import MinedRules, MiningService, mining_from_spec
 from repro.service.service import AggregationService, service_from_spec
 from repro.service.shards import (
@@ -115,13 +106,11 @@ __all__ = [
     "AdmissionController",
     "AggregationService",
     "AttributeSpec",
-    "CircuitBreaker",
     "ClusterCoordinator",
     "Domain",
     "FaultPlan",
     "MinedRules",
     "MiningService",
-    "PartialShipper",
     "PreparedBatch",
     "RestartBudget",
     "ShardSet",

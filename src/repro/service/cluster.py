@@ -15,37 +15,37 @@ same records.
 
 Sync protocol
 -------------
-Workers ship *cumulative* state as one version 3 partial frame
-(:func:`repro.service.wire.encode_partial`), with their labeled row
-buffer appended as ordinary labeled record frames when training is
-enabled (:func:`export_sync_body` builds the body).  The
-coordinator dedicates shard slot ``i`` to worker ``i`` and applies a
-sync by *replacing* that slot
-(:meth:`~repro.service.AggregationService.replace_partial`), so pushes
-are idempotent: a retried, duplicated, or reordered-within-a-worker
-sync can never double-count.  State flows through two channels:
+A worker serves its *cumulative* state at ``GET /partial`` as one
+version 3 partial frame (:func:`repro.service.wire.encode_partial`),
+with its labeled row buffer appended as ordinary labeled record frames
+when training is enabled (:func:`export_sync_body` builds the body).
+The coordinator dedicates shard slot ``i`` to worker ``i`` and applies
+a sync by *replacing* that slot
+(:meth:`~repro.service.AggregationService.replace_partial`), so syncs
+are idempotent: a retried or duplicated sync can never double-count.
+Only the coordinator moves state, over one channel, the pull
+(:meth:`ClusterCoordinator.sync`):
 
-* **push** — each worker's :class:`PartialShipper` thread POSTs
-  ``/partial?worker=i`` every ``interval`` seconds (with
-  retry-and-exponential-backoff), which doubles as the worker's
-  heartbeat, and flushes one final drain push at shutdown;
-* **pull** — the coordinator refreshes on demand: every ``/estimate``
-  best-effort pulls all registered workers
-  (:meth:`ClusterCoordinator.sync`), and ``/train`` pulls strictly —
-  a worker whose pull fails (unreachable, or a reply the coordinator
-  rejects) degrades gracefully to its last-known state if it has
-  synced before, and raises :class:`~repro.exceptions.ClusterError`
-  (HTTP 503) if it has *never* synced.
+* on a timer — :class:`ClusterSupervisor` pulls every registered worker
+  every ``sync_interval`` seconds, which keeps the union fresh between
+  queries and doubles as the workers' heartbeat;
+* on demand — every ``/estimate`` best-effort pulls all registered
+  workers, and ``/train`` pulls strictly.  A worker whose pull fails
+  (unreachable, or a reply the coordinator rejects) degrades gracefully
+  to its last-known state if it has synced before, and ``/train``
+  raises :class:`~repro.exceptions.ClusterError` (HTTP 503) if it has
+  *never* synced.
 
-At shutdown a worker drains its server first
+At shutdown a worker drains its server
 (:meth:`~repro.service.httpd.ServiceHTTPServer.drain`: shed new ingest,
-finish the admitted bodies, write its snapshot) and pushes last, so the
-union holds every record it acknowledged.  The coordinator keeps no
-snapshot: a relaunched cluster re-derives its union from the workers'.
+finish the admitted bodies, write its snapshot once), so its snapshot
+holds every record it acknowledged.  The coordinator keeps no
+snapshot: a relaunched cluster re-derives its union from the workers'
+at their first sync.
 
 ``/healthz`` on the coordinator reports per-worker staleness: a worker
 is ``stale`` once its last successful sync is older than
-``stale_after`` seconds (or it was unreachable on the last attempt),
+``stale_after`` seconds (or it was unreachable on the last pull),
 and the cluster is ``degraded`` while any worker is stale or missing.
 
 Everything here is standard library + the existing service tier.  On
@@ -71,10 +71,9 @@ import signal
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from multiprocessing.process import BaseProcess
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from repro.exceptions import (
     ClusterError,
@@ -84,28 +83,19 @@ from repro.exceptions import (
 )
 from repro.service.faults import FaultPlan
 from repro.service.httpd import ServiceHTTPServer
-from repro.service.resilience import (
-    CircuitBreaker,
-    RestartBudget,
-    recover_service,
-)
+from repro.service.resilience import RestartBudget, recover_service
 from repro.service.service import AggregationService, service_from_spec
 from repro.service.training import TrainedModel, TrainingService
 from repro.service.wire import (
-    CONTENT_TYPE_PARTIAL,
-    WIRE_CODEC_IDENTITY,
-    compress_payload,
     encode_columns,
     encode_partial,
     iter_labeled_frames,
     split_partial,
-    supported_codecs,
 )
 
 __all__ = [
     "ClusterCoordinator",
     "ClusterSupervisor",
-    "PartialShipper",
     "export_sync_body",
     "register_worker",
     "start_cluster",
@@ -117,11 +107,14 @@ _DEFAULT_STALE_AFTER = 15.0
 #: default per-request timeout for cluster-internal HTTP (seconds)
 _DEFAULT_TIMEOUT = 10.0
 
-#: exit code a worker uses when its final drain push (or snapshot) failed
+#: exit code a worker uses when its exit snapshot failed
 _DRAIN_FAILED_EXIT = 3
 
 #: seconds between the supervisor's worker liveness checks
 _MONITOR_INTERVAL = 0.2
+
+#: seconds between wait_ready's checks for workers that died unregistered
+_READY_RECHECK = 0.05
 
 logger = logging.getLogger("repro.service.cluster")
 
@@ -131,39 +124,45 @@ def _default_fetch(
     data: bytes | None = None,
     content_type: str | None = None,
     timeout: float = _DEFAULT_TIMEOUT,
-    content_encoding: str | None = None,
 ) -> bytes:
     """One cluster-internal HTTP request; any failure is a ClusterError.
 
-    GET when ``data`` is None, POST otherwise.  ``content_encoding``
-    labels an already-compressed body (the shipper compresses before
-    calling).  Transport errors, malformed replies (a garbled status
-    line, a body cut short by a peer that died mid-reply) and non-2xx
-    statuses all normalize to :class:`~repro.exceptions.ClusterError`
-    so callers have exactly one "the peer did not take this" signal to
-    retry or degrade on.
+    GET when ``data`` is None, POST otherwise, on a connection of its
+    own that closes after the reply.  No proxy is consulted: the peers
+    are the cluster's own processes.  Transport errors, malformed
+    replies (a garbled status line, a body cut short by a peer that
+    died mid-reply) and non-2xx statuses all normalize to
+    :class:`~repro.exceptions.ClusterError` so callers have exactly one
+    "the peer did not take this" signal to retry or degrade on.
     """
-    headers = {}
-    if content_type is not None:
-        headers["Content-Type"] = content_type
-    if content_encoding is not None:
-        headers["Content-Encoding"] = content_encoding
-    request = urllib.request.Request(url, data=data, headers=headers)
+    parts = urlsplit(url)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    connection_class = (
+        http.client.HTTPSConnection
+        if parts.scheme == "https"
+        else http.client.HTTPConnection
+    )
+    connection = connection_class(parts.hostname or "", parts.port, timeout=timeout)
+    headers = {} if content_type is None else {"Content-Type": content_type}
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return bytes(response.read())
-    except urllib.error.HTTPError as exc:
-        try:
-            detail = exc.read().decode("utf-8", "replace")[:200]
-        except (OSError, http.client.HTTPException):  # pragma: no cover
-            detail = ""  # the error body is already gone
-        raise ClusterError(
-            f"{url} answered HTTP {exc.code}: {detail or exc.reason}"
-        ) from exc
+        connection.request(
+            "GET" if data is None else "POST", target, body=data, headers=headers
+        )
+        response = connection.getresponse()
+        body = response.read()
     except OSError as exc:
         raise ClusterError(f"{url} is unreachable: {exc}") from exc
     except http.client.HTTPException as exc:
         raise ClusterError(f"{url} sent a malformed reply: {exc!r}") from exc
+    finally:
+        connection.close()
+    if not 200 <= response.status < 300:
+        detail = body.decode("utf-8", "replace")[:200]
+        raise ClusterError(
+            f"{url} answered HTTP {response.status}: "
+            f"{detail or response.reason}"
+        )
+    return body
 
 
 def export_sync_body(service, training=None) -> bytes:
@@ -290,18 +289,20 @@ class ClusterCoordinator:
         # guards the registry and every _WorkerLink field; held only for
         # in-memory bookkeeping, never across HTTP or service calls
         self._lock = threading.Lock()
+        # notified on every registration (see wait_registered)
+        self._registered = threading.Condition(self._lock)
         # optional supervision-status provider (set by ClusterSupervisor)
         self._supervision = None
 
     # ------------------------------------------------------------------
-    # Registration + push (worker-initiated)
+    # Registration (worker-initiated)
     # ------------------------------------------------------------------
     def register(self, worker, url) -> dict:
         """Register (or re-register) worker ``worker`` serving at ``url``.
 
         Re-registration with the same id just updates the URL — a
-        restarted worker resumes its slot, and its next cumulative push
-        replaces whatever its previous incarnation had synced.
+        restarted worker resumes its slot, and its next sync replaces
+        whatever its previous incarnation had synced.
         """
         if not isinstance(worker, int) or isinstance(worker, bool):
             raise ValidationError("'worker' must be an integer id")
@@ -322,17 +323,25 @@ class ClusterCoordinator:
                 link.url = url
                 link.reachable = True
             registered = len(self._links)
+            self._registered.notify_all()
         return {"worker": worker, "n_workers": self.n_workers,
                 "registered": registered}
+
+    def wait_registered(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds until every worker registered."""
+        with self._registered:
+            return self._registered.wait_for(
+                lambda: len(self._links) >= self.n_workers, timeout
+            )
 
     def apply_push(self, worker: int, payload) -> int:
         """Absorb one sync body from worker ``worker``; return its records.
 
-        Decodes and validates everything — the partial frame and any
-        trailing labeled row frames — *before* touching state, so a
-        malformed body changes nothing (the HTTP front end's 400
-        contract).  A valid body replaces the worker's shard slot and
-        its buffered row segment, and counts as a heartbeat.
+        :meth:`sync` applies every pulled body here.  Decodes and
+        validates everything — the partial frame and any trailing
+        labeled row frames — *before* touching state, so a malformed
+        body changes nothing.  A valid body replaces the worker's shard
+        slot and its buffered row segment, and counts as a heartbeat.
         """
         partials, rest = split_partial(payload)
         blocks = []
@@ -371,6 +380,8 @@ class ClusterCoordinator:
     def sync(self, *, require_all: bool = False) -> dict:
         """Pull fresh partials from every registered worker.
 
+        The cluster's only transfer path: the supervisor's timer,
+        ``/estimate`` and ``/train`` all come through here.
         Best-effort by default (``/estimate``): a failed pull — the
         worker is unreachable, or :meth:`apply_push` rejects the body it
         sent — marks the worker unreachable, its shard slot keeps
@@ -440,7 +451,7 @@ class ClusterCoordinator:
         """Per-worker sync state for ``/healthz`` and ``GET /cluster``.
 
         A worker is ``stale`` when it has never synced, was unreachable
-        on the last pull/push attempt, or its last sync is older than
+        on the last pull, or its last sync is older than
         ``stale_after`` seconds; the cluster is ``degraded`` while any
         worker is stale or not yet registered.
         """
@@ -546,207 +557,6 @@ def register_worker(
     raise ClusterError("unreachable")  # pragma: no cover - loop always returns
 
 
-class PartialShipper:
-    """Background thread pushing one worker's cumulative state upstream.
-
-    Every ``interval`` seconds (and once more at :meth:`stop` — the
-    drain flush) the shipper exports the worker's merged partials
-    (:func:`export_sync_body`) and POSTs them to the coordinator's
-    ``/partial?worker=i``.  Each push re-exports fresh state and retries
-    with exponential backoff on failure; because the body is cumulative
-    and the coordinator replaces, a lost or duplicated push never skews
-    the union.  Pushes double as heartbeats, so an idle worker still
-    reports in.  ``codec`` compresses every push body
-    (:func:`~repro.service.wire.compress_payload`) and labels it with
-    ``Content-Encoding`` — partial frames are mostly small integers, so
-    zlib cuts sync bandwidth severalfold at O(bins) cost.
-
-    Examples
-    --------
-    >>> from repro.core import Partition, UniformRandomizer
-    >>> from repro.service import AggregationService, AttributeSpec
-    >>> from repro.service.cluster import PartialShipper
-    >>> noise = UniformRandomizer(half_width=0.25)
-    >>> service = AggregationService(
-    ...     [AttributeSpec("x", Partition.uniform(0, 1, 4), noise)]
-    ... )
-    >>> _ = service.ingest({"x": [0.4, 0.6]})
-    >>> sent = []
-    >>> def fake_fetch(url, data=None, content_type=None, timeout=None):
-    ...     sent.append((url, data[:4]))
-    ...     return b"{}"
-    >>> shipper = PartialShipper(
-    ...     service, "http://coordinator:9", 0, fetch=fake_fetch
-    ... )
-    >>> shipper.push()
-    True
-    >>> sent
-    [('http://coordinator:9/partial?worker=0', b'PPDM')]
-    """
-
-    def __init__(
-        self,
-        service: AggregationService,
-        coordinator_url: str,
-        worker: int,
-        *,
-        interval: float = 5.0,
-        training: TrainingService | None = None,
-        retries: int = 5,
-        backoff: float = 0.25,
-        timeout: float = _DEFAULT_TIMEOUT,
-        fetch=None,
-        sleep=time.sleep,
-        breaker: CircuitBreaker | None = None,
-        faults: FaultPlan | None = None,
-        codec: str = WIRE_CODEC_IDENTITY,
-    ) -> None:
-        if interval <= 0:
-            raise ValidationError(
-                f"sync interval must be > 0 seconds, got {interval}"
-            )
-        if retries < 1:
-            raise ValidationError(f"retries must be >= 1, got {retries}")
-        if codec not in supported_codecs():
-            raise ValidationError(
-                f"unsupported push codec {codec!r}; this process supports "
-                f"{', '.join(supported_codecs())}"
-            )
-        self.codec = codec
-        self.service = service
-        self.training = training
-        self.worker = int(worker)
-        self.interval = float(interval)
-        self._url = (
-            coordinator_url.rstrip("/") + f"/partial?worker={self.worker}"
-        )
-        self._retries = int(retries)
-        self._backoff = float(backoff)
-        self._timeout = float(timeout)
-        self._fetch = _default_fetch if fetch is None else fetch
-        self._sleep = sleep
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        # closed/open/half-open gate: after breaker.failure_threshold
-        # consecutive failed pushes the interval loop stops hammering the
-        # coordinator and probes it once per reset timeout instead
-        self.breaker = (
-            CircuitBreaker(
-                failure_threshold=3,
-                reset_timeout=max(2.0 * float(interval), 1.0),
-            )
-            if breaker is None
-            else breaker
-        )
-        self.faults = faults
-        self.pushes = 0
-        self.failures = 0
-        self.skipped = 0
-
-    def push(self, *, force: bool = False) -> bool:
-        """Export and push once, retrying with backoff; True on success.
-
-        Every attempt re-exports fresh cumulative state (an O(bins)
-        merge), so the retry that finally lands carries everything
-        absorbed during the backoff sleeps too.  While the circuit
-        breaker is open the push is skipped outright (counted in
-        ``skipped``) unless ``force`` is set — the drain flush always
-        tries, whatever the breaker thinks.
-        """
-        if not force and not self.breaker.allow():
-            self.skipped += 1
-            return False
-        delay = self._backoff
-        for attempt in range(self._retries):
-            body = compress_payload(
-                export_sync_body(self.service, self.training), self.codec
-            )
-            try:
-                if self.faults is not None:
-                    action = self.faults.decide("shipper.push")
-                    if action is not None:
-                        if action.kind == "truncate":
-                            # ship a cut-off frame: the coordinator must
-                            # reject it wholesale (400 -> ClusterError)
-                            body = body[: int(len(body) * action.value)]
-                        elif action.kind == "drop":
-                            raise ClusterError(
-                                f"injected fault: push attempt dropped "
-                                f"({action.point} #{action.index})"
-                            )
-                        elif action.kind == "delay":
-                            self._sleep(action.value)
-                # the keyword rides only on compressed pushes, so
-                # injected test transports with the historical
-                # (url, data, content_type, timeout) signature keep
-                # working for identity shippers
-                codec_kwargs = (
-                    {}
-                    if self.codec == WIRE_CODEC_IDENTITY
-                    else {"content_encoding": self.codec}
-                )
-                self._fetch(
-                    self._url,
-                    data=body,
-                    content_type=CONTENT_TYPE_PARTIAL,
-                    timeout=self._timeout,
-                    **codec_kwargs,
-                )
-            except ClusterError:
-                if attempt + 1 >= self._retries:
-                    self.failures += 1
-                    self.breaker.record_failure()
-                    return False
-                self._sleep(delay)
-                delay = min(delay * 2, 8.0)
-                continue
-            self.pushes += 1
-            self.breaker.record_success()
-            return True
-        return False  # pragma: no cover - loop always returns
-
-    def start(self) -> "PartialShipper":
-        """Start the interval push thread (daemonic; idempotent)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name=f"partial-shipper-{self.worker}",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.push()
-
-    def stop(self, *, drain: bool = True) -> bool:
-        """Stop the push thread; with ``drain``, flush one final push.
-
-        The drain push is the shutdown contract: whatever the worker
-        absorbed since the last interval push reaches the coordinator
-        before the process exits.  Returns the drain push's success
-        (True when ``drain`` is off) — callers must surface ``False``,
-        it means the coordinator never saw this worker's final records.
-        The drain bypasses an open circuit breaker (``force=True``).
-        """
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=max(self._timeout, self.interval) + 5.0)
-            self._thread = None
-        if drain:
-            drained = self.push(force=True)
-            if not drained:
-                logger.warning(
-                    "worker %d final drain push failed after %d "
-                    "attempt(s); the coordinator is missing its last "
-                    "records",
-                    self.worker,
-                    self._retries,
-                )
-            return drained
-        return True
-
-
 # ----------------------------------------------------------------------
 # Process topology
 # ----------------------------------------------------------------------
@@ -754,16 +564,16 @@ def _worker_main(config: dict) -> None:
     """Entry point of one worker process.
 
     Builds a full service (plus training when configured) from the
-    deployment spec, serves it on an ephemeral port, registers with the
-    coordinator (retrying until it is up), and ships partials on the
-    sync interval.  On the supervisor's stop signal (SIGTERM) it drains
-    its server, then pushes once more.  With a per-worker
-    ``snapshot_path`` the worker recovers its cumulative state from the
-    newest valid generation at startup (so a supervised restart resumes
-    the slot instead of replacing it with empty counts), and its server
-    auto-snapshots every ``snapshot_interval`` seconds.  A failed final
-    push (or final snapshot) exits with code ``_DRAIN_FAILED_EXIT`` so
-    the supervisor can report the loss.
+    deployment spec, serves it on an ephemeral port, and registers with
+    the coordinator (retrying until it is up), which pulls its partials
+    from then on.  On the supervisor's stop signal (SIGTERM) it drains
+    its server and shuts it down.  With a per-worker ``snapshot_path``
+    the worker recovers its cumulative state from the newest valid
+    generation at startup (so a supervised restart resumes the slot
+    instead of replacing it with empty counts), and its server
+    auto-snapshots every ``snapshot_interval`` seconds.  A failed exit
+    snapshot exits with code ``_DRAIN_FAILED_EXIT`` so the supervisor
+    can report the loss.
 
     The stop signal is deliberately an OS signal and a *process-local*
     event, never shared IPC state: a ``multiprocessing.Event`` waiter
@@ -803,22 +613,12 @@ def _worker_main(config: dict) -> None:
     )
     serve_thread = threading.Thread(target=server.serve_forever, daemon=True)
     serve_thread.start()
-    shipper = PartialShipper(
-        service,
-        config["coordinator_url"],
-        config["worker"],
-        interval=config.get("sync_interval", 5.0),
-        training=training,
-        faults=faults,
-        codec=config.get("codec") or WIRE_CODEC_IDENTITY,
-    )
     persisted = True
     try:
         register_worker(
             config["coordinator_url"], config["worker"], server.url,
             faults=faults,
         )
-        shipper.start()
         stop.wait()
     finally:
         try:
@@ -829,11 +629,10 @@ def _worker_main(config: dict) -> None:
                 config["worker"], exc,
             )
             persisted = False
-        drained = shipper.stop(drain=True)
         server.shutdown()
-    if not drained or not persisted:
-        # reached only on a clean stop signal: surface the lost drain as
-        # a nonzero exit code the supervisor turns into a non-OK result
+    if not persisted:
+        # reached only on a clean stop signal: surface the lost snapshot
+        # as a nonzero exit code the supervisor turns into a non-OK result
         raise SystemExit(_DRAIN_FAILED_EXIT)
 
 
@@ -855,11 +654,13 @@ class ClusterSupervisor:
     Built by :func:`start_cluster`.  The coordinator's HTTP loop runs in
     a background thread (so registrations land while the caller is still
     setting up); :meth:`wait` blocks the calling thread until
-    interrupted, and :meth:`shutdown` stops the cluster in drain order —
-    workers first (each flushes a final partial to the still-serving
-    coordinator), coordinator last — and returns a result dict whose
-    ``ok`` flag is False when any worker lost its final drain.
+    interrupted, and :meth:`shutdown` stops the cluster — its own
+    threads first, then the workers (each drains and writes its
+    snapshot), the coordinator last — and returns a result dict whose
+    ``ok`` flag is False when any worker's exit snapshot failed.
 
+    A sync thread calls :meth:`ClusterCoordinator.sync` every
+    ``sync_interval`` seconds, the one timer that moves worker state.
     The supervisor also *monitors*: a thread polls worker liveness,
     starts a fresh process from the spawn ``context`` and the worker's
     entry in ``configs`` for each dead one under its entry in
@@ -879,6 +680,7 @@ class ClusterSupervisor:
         context,
         configs,
         budgets,
+        sync_interval: float,
         faults: FaultPlan | None = None,
     ) -> None:
         self.server = server
@@ -895,17 +697,24 @@ class ClusterSupervisor:
         self._exhausted = [False] * len(self.processes)
         self._budgets = list(budgets)
         self._shutdown_result: dict | None = None
-        self._monitor_stop = threading.Event()
+        self._sync_interval = float(sync_interval)
+        # stops the monitor and the sync thread
+        self._stop = threading.Event()
         coordinator.attach_supervision(self.supervision)
         self._serve_thread = threading.Thread(
             target=self.server.serve_forever, name="cluster-coordinator",
             daemon=True,
         )
         self._serve_thread.start()
-        self._monitor = threading.Thread(
-            target=self._watch, name="cluster-supervisor", daemon=True,
-        )
-        self._monitor.start()
+        self._threads = [
+            threading.Thread(target=target, name=name, daemon=True)
+            for target, name in (
+                (self._watch, "cluster-supervisor"),
+                (self._sync_loop, "cluster-sync"),
+            )
+        ]
+        for thread in self._threads:
+            thread.start()
 
     @property
     def url(self) -> str:
@@ -931,8 +740,15 @@ class ClusterSupervisor:
             }
 
     # ------------------------------------------------------------------
-    # Monitoring / restart
+    # Sync, monitoring, restart
     # ------------------------------------------------------------------
+    def _sync_loop(self) -> None:
+        while not self._stop.wait(self._sync_interval):
+            try:
+                self.coordinator.sync()
+            except Exception:  # a tick must not end the loop
+                logger.exception("background sync failed (will retry)")
+
     def _spawn(self, index: int):
         process = self._context.Process(
             target=_worker_main, args=(self._configs[index],),
@@ -942,11 +758,11 @@ class ClusterSupervisor:
         return process
 
     def _watch(self) -> None:
-        while not self._monitor_stop.wait(_MONITOR_INTERVAL):
+        while not self._stop.wait(_MONITOR_INTERVAL):
             with self._plock:
                 snapshot = list(enumerate(self.processes))
             for index, process in snapshot:
-                if self._monitor_stop.is_set():
+                if self._stop.is_set():
                     return
                 if self._faults is not None and process.is_alive():
                     action = self._faults.decide(
@@ -976,7 +792,7 @@ class ClusterSupervisor:
                     "worker %d died (exit code %s); restarting in %.2fs",
                     index, process.exitcode, delay,
                 )
-                if self._monitor_stop.wait(delay):
+                if self._stop.wait(delay):
                     return
                 replacement = self._spawn(index)
                 with self._plock:
@@ -986,10 +802,9 @@ class ClusterSupervisor:
     def wait_ready(self, timeout: float = 30.0) -> "ClusterSupervisor":
         """Block until every worker has registered (and raise past ``timeout``)."""
         deadline = time.monotonic() + timeout
-        while True:
-            health = self.coordinator.health()
-            if health["registered"] >= self.coordinator.n_workers:
-                return self
+        # each registration wakes the wait; the timeout only paces the
+        # re-check of dead and exhausted workers
+        while not self.coordinator.wait_registered(_READY_RECHECK):
             with self._plock:
                 snapshot = list(enumerate(self.processes))
             for index, process in snapshot:
@@ -1002,31 +817,33 @@ class ClusterSupervisor:
                     )
             if time.monotonic() >= deadline:
                 raise ClusterError(
-                    f"only {health['registered']} of "
+                    f"only {self.coordinator.health()['registered']} of "
                     f"{self.coordinator.n_workers} workers registered "
                     f"within {timeout:.0f}s"
                 )
-            time.sleep(0.05)
+        return self
 
     def wait(self) -> None:
         """Block until :meth:`shutdown` (or KeyboardInterrupt) unblocks us."""
         self._done.wait()
 
     def shutdown(self, timeout: float = 30.0) -> dict:
-        """Drain and stop: workers flush final partials, then the server.
+        """Stop syncing, drain the workers, then stop the server.
 
         Returns ``{"ok": bool, "failures": [...], "restarts": [...],
         "exhausted": [...]}``.  ``ok`` is False — and a warning is
         logged — when any worker was terminated without exiting, exited
-        nonzero (a failed final drain exits ``_DRAIN_FAILED_EXIT``), or
+        nonzero (a failed exit snapshot exits ``_DRAIN_FAILED_EXIT``), or
         had exhausted its restart budget; callers such as ``ppdm serve
         --workers`` exit nonzero on it instead of losing the outcome
         silently.  Idempotent: repeated calls return the first result.
         """
         if self._shutdown_result is not None:
             return self._shutdown_result
-        self._monitor_stop.set()
-        self._monitor.join(timeout)
+        # no tick may race the workers' exits, nor a restart revive one
+        self._stop.set()
+        for thread in self._threads:
+            thread.join(timeout)
         failures = []
         with self._plock:
             processes = list(self.processes)
@@ -1056,7 +873,7 @@ class ClusterSupervisor:
                 })
             elif process.exitcode != 0:
                 reason = (
-                    "final drain failed"
+                    "final snapshot failed"
                     if process.exitcode == _DRAIN_FAILED_EXIT
                     else f"exit code {process.exitcode}"
                 )
@@ -1096,15 +913,16 @@ def start_cluster(
     restart_limit: int = 5,
     restart_backoff: float = 0.1,
     max_inflight: int | None = None,
-    codec: str = WIRE_CODEC_IDENTITY,
 ) -> ClusterSupervisor:
     """Launch a coordinator + ``n_workers`` worker-process cluster.
 
     The coordinator's service is built from the same deployment ``spec``
     as the workers but with one shard slot per worker (worker ``i``
     syncs into slot ``i``); each worker process binds an ephemeral port
-    and registers itself.  ``stale_after`` defaults to three sync
-    intervals.  Returns a :class:`ClusterSupervisor`; call
+    and registers itself.  The coordinator pulls every registered worker
+    each ``sync_interval`` seconds, and on every ``/estimate`` and
+    ``/train``; ``stale_after`` defaults to three sync intervals.
+    Returns a :class:`ClusterSupervisor`; call
     :meth:`~ClusterSupervisor.wait_ready` to block until every worker is
     registered and :meth:`~ClusterSupervisor.shutdown` to drain and stop.
 
@@ -1134,14 +952,16 @@ def start_cluster(
     ``restart_limit`` restarts per 60 s window, the first after
     ``restart_backoff`` seconds; ``max_inflight``
     bounds each worker's concurrent ingest bodies (429 + Retry-After
-    past it); ``codec`` compresses every worker's partial pushes
-    (``Content-Encoding``-labelled, decoded bounded on the
-    coordinator).  ``snapshot_dir`` is incompatible with ``train=True`` —
+    past it).  ``snapshot_dir`` is incompatible with ``train=True`` —
     the labeled row buffer is not part of the aggregation snapshot, so
     a restored worker would ship aggregates without their rows.
     """
     if n_workers < 1:
         raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
+    if not sync_interval > 0:
+        raise ValidationError(
+            f"sync_interval must be > 0 seconds, got {sync_interval}"
+        )
     if not isinstance(spec, dict):
         raise ValidationError("the deployment spec must be a dict")
     if snapshot_dir is not None and train:
@@ -1155,11 +975,6 @@ def start_cluster(
         raise ValidationError("snapshot_interval needs snapshot_dir to write to")
     if snapshot_interval is not None and not snapshot_interval > 0:
         raise ValidationError("snapshot interval must be > 0 seconds")
-    if codec not in supported_codecs():
-        raise ValidationError(
-            f"unsupported push codec {codec!r}; this process supports "
-            f"{', '.join(supported_codecs())}"
-        )
     plan = faults if isinstance(faults, FaultPlan) else FaultPlan.from_spec(faults)
     fault_spec = plan.to_spec() if plan is not None else None
     budgets = [
@@ -1199,12 +1014,10 @@ def start_cluster(
                 "coordinator_url": server.url,
                 "host": host,
                 "train": bool(train),
-                "sync_interval": float(sync_interval),
                 "snapshot_path": worker_snapshot,
                 "snapshot_interval": snapshot_interval,
                 "faults": fault_spec,
                 "max_inflight": max_inflight,
-                "codec": codec,
             }
             configs.append(config)
             name = f"ppdm-worker-{worker}"
@@ -1222,7 +1035,8 @@ def start_cluster(
             processes.append(process)
         return ClusterSupervisor(
             server, coordinator, processes,
-            context=spawn, configs=configs, budgets=budgets, faults=plan,
+            context=spawn, configs=configs, budgets=budgets,
+            sync_interval=sync_interval, faults=plan,
         )
     except BaseException:
         # no worker has registered yet, so there is nothing to drain:

@@ -2,7 +2,7 @@
 
 Chaos engineering is only useful when a failing run can be replayed:
 this module gives the serving tier named *injection points* (an HTTP
-response about to be sent, a shipper push about to go on the wire, a
+response about to be sent, a worker's registration attempt, a
 snapshot write, a live worker process) whose behaviour is driven by a
 :class:`FaultPlan` — a seed plus per-point action probabilities.  Every
 decision is a pure function of ``(seed, point key, attempt number)``
@@ -15,7 +15,7 @@ A plan is a JSON-able spec::
 
     {"seed": 7,
      "points": {"httpd.response:/partial": {"error": 0.5, "max": 6},
-                "shipper.push": {"truncate": 0.25, "drop": 0.25},
+                "register.request": {"drop": 0.25, "delay": 0.25},
                 "snapshot.write": {"fail": 1.0, "max": 1}}}
 
 Point names used by the stack:
@@ -23,13 +23,10 @@ Point names used by the stack:
 ``httpd.response``
     Consulted by :class:`~repro.service.httpd.ServiceHTTPServer`'s
     handler once the request body has been read, with the request path
-    as qualifier (so ``httpd.response:/partial`` targets only partial
-    syncs).  Actions: ``drop`` (close the connection without a
-    response), ``error`` (reply 503 + ``Retry-After``), ``delay``.
-``shipper.push``
-    Consulted by :class:`~repro.service.cluster.PartialShipper` before
-    each push attempt.  Actions: ``truncate`` (ship a cut-off frame),
-    ``drop`` (fail the attempt without touching the wire), ``delay``.
+    as qualifier (so ``httpd.response:/partial`` targets only the
+    coordinator's pulls).  Actions: ``drop`` (close the connection
+    without a response), ``error`` (reply 503 + ``Retry-After``),
+    ``delay``.
 ``snapshot.write``
     Consulted by the durability layer inside the snapshot lock.
     Action: ``fail`` (raise before any byte is written).
@@ -69,12 +66,12 @@ from repro.utils.validation import check_json_number
 __all__ = ["ACTION_KINDS", "FaultAction", "FaultPlan"]
 
 #: action kinds in the (fixed) order probability mass is assigned
-ACTION_KINDS = ("drop", "error", "delay", "truncate", "fail", "kill")
+ACTION_KINDS = ("drop", "error", "delay", "fail", "kill")
 
 #: environment variable holding a plan spec (inline JSON or ``@path``)
 PLAN_ENV_VAR = "PPDM_FAULT_PLAN"
 
-_POINT_OPTIONS = ("max", "status", "delay_seconds", "fraction")
+_POINT_OPTIONS = ("max", "status", "delay_seconds")
 
 
 def _number(key: str, name: str, raw, low, high=sys.float_info.max, *,
@@ -103,8 +100,7 @@ class FaultAction:
     index:
         0-based count of faults fired at this point so far.
     value:
-        Action parameter — delay seconds for ``delay``, surviving
-        fraction of the frame for ``truncate``, else ``0.0``.
+        Action parameter — delay seconds for ``delay``, else ``0.0``.
     status:
         HTTP status for ``error`` actions (default 503).
     """
@@ -120,7 +116,7 @@ class _Point:
     """Mutable per-point state: configured rates plus fire counters."""
 
     __slots__ = ("rates", "max_fires", "status", "delay_seconds",
-                 "fraction", "attempts", "fired")
+                 "attempts", "fired")
 
     def __init__(self, key: str, options: Mapping[str, object]) -> None:
         if not isinstance(options, Mapping):
@@ -132,7 +128,6 @@ class _Point:
         self.max_fires: Optional[int] = None
         self.status = 503
         self.delay_seconds = 0.05
-        self.fraction = 0.5
         self.attempts = 0
         self.fired = 0
         for name, raw in options.items():
@@ -143,8 +138,6 @@ class _Point:
                 self.status = _number(key, name, raw, 400, 599, integer=True)
             elif name == "delay_seconds":
                 self.delay_seconds = float(_number(key, name, raw, 0))
-            elif name == "fraction":
-                self.fraction = float(_number(key, name, raw, 0, 1))
             elif name in ACTION_KINDS:
                 self.rates[str(name)] = float(_number(key, name, raw, 0, 1))
             else:
@@ -158,13 +151,6 @@ class _Point:
                 f"fault point {key!r}: action rates sum past 1.0"
             )
 
-    def value_for(self, kind: str) -> float:
-        if kind == "delay":
-            return self.delay_seconds
-        if kind == "truncate":
-            return self.fraction
-        return 0.0
-
 
 def _unit(seed: int, key: str, attempt: int) -> float:
     """Deterministic uniform draw in ``[0, 1)`` for one attempt."""
@@ -175,9 +161,9 @@ def _unit(seed: int, key: str, attempt: int) -> float:
 class FaultPlan:
     """A seeded schedule of faults over named injection points.
 
-    Thread-safe: injection points are consulted from handler threads,
-    shipper threads, and the supervisor's monitor concurrently; the
-    per-point attempt counters are advanced under one lock.
+    Thread-safe: injection points are consulted from handler threads
+    and the supervisor's monitor concurrently; the per-point attempt
+    counters are advanced under one lock.
 
     Examples
     --------
@@ -304,7 +290,7 @@ class FaultPlan:
                         kind=kind,
                         point=key,
                         index=index,
-                        value=state.value_for(kind),
+                        value=state.delay_seconds if kind == "delay" else 0.0,
                         status=state.status,
                     )
         return None

@@ -45,8 +45,6 @@ Endpoints (responses are JSON unless noted):
 ``POST /train``            grow a decision tree from the training buffer
 ``POST /snapshot``         persist to the configured snapshot path
 ``POST /register``         announce a worker to the coordinator
-``POST /partial?worker=I`` absorb worker ``I``'s pushed sync body
-                           (coordinator only)
 =========================  ==================================================
 
 A server created with ``cluster=`` (see
@@ -147,10 +145,10 @@ class ServiceHTTPServer:
         shards and their per-class record counters.
     cluster:
         Optional :class:`~repro.service.cluster.ClusterCoordinator` over
-        ``service``; makes this server a cluster coordinator — worker
-        registration/push endpoints come alive, ``/estimate`` and
-        ``/train`` pull registered workers first, ``/healthz`` reports
-        per-worker staleness, and direct ``/ingest`` is refused.
+        ``service``; makes this server a cluster coordinator — ``POST
+        /register`` comes alive, ``/estimate`` and ``/train`` pull
+        registered workers first, ``/healthz`` reports per-worker
+        staleness, and direct ``/ingest`` is refused.
     mining:
         Optional :class:`~repro.service.mining.MiningService`; enables
         basket ingest bodies (``application/x-ppdm-baskets``),
@@ -599,20 +597,6 @@ class ServiceHTTPServer:
             return 200, {"saved": self.persist()}
         return 404, {"error": f"unknown route {path!r}"}
 
-    def handle_partial_push(self, query: dict, payload: bytes) -> tuple:
-        """Absorb one pushed sync body (``POST /partial?worker=I``)."""
-        if self.cluster is None:
-            return 400, {"error": "this server is not a cluster coordinator"}
-        workers = query.get("worker")
-        if not workers:
-            return 400, {"error": "missing ?worker=ID"}
-        try:
-            worker = int(workers[0])
-        except ValueError:
-            return 400, {"error": "'worker' must be an integer id"}
-        records = self.cluster.apply_push(worker, payload)
-        return 200, {"worker": worker, "records": records}
-
     def _absorb_frames(self, frames) -> tuple:
         """Validate, prepare, and absorb ``(batch, classes, shard)`` frames.
 
@@ -859,8 +843,7 @@ def _make_handler(server: ServiceHTTPServer):
                 )
                 return
             raw = self.rfile.read(length) if length else b""
-            parsed = urlparse(self.path)
-            path = parsed.path
+            path = urlparse(self.path).path
             ctype = self._content_type()
             if self._inject_fault(path):
                 return
@@ -906,15 +889,6 @@ def _make_handler(server: ServiceHTTPServer):
                         status, out = server.handle_ingest_frames(
                             iter_labeled_ndjson(raw)
                         )
-                    elif path == "/partial" and ctype == CONTENT_TYPE_PARTIAL:
-                        status, out = server.handle_partial_push(
-                            parse_qs(parsed.query), raw
-                        )
-                    elif path == "/partial":
-                        status, out = 400, {
-                            "error": "POST /partial requires Content-Type "
-                            f"{CONTENT_TYPE_PARTIAL}"
-                        }
                     else:
                         try:
                             payload = json.loads(raw.decode() or "null")

@@ -17,29 +17,11 @@ module holds the serving stack's resilience primitives:
 * **Overload and drain** — :class:`AdmissionController` counts
   in-flight ingest work, bounds it (the HTTP front end turns a rejected
   acquire into ``429`` + ``Retry-After``) and closes for a drain, which
-  waits for every admitted body; :class:`CircuitBreaker` gives
-  :class:`~repro.service.cluster.PartialShipper` the classic
-  closed/open/half-open discipline so a dead coordinator is probed, not
-  hammered.
+  waits for every admitted body.
 * **Supervision** — :class:`RestartBudget` is the sliding-window
   restart allowance with exponential backoff that
   :class:`~repro.service.cluster.ClusterSupervisor` spends when it
   respawns a dead worker.
-
-Examples
---------
->>> from repro.service.resilience import CircuitBreaker
->>> clock = iter([0.0, 2.0, 7.0]).__next__
->>> breaker = CircuitBreaker(failure_threshold=2, reset_timeout=5.0,
-...                          clock=clock)
->>> breaker.record_failure(); breaker.record_failure(); breaker.state
-'open'
->>> breaker.allow()   # t=2.0: still cooling off
-False
->>> breaker.allow()   # t=7.0: past the reset timeout -> one probe
-True
->>> breaker.record_success(); breaker.state
-'closed'
 """
 
 from __future__ import annotations
@@ -58,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
     "RestartBudget",
     "persist_with_rotation",
     "previous_snapshot_path",
@@ -66,95 +47,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger("repro.service.resilience")
-
-#: circuit breaker states
-CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
-
-
-class CircuitBreaker:
-    """Closed/open/half-open gate in front of an unreliable peer.
-
-    Closed passes everything through.  ``failure_threshold``
-    consecutive failures open the circuit: :meth:`allow` refuses for
-    ``reset_timeout`` seconds, then admits exactly one probe
-    (half-open).  A successful probe closes the circuit; a failed one
-    re-opens it for another full timeout.  Thread-safe.
-
-    Examples
-    --------
-    >>> from repro.service.resilience import CircuitBreaker
-    >>> breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60.0)
-    >>> breaker.state, breaker.allow()
-    ('closed', True)
-    >>> breaker.record_failure(); breaker.state, breaker.allow()
-    ('open', False)
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_timeout: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValidationError("failure_threshold must be >= 1")
-        if reset_timeout < 0:
-            raise ValidationError("reset_timeout must be >= 0")
-        self.failure_threshold = int(failure_threshold)
-        self.reset_timeout = float(reset_timeout)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = CLOSED
-        self._failures = 0
-        self._opened_at = 0.0
-        self._probing = False
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    def allow(self) -> bool:
-        """May a call go through right now?"""
-        with self._lock:
-            if self._state == CLOSED:
-                return True
-            if self._state == OPEN:
-                if self._clock() - self._opened_at >= self.reset_timeout:
-                    self._state = HALF_OPEN
-                    self._probing = True
-                    return True
-                return False
-            # half-open: exactly one probe is in flight at a time
-            if not self._probing:
-                self._probing = True
-                return True
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._state = CLOSED
-            self._failures = 0
-            self._probing = False
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._failures += 1
-            if self._state == HALF_OPEN or self._failures >= self.failure_threshold:
-                if self._state != OPEN:
-                    logger.warning(
-                        "circuit breaker opened after %d failure(s); "
-                        "probing again in %.1fs",
-                        self._failures,
-                        self.reset_timeout,
-                    )
-                self._state = OPEN
-                self._opened_at = self._clock()
-                self._probing = False
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {"state": self._state, "failures": self._failures}
 
 
 class AdmissionController:

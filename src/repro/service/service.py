@@ -198,13 +198,13 @@ class AggregationService:
         """Replace shard ``slot`` with one worker's cumulative partials.
 
         The coordinator side of cluster sync: worker ``slot``'s
-        dedicated shard is cleared and refilled with the pushed
+        dedicated shard is cleared and refilled with the pulled
         ``{name: (1, bins) counts}`` mapping (see :meth:`export_partial`;
         the ``(classes + 1, bins)`` rows older workers send are summed,
         see :meth:`~repro.service.shards.ShardSet.replace_slot`).
         Because each sync carries the
         worker's *cumulative* merged counts, the replace is idempotent
-        — a retried or duplicated push can never double-count — and the
+        — a retried or duplicated sync can never double-count — and the
         merged union over all slots stays bit-identical to a
         single-process service fed the same records.  The slot's counts
         and counters change in one locked write, so readers that skip

@@ -611,7 +611,7 @@ class ShardSet(_ShardSet):
         summed.  Partials carry no class split, so the records count as
         unlabeled.  This is the cluster coordinator's sync primitive: a
         worker ships its *cumulative* merged counts and replacing the
-        worker's dedicated shard makes every re-push idempotent, so a
+        worker's dedicated shard makes every repeated sync idempotent, so a
         retried sync can never double-count.  Attributes absent from
         ``partials`` end up empty (the worker has seen none of them).
         Everything is validated first, so a malformed mapping changes

@@ -61,7 +61,7 @@ anything else is a malformed frame, not data.  Partial frames are
 self-delimiting like record frames, so a sync body may append labeled
 v2 record frames after the partial (:func:`split_partial`) — that is
 how a training worker ships its row buffer alongside its aggregates in
-one atomic push.
+one atomic sync body.
 
 Version 4 is the *basket* frame (``application/x-ppdm-baskets``): the
 association-mining workload's unit of ingest.  Market-basket data is
@@ -665,7 +665,7 @@ def encode_partial(partials) -> bytes:
 def split_partial(payload) -> tuple:
     """Decode a leading version 3 frame; return ``(partials, remainder)``.
 
-    The sync-body decoder: a push/pull body is one partial frame,
+    The sync-body decoder: a pulled body is one partial frame,
     optionally followed by concatenated labeled record frames (a
     training worker's row buffer).  ``remainder`` is the bytes after the
     partial frame (empty when the body is the frame alone), ready for
@@ -1040,8 +1040,7 @@ def resolve_codec(token) -> str | None:
 def compress_payload(payload, codec: str) -> bytes:
     """Compress an encoded wire body with ``codec``.
 
-    The single compression implementation behind ``ppdm ingest --codec``
-    and the cluster tier's :class:`~repro.service.PartialShipper`:
+    The single compression implementation behind ``ppdm ingest --codec``:
     ``identity`` returns the bytes unchanged, ``zlib`` uses the stdlib
     at its default level, ``zstd`` needs the optional ``zstandard``
     package.  The codec applies to the *whole* request body — any

@@ -39,6 +39,18 @@ from repro.utils.validation import check_fraction, check_positive
 STRATEGIES = ("original", "randomized", "global", "byclass", "local", "valueclass")
 
 
+def _distinct(labels) -> np.ndarray:
+    """The distinct labels in ascending order, as ``np.unique`` gives them.
+
+    ``np.unique`` imports ``numpy.ma`` on NumPy 2.4 (about 1 MB), which a
+    serving process that trains would otherwise never load.
+    """
+    ordered = np.sort(labels)
+    keep = np.ones(ordered.shape, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def build_tree(
     partitions,
     names,
@@ -96,7 +108,7 @@ def correct_intervals(
     if strategy == "global":
         calls = [[(j, None, slice(None)) for j in jobs]]
     else:
-        class_rows = [(int(c), labels == c) for c in np.unique(labels)]
+        class_rows = [(int(c), labels == c) for c in _distinct(labels)]
         calls = [[(j, c, rows) for c, rows in class_rows] for j in jobs]
     reconstructions: dict = {}
     for call in calls:  # (column, class or None, row selector) per problem
@@ -138,7 +150,7 @@ def local_refit(partitions, randomizers, reconstructor, min_records: int):
         out = intervals.copy()
         class_rows = [
             rows
-            for c in np.unique(labels)
+            for c in _distinct(labels)
             for rows in [labels == c]
             if int(rows.sum()) >= min_records
         ]

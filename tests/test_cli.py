@@ -172,7 +172,6 @@ class TestServeIngestParser:
         assert build_parser().parse_args(
             ["ingest", "values.txt"]
         ).codec == "none"
-        assert build_parser().parse_args(["serve"]).codec == "none"
 
     def test_codec_rejects_unknown_token(self):
         with pytest.raises(SystemExit):
@@ -471,14 +470,6 @@ class TestServeIngestCommands:
         )
         assert code == 2
         assert "--url" in capsys.readouterr().err
-
-    def test_serve_codec_needs_workers(self, capsys, spec_file):
-        code = main(
-            ["serve", "--spec", str(spec_file), "--port", "0",
-             "--max-requests", "0", "--codec", "zlib"]
-        )
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
 
     def test_ingest_zstd_without_package_is_a_clean_error(
         self, capsys, tmp_path

@@ -1,11 +1,12 @@
 """Tests for the multi-worker cluster tier (repro.service.cluster).
 
 Covers the partial wire frame (version 3), the export/replace sync
-primitives, coordinator registration/push/pull/health, the failure
-modes the operator's guide promises (worker death, retry-with-backoff,
-drain-on-shutdown, malformed pushes absorbing nothing), the HTTP
-surface, and the real process topology: a two-worker smoke, how launch
-starts its workers, and a launch whose second worker cannot start.
+primitives, coordinator registration/pull/health, the failure modes the
+operator's guide promises (worker death, registration retries, rejected
+bodies absorbing nothing), the cluster's HTTP client, the HTTP surface,
+and the real process topology: a two-worker smoke, how launch starts
+its workers, a launch whose second worker cannot start, and the work
+the sync path does, counted in requests and pulls.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.service import (
     AggregationService,
     AttributeSpec,
     ClusterCoordinator,
-    PartialShipper,
     ServiceHTTPServer,
     TrainingService,
     encode_partial,
@@ -478,153 +478,8 @@ class TestPullSync:
 
 
 # ----------------------------------------------------------------------
-# Shipper: retry, backoff, drain
+# The cluster's HTTP client: malformed replies, retries, no proxy
 # ----------------------------------------------------------------------
-class FlakyCoordinator:
-    def __init__(self, coordinator, fail_first=0):
-        self.coordinator = coordinator
-        self.fail_first = fail_first
-        self.attempts = 0
-        self.sleeps = []
-
-    def fetch(self, url, data=None, content_type=None, timeout=None):
-        self.attempts += 1
-        if self.attempts <= self.fail_first:
-            raise ClusterError(f"{url} is unreachable: refused")
-        worker = int(url.rsplit("worker=", 1)[1])
-        self.coordinator.apply_push(worker, data)
-        return b"{}"
-
-    def sleep(self, seconds):
-        self.sleeps.append(seconds)
-
-
-class TestShipper:
-    def make_pair(self, fail_first=0, retries=5):
-        coordinator = ClusterCoordinator(make_service(n_shards=1), n_workers=1)
-        coordinator.register(0, "http://w0")
-        flaky = FlakyCoordinator(coordinator, fail_first=fail_first)
-        worker = make_service()
-        shipper = PartialShipper(
-            worker,
-            "http://c",
-            0,
-            retries=retries,
-            backoff=0.25,
-            fetch=flaky.fetch,
-            sleep=flaky.sleep,
-        )
-        return coordinator, flaky, worker, shipper
-
-    def test_push_retries_with_exponential_backoff(self):
-        coordinator, flaky, worker, shipper = self.make_pair(fail_first=3)
-        worker.ingest(make_batch(18)[0])
-        assert shipper.push() is True
-        assert flaky.attempts == 4
-        assert flaky.sleeps == [0.25, 0.5, 1.0]
-        assert shipper.pushes == 1 and shipper.failures == 0
-        assert coordinator.service.n_seen("x") == 200
-
-    def test_push_gives_up_after_retries(self):
-        coordinator, flaky, worker, shipper = self.make_pair(
-            fail_first=10, retries=3
-        )
-        worker.ingest(make_batch(19)[0])
-        assert shipper.push() is False
-        assert flaky.attempts == 3
-        assert shipper.failures == 1
-        assert coordinator.service.n_seen("x") == 0
-
-    def test_backoff_delay_caps_at_8s(self):
-        _, flaky, _, shipper = self.make_pair(fail_first=9, retries=10)
-        assert shipper.push() is True
-        assert flaky.sleeps == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 8.0, 8.0, 8.0]
-
-    def test_stop_drains_final_push(self):
-        coordinator, flaky, worker, shipper = self.make_pair()
-        shipper.start()
-        shipper.start()  # idempotent
-        worker.ingest(make_batch(20)[0])
-        assert shipper.stop(drain=True) is True
-        # everything absorbed since the last interval push arrived
-        assert coordinator.service.n_seen("x") == 200
-        assert_same_estimates(coordinator.service, worker)
-
-    def test_stop_without_drain_skips_push(self):
-        coordinator, flaky, worker, shipper = self.make_pair()
-        worker.ingest(make_batch(21)[0])
-        assert shipper.stop(drain=False) is True
-        assert flaky.attempts == 0
-        assert coordinator.service.n_seen("x") == 0
-
-    def test_interval_and_retries_validated(self):
-        worker = make_service()
-        with pytest.raises(ValidationError, match="interval"):
-            PartialShipper(worker, "http://c", 0, interval=0)
-        with pytest.raises(ValidationError, match="retries"):
-            PartialShipper(worker, "http://c", 0, retries=0)
-
-
-class TestShipperCodec:
-    """Compressed partial pushes: smaller bodies, same coordinator state."""
-
-    def make_pair(self, codec):
-        import zlib
-
-        coordinator = ClusterCoordinator(make_service(n_shards=1), n_workers=1)
-        coordinator.register(0, "http://w0")
-        captured = {}
-
-        def fetch(url, data=None, content_type=None, timeout=None,
-                  content_encoding=None):
-            captured["encoding"] = content_encoding
-            captured["bytes"] = len(data)
-            body = zlib.decompress(data) if content_encoding == "zlib" else data
-            worker = int(url.rsplit("worker=", 1)[1])
-            coordinator.apply_push(worker, body)
-            return b"{}"
-
-        worker = make_service()
-        shipper = PartialShipper(
-            worker, "http://c", 0, fetch=fetch, codec=codec
-        )
-        return coordinator, worker, shipper, captured
-
-    def test_zlib_push_reaches_the_coordinator_bit_identically(self):
-        coordinator, worker, shipper, captured = self.make_pair("zlib")
-        worker.ingest(make_batch(30)[0])
-        assert shipper.push() is True
-        assert captured["encoding"] == "zlib"
-        assert captured["bytes"] < len(export_sync_body(worker, None))
-        assert coordinator.service.n_seen("x") == 200
-        assert_same_estimates(coordinator.service, worker)
-
-    def test_identity_shipper_calls_fetch_without_encoding_kwarg(self):
-        """The default codec keeps the legacy 4-argument fetch contract."""
-        coordinator = ClusterCoordinator(make_service(n_shards=1), n_workers=1)
-        coordinator.register(0, "http://w0")
-        seen = {}
-
-        def legacy_fetch(url, data=None, content_type=None, timeout=None):
-            seen["data"] = data
-            worker = int(url.rsplit("worker=", 1)[1])
-            coordinator.apply_push(worker, data)
-            return b"{}"
-
-        worker = make_service()
-        shipper = PartialShipper(worker, "http://c", 0, fetch=legacy_fetch)
-        worker.ingest(make_batch(31)[0])
-        assert shipper.codec == "identity"
-        assert shipper.push() is True
-        assert seen["data"] == export_sync_body(worker, None)
-
-    def test_unsupported_codec_rejected_at_construction(self):
-        with pytest.raises(ValidationError, match="codec"):
-            PartialShipper(make_service(), "http://c", 0, codec="br")
-        with pytest.raises(ValidationError, match="codec"):
-            start_cluster({"attributes": []}, n_workers=1, codec="br")
-
-
 class MalformedPeer:
     """A loopback peer that answers each connection with one canned reply.
 
@@ -675,19 +530,6 @@ class TestDefaultFetch:
         finally:
             peer.close()
 
-    def test_shipper_retries_then_reports_failure(self):
-        peer = MalformedPeer([GARBLED_STATUS, SHORT_BODY])
-        sleeps = []
-        try:
-            shipper = PartialShipper(
-                make_service(), peer.url, 0, retries=2, timeout=10.0,
-                sleep=sleeps.append,
-            )
-            assert shipper.push() is False
-        finally:
-            peer.close()
-        assert shipper.failures == 1 and sleeps == [0.25]
-
     def test_register_worker_retries_past_a_garbled_reply(self):
         coordinator = ClusterCoordinator(make_service(n_shards=1), n_workers=1)
         registered = json.dumps(coordinator.register(0, "http://w0")).encode()
@@ -704,6 +546,32 @@ class TestDefaultFetch:
         finally:
             peer.close()
         assert answer["registered"] == 1 and sleeps == [0.25, 0.5]
+
+    def test_proxy_variables_are_ignored(self, monkeypatch):
+        """Cluster peers are dialled directly, whatever http_proxy says."""
+        closed = socket.create_server(("127.0.0.1", 0))
+        proxy = "http://127.0.0.1:%d" % closed.getsockname()[1]
+        closed.close()
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.setenv(name, proxy)
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        coordinator = ClusterCoordinator(make_service(n_shards=1), n_workers=1)
+        server = ServiceHTTPServer(
+            coordinator.service, port=0, cluster=coordinator
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            answer = register_worker(
+                server.url, 0, "http://w0", retries=1, timeout=10.0
+            )
+            body = _default_fetch(server.url + "/partial", timeout=10.0)
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+        assert answer["registered"] == 1
+        assert split_partial(body)[0].keys() == {"x", "y"}
 
 
 class TestRegisterWorker:
@@ -782,7 +650,6 @@ class LiveCluster:
         ]
         self.workers = []
         self.worker_servers = []
-        self.shippers = []
         for worker in range(n_workers):
             service = make_service(classes=classes)
             training = TrainingService(service) if train else None
@@ -791,12 +658,6 @@ class LiveCluster:
             self.worker_servers.append(server)
             self.threads.append(
                 threading.Thread(target=server.serve_forever, daemon=True)
-            )
-            self.shippers.append(
-                PartialShipper(
-                    service, self.server.url, worker,
-                    interval=3600.0, training=training, timeout=5.0,
-                )
             )
         for thread in self.threads:
             thread.start()
@@ -889,52 +750,6 @@ class TestClusterHTTP:
         assert entries[0]["stale"] and not entries[0]["reachable"]
         assert not entries[1]["stale"]
 
-    def test_shipper_push_over_http(self, live):
-        batch, _ = make_batch(27)
-        live.workers[0][0].ingest(batch)
-        assert live.shippers[0].push() is True
-        _, health = http_get(live.url + "/cluster")
-        assert health["workers"][0]["records"] == 400
-
-    def test_malformed_partial_push_absorbs_nothing(self, live):
-        good = export_sync_body(live.workers[0][0])
-        for body in (b"garbage", good[: len(good) // 2]):
-            code, detail = http_error(
-                lambda body=body: http_post(
-                    live.url + "/partial?worker=0",
-                    body,
-                    content_type=CONTENT_TYPE_PARTIAL,
-                )
-            )
-            assert code == 400 and "error" in detail
-        assert live.service.n_seen("x") == 0
-        assert live.coordinator.health()["workers"][0]["records"] == 0
-
-    def test_partial_push_requires_worker_query(self, live):
-        body = export_sync_body(live.workers[0][0])
-        code, detail = http_error(
-            lambda: http_post(
-                live.url + "/partial", body, content_type=CONTENT_TYPE_PARTIAL
-            )
-        )
-        assert code == 400 and "worker" in detail["error"]
-        code, detail = http_error(
-            lambda: http_post(
-                live.url + "/partial?worker=zero", body,
-                content_type=CONTENT_TYPE_PARTIAL,
-            )
-        )
-        assert code == 400
-
-    def test_partial_push_requires_content_type(self, live):
-        code, detail = http_error(
-            lambda: http_post(
-                live.url + "/partial?worker=0",
-                export_sync_body(live.workers[0][0]),
-            )
-        )
-        assert code == 400 and CONTENT_TYPE_PARTIAL in detail["error"]
-
     def test_coordinator_rejects_direct_ingest(self, live):
         code, detail = http_error(
             lambda: http_post(
@@ -1011,14 +826,14 @@ class TestClusterHTTPTraining:
                 name: service.n_seen_by_class(name) for name in ("x", "y")
             }
 
-    def test_drain_flush_carries_training_rows(self, live):
+    def test_pull_after_drain_carries_training_rows(self, live):
         batch, labels = make_batch(32, classes=2)
         live.workers[0][1].ingest(batch, labels)
-        live.shippers[0].start()
-        assert live.shippers[0].stop(drain=True) is True
-        assert live.coordinator.health()["workers"][0]["records"] == 400
-        # the drain body carried the row buffer: training sees the rows
+        live.worker_servers[0].drain()
+        # a drained worker still serves GET /partial?rows=1, and /train
+        # pulls the row buffer with the aggregates
         model = live.coordinator.train("byclass")
+        assert live.coordinator.health()["workers"][0]["records"] == 400
         assert model.n_train == 200
 
 
@@ -1045,6 +860,9 @@ class TestStartCluster:
             start_cluster([], n_workers=1)
         with pytest.raises(ValidationError, match="needs snapshot_dir"):
             start_cluster(SPEC, n_workers=1, snapshot_interval=5.0)
+        for interval in (0, -1.0, float("nan")):
+            with pytest.raises(ValidationError, match="sync_interval"):
+                start_cluster(SPEC, n_workers=1, sync_interval=interval)
         # refused before any worker starts, as one server would refuse it
         for interval in (0, -1.0):
             with pytest.raises(ValidationError, match="must be > 0"):
@@ -1105,10 +923,41 @@ class TestStartCluster:
                 # a fork keeps this interpreter's command line; a spawn
                 # would read "... from multiprocessing.spawn import ..."
                 assert (proc / "cmdline").read_bytes() == own
-                links = {os.readlink(fd) for fd in (proc / "fd").iterdir()}
+                links = set()
+                for fd in (proc / "fd").iterdir():
+                    try:
+                        links.add(os.readlink(fd))
+                    except FileNotFoundError:
+                        # closed since the listing (say, the socket it
+                        # registered on), so not the inherited listener
+                        continue
                 assert listener not in links, process.pid
         finally:
             supervisor.shutdown()
+
+    def test_wait_ready_wakes_on_registration_without_sleeping(
+        self, monkeypatch
+    ):
+        import repro.service.cluster as cluster_module
+
+        supervisor = start_cluster(SPEC, n_workers=2, sync_interval=60.0)
+        real_sleep = cluster_module.time.sleep
+        caller = threading.get_ident()
+        sleeps = []
+
+        def counted(seconds):
+            if threading.get_ident() == caller:
+                sleeps.append(seconds)
+            real_sleep(seconds)
+
+        try:
+            monkeypatch.setattr(cluster_module.time, "sleep", counted)
+            supervisor.wait_ready(timeout=60.0)
+            monkeypatch.undo()
+            assert supervisor.coordinator.health()["registered"] == 2
+        finally:
+            supervisor.shutdown()
+        assert sleeps == []
 
     def test_failed_worker_start_stops_the_launch(self, monkeypatch):
         from multiprocessing.process import BaseProcess
@@ -1150,3 +999,102 @@ class TestStartCluster:
                     process.join(10.0)
             for server in servers:
                 server.close()
+
+
+
+# ----------------------------------------------------------------------
+# The sync path's work, counted: only the coordinator moves state
+# ----------------------------------------------------------------------
+class TestSyncWork:
+    TICKS = 3
+
+    def test_timed_pulls_are_the_only_transfers(self, monkeypatch):
+        """Workers send the coordinator two POST /register and nothing
+        more, and K timed ticks after the ingest make exactly 2K pulls."""
+        import repro.service.cluster as cluster_module
+        import repro.service.httpd as httpd_module
+
+        served = []  # (method, path) of every request the coordinator serves
+        make_handler = httpd_module._make_handler
+
+        def recording_handler(server):
+            class Recording(make_handler(server)):
+                def parse_request(self):
+                    parsed = super().parse_request()
+                    served.append((self.command, self.path))
+                    return parsed
+
+            return Recording
+
+        pulls = []  # every URL the coordinator fetches
+        fetch = cluster_module._default_fetch
+
+        def counted_fetch(url, *args, **kwargs):
+            pulls.append(url)
+            return fetch(url, *args, **kwargs)
+
+        ingested, counted = threading.Event(), threading.Event()
+        ticks = []  # (result, URLs pulled) of each tick begun after ingest
+        sync = ClusterCoordinator.sync
+
+        def counted_sync(coordinator, **kwargs):
+            if not ingested.is_set():
+                return sync(coordinator, **kwargs)
+            start = len(pulls)
+            result = sync(coordinator, **kwargs)
+            ticks.append((result, pulls[start:]))
+            if len(ticks) == self.TICKS:
+                counted.set()
+            return result
+
+        monkeypatch.setattr(httpd_module, "_make_handler", recording_handler)
+        monkeypatch.setattr(cluster_module, "_default_fetch", counted_fetch)
+        monkeypatch.setattr(ClusterCoordinator, "sync", counted_sync)
+        supervisor = start_cluster(SPEC, n_workers=2, sync_interval=0.05)
+        try:
+            supervisor.wait_ready(timeout=60.0)
+            urls = supervisor.worker_urls()
+            for worker, url in enumerate(urls):
+                ages = [20.0 + (7 * i + worker) % 60 for i in range(100)]
+                body = json.dumps({"batch": {"age": ages}}).encode()
+                assert http_post(url + "/ingest", body)[0] == 200
+            ingested.set()
+            assert counted.wait(timeout=60.0), "the sync loop stopped"
+            health = supervisor.coordinator.health()
+        finally:
+            result = supervisor.shutdown()
+        assert result["ok"], result["failures"]
+        assert served == [("POST", "/register")] * 2
+        assert len(ticks) >= self.TICKS
+        for synced, pulled in ticks:
+            assert synced == {"synced": [0, 1], "failed": []}
+            assert pulled == [url + "/partial" for url in urls]
+        assert [entry["records"] for entry in health["workers"]] == [100, 100]
+        assert all(
+            entry["age_seconds"] is not None for entry in health["workers"]
+        )
+
+    def test_failed_tick_is_logged_and_the_loop_keeps_ticking(
+        self, monkeypatch, caplog
+    ):
+        calls = []
+        ticked_again = threading.Event()
+
+        def failing_once(coordinator, **kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:
+                raise RuntimeError("injected: the first tick fails")
+            ticked_again.set()
+            return {"synced": [], "failed": []}
+
+        monkeypatch.setattr(ClusterCoordinator, "sync", failing_once)
+        supervisor = start_cluster(SPEC, n_workers=1, sync_interval=0.05)
+        try:
+            assert ticked_again.wait(timeout=60.0), "the sync loop died"
+        finally:
+            result = supervisor.shutdown()
+        assert result["ok"], result["failures"]
+        assert any(
+            "background sync failed" in record.message
+            for record in caplog.records
+        )

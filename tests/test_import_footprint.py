@@ -1,4 +1,4 @@
-"""What SciPy a process loads, and when.
+"""What SciPy (and ``numpy.ma``) a process loads, and when.
 
 Every ``ppdm`` command, server process and cluster worker pays for what
 the library imports.  ``scipy.stats`` alone adds about half a
@@ -12,7 +12,9 @@ trains and mines.  ``scipy.special`` loads when a Gaussian spec is built
 and at the first threshold past the table.  These tests check which
 modules a fresh interpreter holds at each step, and which of a fresh
 cluster's processes map a SciPy extension, not how long anything took,
-so they are deterministic.  The cluster check runs here, not in the
+so they are deterministic.  A server that trains and mines also never
+loads ``numpy.ma`` (1 MB, imported by ``np.unique`` on NumPy 2.4) unless
+plain ``import numpy`` does.  The cluster check runs here, not in the
 cluster suite, because a worker forked from a test process maps
 whatever that process has loaded.
 """
@@ -29,7 +31,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: prelude of every footprint script: ``checkpoint()`` prints the SciPy
-#: modules loaded so far as one JSON line
+#: modules loaded so far as one JSON line, and ``masked()`` whether
+#: ``numpy.ma`` is loaded
 PRELUDE = """
 import json
 import sys
@@ -41,6 +44,10 @@ def checkpoint():
         name for name in sys.modules
         if name == "scipy" or name.startswith("scipy.")
     )))
+
+
+def masked():
+    print("MASKED " + json.dumps("numpy.ma" in sys.modules))
 """
 
 #: one worker's whole path on a uniform spec: build, serve, take one
@@ -141,6 +148,7 @@ call("POST", "/mine", json.dumps(
 ).encode())
 server.shutdown()
 checkpoint()
+masked()
 """
 
 #: a uniform two-worker cluster: one body at each worker and one
@@ -209,8 +217,8 @@ checkpoint()
 """
 
 
-def fresh_output(body: str, tag: str) -> list:
-    """Run ``body`` in a fresh interpreter; the JSON after each ``tag``."""
+def fresh_run(body: str, tags=("CHECKPOINT", "MAPPED", "MASKED")) -> dict:
+    """Run ``body`` in a fresh interpreter; per tag, the JSON after it."""
     result = subprocess.run(
         [sys.executable, "-c", PRELUDE.format(src=str(SRC)) + body],
         capture_output=True,
@@ -218,11 +226,17 @@ def fresh_output(body: str, tag: str) -> list:
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    return [
-        json.loads(line.split(" ", 1)[1])
-        for line in result.stdout.splitlines()
-        if line.startswith(tag + " ")
-    ]
+    outputs: dict = {tag: [] for tag in tags}
+    for line in result.stdout.splitlines():
+        tag, _, payload = line.partition(" ")
+        if tag in outputs:
+            outputs[tag].append(json.loads(payload))
+    return outputs
+
+
+def fresh_output(body: str, tag: str) -> list:
+    """Run ``body`` in a fresh interpreter; the JSON after each ``tag``."""
+    return fresh_run(body)[tag]
 
 
 def scipy_checkpoints(body: str) -> list:
@@ -250,8 +264,11 @@ def test_uniform_worker_path_loads_no_scipy():
 
 
 def test_uniform_server_path_loads_no_scipy():
-    (served,) = scipy_checkpoints(SERVER_PATH)
-    assert served == set()
+    """Nor ``numpy.ma``, unless plain ``import numpy`` already does."""
+    served = fresh_run(SERVER_PATH)
+    assert served["CHECKPOINT"] == [[]]
+    (numpy_alone,) = fresh_output("import numpy\nmasked()\n", "MASKED")
+    assert numpy_alone or served["MASKED"] == [False]
 
 
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc")

@@ -5,8 +5,8 @@ Covers the seeded :class:`~repro.service.faults.FaultPlan`, the
 durability layer (atomic snapshot writes, integrity digests, generation
 rotation, newest-valid recovery, the server's auto-snapshot loop and its
 one drain), the degradation primitives
-(:class:`CircuitBreaker`, :class:`AdmissionController`,
-:class:`RestartBudget`), the HTTP overload surface (429/503 +
+(:class:`AdmissionController`, :class:`RestartBudget`), pulls that a
+worker's fault plan drops, the HTTP overload surface (429/503 +
 ``Retry-After`` honored by the CLI client), and process-level
 supervision (SIGKILL a worker, watch it restart and resume its slot).
 The load-bearing assertions are bit-identity: estimates after a chaos
@@ -32,21 +32,14 @@ import numpy as np
 import pytest
 
 from repro.core import Partition, UniformRandomizer
-from repro.exceptions import (
-    ClusterError,
-    SerializationError,
-    SnapshotError,
-    ValidationError,
-)
+from repro.exceptions import SerializationError, SnapshotError, ValidationError
 from repro.serialize import load as load_snapshot
 from repro.service import (
     AdmissionController,
     AggregationService,
     AttributeSpec,
-    CircuitBreaker,
     ClusterCoordinator,
     FaultPlan,
-    PartialShipper,
     RestartBudget,
     ServiceHTTPServer,
 )
@@ -153,7 +146,6 @@ class TestFaultPlan:
                         "status": 429,
                         "max": 1,
                     },
-                    "q": {"truncate": 1.0, "fraction": 0.25, "max": 1},
                 },
             }
         )
@@ -161,7 +153,6 @@ class TestFaultPlan:
         assert (action.kind, action.value, action.status) == (
             "delay", 0.75, 429,
         )
-        assert plan.decide("q").value == 0.25
 
     @pytest.mark.parametrize(
         "spec, match",
@@ -171,8 +162,8 @@ class TestFaultPlan:
             ({"points": {"p": {"drop": 1.5}}}, "in \\[0, 1\\]"),
             ({"points": {"p": {"drop": 0.7, "error": 0.7}}}, "sum past"),
             ({"points": {"p": {"max": -1}}}, "max must be"),
-            ({"points": {"p": {"truncate": 1.0, "fraction": 2.0}}},
-             "fraction"),
+            # retired with the frame-truncating action: an unknown entry
+            ({"points": {"p": {"fraction": 0.5}}}, "fraction"),
             # never coerced: a string, a float or a boolean is no integer
             ({"seed": "7"}, "seed is not an integer"),
             ({"seed": 7.9}, "seed is not an integer"),
@@ -236,52 +227,6 @@ class FakeClock:
 
     def __call__(self):
         return self.now
-
-
-class TestCircuitBreaker:
-    def test_opens_at_threshold_then_probes(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=2, reset_timeout=5.0, clock=clock
-        )
-        assert breaker.allow() and breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-        clock.now = 5.0  # cooled off: exactly one probe goes through
-        assert breaker.allow() and breaker.state == "half-open"
-        assert not breaker.allow()  # the probe is still in flight
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.allow()
-
-    def test_failed_probe_reopens_for_full_timeout(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout=5.0, clock=clock
-        )
-        breaker.record_failure()
-        clock.now = 6.0
-        assert breaker.allow()
-        breaker.record_failure()  # probe failed
-        assert breaker.state == "open"
-        clock.now = 10.0  # 4s after reopen: still cooling
-        assert not breaker.allow()
-        clock.now = 11.0
-        assert breaker.allow()
-
-    def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=5.0)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValidationError):
-            CircuitBreaker(reset_timeout=-1.0)
 
 
 class TestAdmissionController:
@@ -599,99 +544,34 @@ class TestHTTPChaos:
 
 
 # ----------------------------------------------------------------------
-# Shipper chaos: truncation/drops retry; the breaker stops the hammering
+# Pull chaos: a failed pull keeps the last-known slot; the next one heals
 # ----------------------------------------------------------------------
-class InProcessCoordinator:
-    """Coordinator behind a fetch that emulates the HTTP /partial path."""
-
-    def __init__(self):
-        self.coordinator = ClusterCoordinator(
-            make_service(n_shards=1), n_workers=1
-        )
-        self.coordinator.register(0, "http://w0")
-        self.attempts = 0
-
-    def fetch(self, url, data=None, content_type=None, timeout=None):
-        self.attempts += 1
-        worker = int(url.rsplit("worker=", 1)[1])
+class TestPullChaos:
+    def test_dropped_pulls_keep_last_known_then_reach_parity(self, tmp_path):
+        faults = {
+            "seed": 13,
+            "points": {"httpd.response:/partial": {"drop": 1.0, "max": 2}},
+        }
+        worker, server, thread = make_server(tmp_path, faults=faults)
+        coordinator = ClusterCoordinator(make_service(n_shards=1), n_workers=1)
         try:
-            self.coordinator.apply_push(worker, data)
-        except Exception as exc:
-            # the HTTP server maps a malformed frame to 400, which the
-            # shipper's fetch surfaces as ClusterError
-            raise ClusterError(f"push rejected: {exc}") from exc
-        return b"{}"
-
-
-class TestShipperChaos:
-    def test_truncated_frame_rejected_then_retried_whole(self):
-        upstream = InProcessCoordinator()
-        worker = make_service()
-        worker.ingest(make_batch(52))
-        faults = FaultPlan(
-            {"seed": 12,
-             "points": {"shipper.push": {"truncate": 1.0, "max": 2,
-                                         "fraction": 0.5}}}
-        )
-        shipper = PartialShipper(
-            worker, "http://c", 0, fetch=upstream.fetch,
-            sleep=lambda seconds: None, faults=faults,
-        )
-        assert shipper.push() is True
-        assert upstream.attempts == 3  # two cut frames bounced, third whole
-        assert upstream.coordinator.service.n_seen("x") == 200
-        assert_same_estimate(upstream.coordinator.service, worker)
-
-    def test_dropped_pushes_retry_to_parity(self):
-        upstream = InProcessCoordinator()
-        worker = make_service()
-        worker.ingest(make_batch(53))
-        faults = FaultPlan(
-            {"seed": 13, "points": {"shipper.push": {"drop": 1.0, "max": 3}}}
-        )
-        shipper = PartialShipper(
-            worker, "http://c", 0, fetch=upstream.fetch,
-            sleep=lambda seconds: None, faults=faults,
-        )
-        assert shipper.push() is True
-        assert upstream.attempts == 1  # drops never touched the wire
-        assert_same_estimate(upstream.coordinator.service, worker)
-
-    def test_breaker_opens_after_failed_pushes_and_drain_forces(self):
-        def dead_fetch(url, data=None, content_type=None, timeout=None):
-            raise ClusterError("coordinator down")
-
-        worker = make_service()
-        worker.ingest(make_batch(54))
-        breaker = CircuitBreaker(
-            failure_threshold=2, reset_timeout=3600.0, clock=FakeClock()
-        )
-        shipper = PartialShipper(
-            worker, "http://c", 0, retries=1, fetch=dead_fetch,
-            sleep=lambda seconds: None, breaker=breaker,
-        )
-        assert shipper.push() is False and shipper.push() is False
-        assert breaker.state == "open"
-        assert shipper.push() is False  # skipped outright, not attempted
-        assert shipper.skipped == 1
-        # the drain flush must still try (and fail loudly, not silently)
-        assert shipper.stop(drain=True) is False
-        assert shipper.failures == 3
-
-    def test_failed_drain_is_logged_loudly(self, caplog):
-        def dead_fetch(url, data=None, content_type=None, timeout=None):
-            raise ClusterError("coordinator down")
-
-        shipper = PartialShipper(
-            make_service(), "http://c", 0, retries=1, fetch=dead_fetch,
-            sleep=lambda seconds: None,
-        )
-        with caplog.at_level("WARNING", logger="repro.service.cluster"):
-            assert shipper.stop(drain=True) is False
-        assert any(
-            "final drain push failed" in record.message
-            for record in caplog.records
-        )
+            coordinator.register(0, server.url)
+            worker.ingest(make_batch(53))
+            for _ in range(2):  # the worker drops both replies unanswered
+                assert coordinator.sync() == {"synced": [], "failed": [0]}
+                (entry,) = coordinator.health()["workers"]
+                assert not entry["reachable"] and entry["stale"]
+                assert coordinator.service.n_seen("x") == 0
+            assert coordinator.sync() == {"synced": [0], "failed": []}
+            (entry,) = coordinator.health()["workers"]
+            assert entry["reachable"] and entry["records"] == 200
+            assert_same_estimate(coordinator.service, worker)
+            assert server.faults.stats()["httpd.response:/partial"] == {
+                "attempts": 3, "fired": 2,
+            }
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
 
 
 # ----------------------------------------------------------------------
@@ -963,21 +843,6 @@ class TestDrain:
         recovered, _ = recover_service(tmp_path / "snap.json")
         assert recovered.n_seen("x") == 3
 
-    def test_drain_push_carries_the_admitted_body(self, tmp_path):
-        """The worker's order: ``drain()``, then the shipper's push."""
-        upstream = InProcessCoordinator()
-        service, server, thread = self.drain_while_held(tmp_path)
-        shipper = PartialShipper(
-            service, "http://c", 0, fetch=upstream.fetch,
-            sleep=lambda seconds: None,
-        )
-        try:
-            assert shipper.stop(drain=True) is True
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
-        assert upstream.coordinator.service.n_seen("x") == 3
-
     def test_sigterm_leaves_every_acknowledged_record_in_the_snapshot(
         self, tmp_path
     ):
@@ -1088,12 +953,13 @@ def snapshot_holds(path, n_records):
 
 
 def coordinator_records(url):
-    """Union record count via pushes only — no /estimate warm-start.
+    """Union record count via background pulls only — no /estimate.
 
     Estimates warm-start from the previous refresh, so bit-parity with
     the single-process reference needs both sides refreshed at the same
-    points: poll /healthz (records advance via shipper pushes), then
-    run exactly one /estimate against exactly one reference estimate.
+    points: poll /healthz (records advance via the coordinator's timed
+    pulls), then run exactly one /estimate against exactly one reference
+    estimate.
     """
     return http_get(url + "/healthz")[1]["records"]
 
@@ -1166,7 +1032,7 @@ class TestSupervision:
             poll_until(resend, message="restarted worker never ingested")
 
             # the union: worker 0's recovered snapshot + its re-sent
-            # batch + worker 1's batch, all landed by interval pushes
+            # batch + worker 1's batch, all landed by timed pulls
             poll_until(
                 lambda: coordinator_records(supervisor.url) == 900,
                 message="union never reached 900 records",
@@ -1279,7 +1145,7 @@ class TestServeClusterCLI:
                 return {
                     "ok": False,
                     "failures": [
-                        {"worker": 0, "reason": "final drain failed"}
+                        {"worker": 0, "reason": "final snapshot failed"}
                     ],
                     "restarts": [0],
                     "exhausted": [],
@@ -1297,7 +1163,7 @@ class TestServeClusterCLI:
         err = capsys.readouterr().err
         assert code == 1
         assert "cluster shutdown was not clean" in err
-        assert "final drain failed" in err
+        assert "final snapshot failed" in err
 
     def test_sigterm_takes_the_graceful_shutdown_path(self):
         """Regression: ``kill <pid>`` must drain like Ctrl-C, not
