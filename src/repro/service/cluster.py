@@ -954,7 +954,9 @@ def start_cluster(
     bounds each worker's concurrent ingest bodies (429 + Retry-After
     past it).  ``snapshot_dir`` is incompatible with ``train=True`` —
     the labeled row buffer is not part of the aggregation snapshot, so
-    a restored worker would ship aggregates without their rows.
+    a restored worker would ship aggregates without their rows.  A spec
+    with a ``mining`` section is refused too, before anything starts:
+    a sync body carries no support counts, so a cluster cannot mine.
     """
     if n_workers < 1:
         raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
@@ -964,6 +966,13 @@ def start_cluster(
         )
     if not isinstance(spec, dict):
         raise ValidationError("the deployment spec must be a dict")
+    if "mining" in spec:
+        raise ValidationError(
+            'a cluster cannot serve the spec\'s "mining" section: workers '
+            "sync histogram partials, never support counts, so no process "
+            "would mine the baskets; drop the section, or serve mining "
+            "from one process (ppdm serve without --workers)"
+        )
     if snapshot_dir is not None and train:
         raise ValidationError(
             "snapshot_dir cannot be combined with train=True: the "

@@ -94,6 +94,24 @@ absurdly large — malformed bytes are a 400, never a partial absorb.
 v1-v3 byte-compatibility is untouched: record/partial decoders reject
 version 4 frames loudly, and vice versa.
 
+The basket codec works on whole arrays.  Past the transaction count,
+the decoder reads the index, then the payload, in blocks of whole
+transactions of at most 1 MiB.  In each it finds every varint's last
+byte with one terminator mask (``byte < 0x80``), numbers the varints
+with a cumulative sum and sums their shifted 7-bit groups with
+``np.add.reduceat``; the index, the transaction boundaries, the item
+bound and strict increase are checked on those arrays.  A transaction
+longer than ``(n_items + 1) * 10`` bytes cannot be valid and is read
+only that far, so a decode's short-lived arrays stay near 25 MiB
+however long the body.  A malformed frame is refused at the first
+offender a byte-by-byte walk would meet (every index entry, then each
+transaction's length and its ids in order), with that walk's message.
+:func:`encode_baskets` builds the same layout from
+``np.nonzero(baskets)``.  Neither makes a Python call per item or per
+transaction, but each frame costs a fixed few dozen NumPy calls, so
+large frames gain and a frame of a few baskets is slower than a
+varint loop would be.
+
 Version 5 is the *quantized* record frame: the v2 layout plus one
 dtype-code byte per attribute-table entry, so already-discretized
 columns ship at their natural width instead of float64.  Randomized
@@ -720,23 +738,25 @@ def split_partial(payload) -> tuple:
 
 #: a varint never needs more than 10 bytes (70 value bits > 64)
 _VARINT_MAX_BYTES = 10
-
-
-def _encode_varint(value: int) -> bytes:
-    """LEB128-encode a non-negative integer (7 value bits per byte)."""
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+#: the continuation flag, set on every byte of a varint but its last
+_VARINT_MORE = 0x80
+_U8 = np.dtype(np.uint8)
+#: frame bytes one decoding block covers at most.  A block's short-lived
+#: arrays take up to ~25 bytes per byte (one-byte ids), so besides its
+#: matrix and its index a decode holds ~25 MiB, however long the body.
+_BLOCK_BYTES = 1 << 20
+#: transactions one block covers at most (empty ones take no bytes), so
+#: a block numbers its transactions in ``uint16``
+_BLOCK_TRANSACTIONS = 1 << 16
 
 
 def _decode_varint(view: memoryview, offset: int, end: int, what: str) -> tuple:
-    """Decode one LEB128 varint; return ``(value, next_offset)``."""
+    """Decode one LEB128 varint; return ``(value, next_offset)``.
+
+    A frame's transaction count is the one varint read this way.  The
+    array decoders below call it again only on a varint they refuse, so
+    every varint error carries this function's message.
+    """
     value = 0
     shift = 0
     for length in range(1, _VARINT_MAX_BYTES + 1):
@@ -758,6 +778,35 @@ def _decode_varint(view: memoryview, offset: int, end: int, what: str) -> tuple:
     )
 
 
+def _varint_sizes(values: np.ndarray) -> np.ndarray:
+    """The byte length of each non-negative integer's LEB128 encoding."""
+    sizes = np.ones(values.shape, _U8)
+    for place in range(1, _VARINT_MAX_BYTES):
+        high = values >> (7 * place)
+        if not high.any():
+            break
+        sizes += high != 0
+    return sizes
+
+
+def _encode_varints(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """LEB128-encode non-negative integers back to back, as ``uint8``.
+
+    ``sizes`` is :func:`_varint_sizes` of ``values``.  One pass per byte
+    place (at most three for item ids), each over every value that
+    reaches it: no per-value Python work.
+    """
+    ends = np.cumsum(sizes, dtype=np.intp)
+    out = np.empty(int(ends[-1]) if len(ends) else 0, _U8)
+    starts = ends - sizes
+    for place in range(int(sizes.max(initial=0))):
+        has = sizes > place
+        group = ((values[has] >> (7 * place)) & 0x7F).astype(_U8)
+        group |= (sizes[has] > place + 1).astype(_U8) << 7
+        out[starts[has] + place] = group
+    return out
+
+
 def encode_baskets(baskets, *, shard: int | None = None) -> bytes:
     """Encode a boolean transaction matrix as one version 4 basket frame.
 
@@ -768,7 +817,9 @@ def encode_baskets(baskets, *, shard: int | None = None) -> bytes:
     shipped as the varint list of its set-column ids, so sparse baskets
     cost bytes proportional to their items, not to the item universe.
     Empty transactions (all-false rows — MASK randomization can produce
-    them) encode as a zero-length id list.
+    them) encode as a zero-length id list.  The frame is built from
+    ``np.nonzero(baskets)`` with whole-array operations, so its cost
+    does not include a Python call per item or per transaction.
 
     Examples
     --------
@@ -799,21 +850,196 @@ def encode_baskets(baskets, *, shard: int | None = None) -> bytes:
         raise ValidationError(
             f"a basket frame holds 1..65535 items, got {n_items}"
         )
-    index = []
-    payload = []
-    for row in matrix:
-        encoded = b"".join(
-            _encode_varint(int(item)) for item in np.nonzero(row)[0]
-        )
-        index.append(_encode_varint(len(encoded)))
-        payload.append(encoded)
+    # row-major: each transaction's ids, ascending, one transaction after
+    # another, which is the payload's order
+    rows, items = np.nonzero(matrix)
+    items = items.astype(np.uint16)
+    sizes = _varint_sizes(items)
+    lengths = np.bincount(rows, weights=sizes, minlength=n_transactions)
+    # the transaction count, then the index: one run of varints
+    index = np.concatenate(([n_transactions], lengths.astype(np.int64)))
     header = _HEADER.pack(MAGIC, WIRE_VERSION_BASKETS, n_items, pin)
     return (
         header
-        + _encode_varint(n_transactions)
-        + b"".join(index)
-        + b"".join(payload)
+        + _encode_varints(index, _varint_sizes(index)).tobytes()
+        + _encode_varints(items, sizes).tobytes()
     )
+
+
+def _varint_spans(ends: np.ndarray, count=None) -> tuple:
+    """Where the varints that ``ends`` marks start and end: ``(first, last)``.
+
+    ``ends`` is True at each varint's last byte; only the first
+    ``count`` varints are kept when it is given.  ``last[k]`` is varint
+    k's last byte and ``first[k]`` its first; ``first`` holds one entry
+    more, the byte after the last varint.  Positions are ``uint32``
+    unless ``ends`` is too long for them.
+    """
+    position = np.uint32 if len(ends) < 2**32 else np.uint64
+    last = np.flatnonzero(ends)[:count].astype(position)
+    first = np.zeros(len(last) + 1, position)
+    np.add(last, 1, out=first[1:])
+    return first, last
+
+
+def _varint_values(data, first, last, dtype, top: int) -> np.ndarray:
+    """The values of the varints spanning ``data[first[k] : last[k] + 1]``.
+
+    The varints lie back to back from ``data[0]``.  A cumulative sum
+    over their starts gives each byte its varint, each byte's 7 value
+    bits are shifted by 7 x its place in that varint, and one
+    ``np.add.reduceat`` sums every varint's groups.  Places past ``top``
+    shift as place ``top``, so values below ``2**(7 * (top + 1))`` are
+    exact and any larger one still reads as at least ``2**(7 * top)``.
+    Only a varint that :func:`_malformed_varints` refuses can wrap in
+    ``dtype``.
+    """
+    if not len(last):
+        return np.zeros(0, dtype)
+    width = int(last[-1]) + 1
+    place = np.zeros(width, dtype)
+    place[first[1 : len(last)]] = 1
+    np.cumsum(place, dtype=dtype, out=place)
+    # each byte's place: its distance from the start of its varint
+    place = first.astype(dtype, copy=False)[place]
+    np.subtract(np.arange(width, dtype=dtype), place, out=place)
+    np.minimum(place, top, out=place)
+    place *= 7
+    groups = (data[:width] & 0x7F).astype(dtype)
+    groups <<= place
+    del place  # a server decodes on many threads: keep each one's peak low
+    return np.add.reduceat(groups, first[: len(last)], dtype=dtype)
+
+
+def _malformed_varints(data, first, last) -> np.ndarray:
+    """Which varints :func:`_decode_varint` refuses.
+
+    A varint is cut short when its last byte still sets the continuation
+    flag, runs past ten bytes, or, at ten bytes, carries more than one
+    value bit in its last byte (past 64 bits).
+    """
+    sizes = last - first[: len(last)]
+    sizes += 1
+    ending = data[last]
+    return (
+        (ending >= _VARINT_MORE)
+        | (sizes > _VARINT_MAX_BYTES)
+        | ((sizes == _VARINT_MAX_BYTES) & (ending > 1))
+    )
+
+
+def _read_index(view: memoryview, offset: int, count: int) -> tuple:
+    """The ``count`` index varints at ``offset``: their values and the next offset.
+
+    Entries are read in blocks whose bytes fit ``_BLOCK_BYTES``.  The
+    index may run into the payload and past it, up to the end of the
+    body, as the byte-by-byte walk may: only the first terminators count.
+    """
+    end = len(view)
+    lengths = np.empty(count, np.uint64)
+    per_block = _BLOCK_BYTES // _VARINT_MAX_BYTES
+    for done in range(0, count, per_block):
+        want = min(count - done, per_block)
+        window = np.frombuffer(
+            view, _U8, count=min(end - offset, want * _VARINT_MAX_BYTES),
+            offset=offset,
+        )
+        first, last = _varint_spans(window < _VARINT_MORE, want)
+        bad = np.flatnonzero(_malformed_varints(window, first, last))
+        if bad.size or len(last) < want:
+            # the first refused entry, else the first one with no end: the
+            # scalar decoder raises on either
+            k = int(bad[0]) if bad.size else len(last)
+            what = f"index[{done + k}]"
+            _decode_varint(view, offset + int(first[k]), end, what)
+            raise WireFormatError(f"basket frame: malformed {what} varint")
+        lengths[done : done + want] = _varint_values(
+            window, first, last, np.uint64, 9
+        )
+        offset += int(first[-1])
+    return lengths, offset
+
+
+def _read_transactions(
+    view: memoryview, offset: int, lengths: np.ndarray, n_items: int
+) -> tuple:
+    """The transactions of ``lengths`` bytes each at ``offset``, as a matrix.
+
+    Returns ``(matrix, next_offset)``.  Whole transactions are decoded a
+    block at a time, at most ``_BLOCK_BYTES`` of payload per block, and
+    the blocks go in order, so a malformed frame is refused at its first
+    offender in the byte-by-byte walk's order, with that walk's message.
+    """
+    matrix = np.zeros((len(lengths), n_items), dtype=bool)
+    # A valid transaction holds at most n_items ids of at most ten bytes
+    # each, so one longer than `clip` bytes meets an offender within its
+    # first `clip`, and only those are read.  The transactions after it
+    # in its block are then read from the wrong bytes, which is harmless:
+    # the block refuses that offender, or an earlier one, first.
+    clip = (n_items + 1) * _VARINT_MAX_BYTES
+    done = 0
+    while done < len(lengths):
+        room = len(view) - offset
+        block = lengths[done : done + _BLOCK_TRANSACTIONS]
+        # a length past the body is capped, so the sums cannot overflow;
+        # the first transaction that ends past the body is truncated
+        stops = np.cumsum(np.minimum(block, room + 1).astype(np.int64))
+        take = int(np.searchsorted(stops, room, side="right"))
+        if not take:
+            raise ValidationError(
+                f"truncated basket frame: transaction {done} declares "
+                f"{int(block[0])} byte(s) but only {room} remain"
+            )
+        # whole transactions up to _BLOCK_BYTES, and at least one
+        sizes = np.minimum(block[:take], clip).astype(np.intp)
+        stop = np.searchsorted(np.cumsum(sizes), _BLOCK_BYTES, side="right")
+        take = max(1, int(stop))
+        owner, items = _read_block(view, offset, sizes[:take], done, n_items)
+        matrix[done : done + take][owner, items] = True
+        done += take
+        offset += int(stops[take - 1])
+    return matrix, offset
+
+
+def _read_block(view: memoryview, offset, sizes, row: int, n_items: int) -> tuple:
+    """The ids of back-to-back transactions of ``sizes`` bytes at ``offset``.
+
+    Returns ``(owner, items)``: each id's transaction, counted from the
+    block's first, which is transaction ``row`` of the frame, and the
+    id.  Every check runs on whole arrays; the block's first offender is
+    refused with the byte-by-byte walk's message.
+    """
+    data = np.frombuffer(view, _U8, count=int(sizes.sum()), offset=offset)
+    stops = np.cumsum(sizes)
+    # a varint ends at a terminator or where its transaction does
+    ends = data < _VARINT_MORE
+    ends[stops[sizes > 0] - 1] = True
+    first, last = _varint_spans(ends)
+    del ends
+    wrong = _malformed_varints(data, first, last)
+    items = _varint_values(data, first, last, np.uint32, 3)
+    wrong |= items >= n_items
+    # each varint belongs to the transaction that holds its last byte
+    owner = np.repeat(np.arange(len(sizes), dtype=np.uint16), sizes)[last]
+    wrong[1:] |= (owner[1:] == owner[:-1]) & (items[1:] <= items[:-1])
+    bad = np.flatnonzero(wrong)
+    if bad.size:
+        k = int(bad[0])
+        i = int(owner[k])
+        what = f"transaction {row + i}"
+        item, _ = _decode_varint(
+            view, offset + int(first[k]), offset + int(stops[i]), what
+        )
+        if item >= n_items:
+            raise ValidationError(
+                f"basket frame: {what} holds item {item}, outside the "
+                f"declared universe of {n_items}"
+            )
+        raise ValidationError(
+            f"basket frame: {what} item ids must be strictly increasing "
+            f"({item} after {int(items[k - 1])})"
+        )
+    return owner, items
 
 
 def _decode_basket_frame(view: memoryview, offset: int) -> tuple:
@@ -840,33 +1066,8 @@ def _decode_basket_frame(view: memoryview, offset: int) -> tuple:
             f"basket frame expands to {n_transactions} x {n_items} cells; "
             f"the decoder caps frames at {_MAX_FRAME_CELLS}"
         )
-    lengths = []
-    for i in range(n_transactions):
-        length, offset = _decode_varint(view, offset, end, f"index[{i}]")
-        lengths.append(length)
-    matrix = np.zeros((n_transactions, n_items), dtype=bool)
-    for i, length in enumerate(lengths):
-        if end - offset < length:
-            raise ValidationError(
-                f"truncated basket frame: transaction {i} declares "
-                f"{length} byte(s) but only {end - offset} remain"
-            )
-        stop = offset + length
-        previous = -1
-        while offset < stop:
-            item, offset = _decode_varint(view, offset, stop, f"transaction {i}")
-            if item >= n_items:
-                raise ValidationError(
-                    f"basket frame: transaction {i} holds item {item}, "
-                    f"outside the declared universe of {n_items}"
-                )
-            if item <= previous:
-                raise ValidationError(
-                    f"basket frame: transaction {i} item ids must be "
-                    f"strictly increasing ({item} after {previous})"
-                )
-            matrix[i, item] = True
-            previous = item
+    lengths, offset = _read_index(view, offset, n_transactions)
+    matrix, offset = _read_transactions(view, offset, lengths, n_items)
     return matrix, _decoded_pin(slot), offset
 
 

@@ -354,6 +354,19 @@ class TestServeIngestCommands:
         assert code == 2
         assert "class-aware" in capsys.readouterr().err
 
+    def test_serve_workers_refuses_a_mining_section(self, capsys, tmp_path):
+        import json
+
+        spec = tmp_path / "mining.json"
+        spec.write_text(json.dumps({
+            "attributes": [{"name": "age", "low": 20, "high": 80}],
+            "mining": {"items": 4, "keep_prob": 0.9},
+        }))
+        code = main(["serve", "--spec", str(spec), "--workers", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and '"mining" section' in err
+
     def test_serve_malformed_spec_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

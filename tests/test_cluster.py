@@ -12,17 +12,17 @@ the sync path does, counted in requests and pulls.
 from __future__ import annotations
 
 import errno
+import http.client
 import json
 import os
 import socket
 import sys
 import threading
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import http_request
 
 from repro.core import Partition, UniformRandomizer
 from repro.exceptions import ClusterError, ValidationError
@@ -609,26 +609,6 @@ class TestRegisterWorker:
 # ----------------------------------------------------------------------
 # HTTP surface
 # ----------------------------------------------------------------------
-def http_get(url):
-    with urllib.request.urlopen(url) as response:
-        return response.status, json.loads(response.read())
-
-
-def http_post(url, body, content_type="application/json"):
-    request = urllib.request.Request(
-        url, data=body, method="POST",
-        headers={"Content-Type": content_type},
-    )
-    with urllib.request.urlopen(request) as response:
-        return response.status, json.loads(response.read())
-
-
-def http_error(callable_):
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        callable_()
-    return excinfo.value.code, json.loads(excinfo.value.read())
-
-
 class LiveCluster:
     """A coordinator HTTP server plus N in-thread worker HTTP servers."""
 
@@ -688,28 +668,24 @@ def live():
 
 class TestClusterHTTP:
     def test_register_and_cluster_endpoint(self, live):
-        status, health = http_get(live.url + "/cluster")
+        status, health = http_request(live.url + "/cluster")
         assert status == 200
         assert health["registered"] == 2 and health["n_workers"] == 2
         urls = [entry["url"] for entry in health["workers"]]
         assert urls == [server.url for server in live.worker_servers]
 
     def test_healthz_reports_cluster(self, live):
-        _, payload = http_get(live.url + "/healthz")
+        _, payload = http_request(live.url + "/healthz")
         assert payload["status"] == "degraded"  # nothing synced yet
         assert payload["cluster"]["registered"] == 2
 
     def test_register_validation_maps_to_400(self, live):
-        code, detail = http_error(
-            lambda: http_post(
-                live.url + "/register",
-                json.dumps({"worker": 9, "url": "http://h:1"}).encode(),
-            )
+        code, detail = http_request(
+            live.url + "/register",
+            json.dumps({"worker": 9, "url": "http://h:1"}).encode(),
         )
         assert code == 400 and "out of range" in detail["error"]
-        code, _ = http_error(
-            lambda: http_post(live.url + "/register", b"[1, 2]")
-        )
+        code, _ = http_request(live.url + "/register", b"[1, 2]")
         assert code == 400
 
     def test_estimate_pulls_workers_and_matches_single_process(self, live):
@@ -718,7 +694,7 @@ class TestClusterHTTP:
             batch, _ = make_batch(seed)
             live.workers[worker][0].ingest(batch)
             reference.ingest(batch)
-        status, estimate = http_get(live.url + "/estimate?attribute=x")
+        status, estimate = http_request(live.url + "/estimate?attribute=x")
         expected = reference.estimate("x", warn=False)
         assert status == 200
         assert estimate["n_seen"] == 400
@@ -727,22 +703,22 @@ class TestClusterHTTP:
             np.asarray(estimate["probs"]), expected.distribution.probs
         )
         # the pull refreshed /healthz to a non-degraded cluster
-        _, payload = http_get(live.url + "/healthz")
+        _, payload = http_request(live.url + "/healthz")
         assert payload["status"] == "ok"
         assert payload["cluster"]["degraded"] is False
 
     def test_worker_death_degrades_gracefully(self, live):
         for worker, seed in enumerate((24, 25)):
             live.workers[worker][0].ingest(make_batch(seed)[0])
-        http_get(live.url + "/estimate?attribute=x")
+        assert http_request(live.url + "/estimate?attribute=x")[0] == 200
 
         live.worker_servers[0].shutdown()
         live.workers[1][0].ingest(make_batch(26)[0])
-        status, estimate = http_get(live.url + "/estimate?attribute=x")
+        status, estimate = http_request(live.url + "/estimate?attribute=x")
         assert status == 200
         # worker 0 serves last-known (200), worker 1 is fresh (400)
         assert estimate["n_seen"] == 600
-        _, payload = http_get(live.url + "/healthz")
+        _, payload = http_request(live.url + "/healthz")
         assert payload["status"] == "degraded"
         entries = {
             entry["worker"]: entry for entry in payload["cluster"]["workers"]
@@ -751,11 +727,9 @@ class TestClusterHTTP:
         assert not entries[1]["stale"]
 
     def test_coordinator_rejects_direct_ingest(self, live):
-        code, detail = http_error(
-            lambda: http_post(
-                live.url + "/ingest",
-                json.dumps({"batch": {"x": [0.5]}}).encode(),
-            )
+        code, detail = http_request(
+            live.url + "/ingest",
+            json.dumps({"batch": {"x": [0.5]}}).encode(),
         )
         assert code == 400 and "worker" in detail["error"]
         assert live.service.n_seen("x") == 0
@@ -763,19 +737,21 @@ class TestClusterHTTP:
     def test_worker_serves_partial_endpoint(self, live):
         batch, _ = make_batch(28)
         live.workers[0][0].ingest(batch)
-        with urllib.request.urlopen(
-            live.worker_servers[0].url + "/partial"
-        ) as response:
+        host, port = live.worker_servers[0].address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/partial")
+            response = conn.getresponse()
             assert response.status == 200
-            assert response.headers["Content-Type"] == CONTENT_TYPE_PARTIAL
+            assert response.getheader("Content-Type") == CONTENT_TYPE_PARTIAL
             partials, _ = split_partial(response.read())
+        finally:
+            conn.close()
         counts, _ = live.workers[0][0].shards.merged("x")
         assert np.array_equal(partials["x"], counts[None, :])
 
     def test_partial_rows_requires_training(self, live):
-        code, detail = http_error(
-            lambda: http_get(live.worker_servers[0].url + "/partial?rows=1")
-        )
+        code, detail = http_request(live.worker_servers[0].url + "/partial?rows=1")
         assert code == 400 and "training" in detail["error"]
 
 
@@ -793,7 +769,7 @@ class TestClusterHTTPTraining:
             batch, labels = make_batch(seed, classes=2)
             live.workers[worker][1].ingest(batch, labels)
             reference_training.ingest(batch, labels)
-        status, reply = http_post(
+        status, reply = http_request(
             live.url + "/train", json.dumps({"strategy": "byclass"}).encode()
         )
         expected = reference_training.train("byclass")
@@ -805,9 +781,7 @@ class TestClusterHTTPTraining:
     def test_train_with_never_synced_dead_worker_is_503(self, live):
         live.workers[1][1].ingest(*make_batch(31, classes=2))
         live.worker_servers[0].shutdown()
-        code, detail = http_error(
-            lambda: http_post(live.url + "/train", b"{}")
-        )
+        code, detail = http_request(live.url + "/train", b"{}")
         assert code == 503 and "never synced" in detail["error"]
 
     def test_records_by_class_only_on_workers(self, live):
@@ -816,12 +790,13 @@ class TestClusterHTTPTraining:
         for worker, seed in enumerate((33, 34)):
             batch, labels = make_batch(seed, classes=2)
             live.workers[worker][1].ingest(batch, labels)
-        http_get(live.url + "/estimate?attribute=x")  # pull both workers
-        _, stats = http_get(live.url + "/stats")
+        # pull both workers
+        assert http_request(live.url + "/estimate?attribute=x")[0] == 200
+        _, stats = http_request(live.url + "/stats")
         assert stats["records"]["x"] == 400
         assert "records_by_class" not in stats
         for (service, _), server in zip(live.workers, live.worker_servers):
-            _, stats = http_get(server.url + "/stats")
+            _, stats = http_request(server.url + "/stats")
             assert stats["records_by_class"] == {
                 name: service.n_seen_by_class(name) for name in ("x", "y")
             }
@@ -871,6 +846,21 @@ class TestStartCluster:
                     snapshot_interval=interval,
                 )
 
+    def test_refuses_a_mining_section_before_anything_starts(
+        self, monkeypatch
+    ):
+        import repro.service.cluster as cluster
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("start_cluster bound a coordinator socket")
+
+        # the coordinator's socket is bound before any worker starts
+        monkeypatch.setattr(cluster, "ServiceHTTPServer", no_server)
+        spec = dict(SPEC, mining={"items": 4, "keep_prob": 0.9})
+        for train in (False, True):
+            with pytest.raises(ValidationError, match='"mining" section'):
+                start_cluster(spec, n_workers=2, train=train)
+
     def test_two_process_topology_end_to_end(self):
         from repro.core import noise_for_privacy
 
@@ -889,13 +879,13 @@ class TestStartCluster:
                 values = noise.randomize(
                     rng.uniform(30, 70, 300), seed=worker
                 )
-                http_post(
+                assert http_request(
                     url + "/ingest",
                     json.dumps({"batch": {"age": values.tolist()}}).encode(),
-                )
+                )[0] == 200
                 reference.ingest({"age": values})
 
-            status, estimate = http_get(
+            status, estimate = http_request(
                 supervisor.url + "/estimate?attribute=age"
             )
             expected = reference.estimate("age", warn=False)
@@ -1057,7 +1047,7 @@ class TestSyncWork:
             for worker, url in enumerate(urls):
                 ages = [20.0 + (7 * i + worker) % 60 for i in range(100)]
                 body = json.dumps({"batch": {"age": ages}}).encode()
-                assert http_post(url + "/ingest", body)[0] == 200
+                assert http_request(url + "/ingest", body)[0] == 200
             ingested.set()
             assert counted.wait(timeout=60.0), "the sync loop stopped"
             health = supervisor.coordinator.health()

@@ -21,21 +21,26 @@ whatever that process has loaded.
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import http_request
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: prelude of every footprint script: ``checkpoint()`` prints the SciPy
-#: modules loaded so far as one JSON line, and ``masked()`` whether
-#: ``numpy.ma`` is loaded
+#: modules loaded so far as one JSON line, ``masked()`` whether
+#: ``numpy.ma`` is loaded, and ``http_request`` is the suite's loopback
+#: helper (its source, since importing conftest would load pytest)
 PRELUDE = """
+import http.client
 import json
 import sys
+from urllib.parse import urlsplit
 sys.path.insert(0, {src!r})
 
 
@@ -54,7 +59,6 @@ def masked():
 #: labeled body over HTTP, export a sync body; then one estimate
 WORKER_PATH = """
 import threading
-import urllib.request
 
 from repro.service import ServiceHTTPServer, TrainingService, service_from_spec
 from repro.service.cluster import export_sync_body
@@ -71,13 +75,12 @@ training = TrainingService(service)
 server = ServiceHTTPServer(service, "127.0.0.1", 0, training=training)
 threading.Thread(target=server.serve_forever, daemon=True).start()
 ages = [20.0 + 0.3 * i for i in range(200)]
-request = urllib.request.Request(
+status, _ = http_request(
     server.url + "/ingest",
-    data=encode_columns({"age": ages}, classes=[i % 2 for i in range(200)]),
-    headers={"Content-Type": CONTENT_TYPE_COLUMNS},
+    encode_columns({"age": ages}, classes=[i % 2 for i in range(200)]),
+    content_type=CONTENT_TYPE_COLUMNS,
 )
-with urllib.request.urlopen(request) as reply:
-    assert reply.status == 200
+assert status == 200
 export_sync_body(service, training)
 server.shutdown()
 checkpoint()
@@ -92,7 +95,6 @@ checkpoint()
 SERVER_PATH = """
 import json
 import threading
-import urllib.request
 
 import numpy as np
 
@@ -121,29 +123,24 @@ server = ServiceHTTPServer(
 threading.Thread(target=server.serve_forever, daemon=True).start()
 
 
-def call(method, path, body, content_type="application/json"):
-    request = urllib.request.Request(
-        server.url + path, data=body, method=method,
-        headers={"Content-Type": content_type},
-    )
-    with urllib.request.urlopen(request) as reply:
-        assert reply.status == 200, (path, reply.status)
-        reply.read()
+def call(path, body=None, content_type="application/json"):
+    status, _ = http_request(server.url + path, body, content_type=content_type)
+    assert status == 200, (path, status)
 
 
 rows = range(400)
-call("POST", "/ingest", encode_columns(
+call("/ingest", encode_columns(
     {"age": [20.0 + (37 * i) % 60 for i in rows],
      "salary": [(53 * i) % 100 + 0.5 for i in rows]},
     classes=[i % 2 for i in rows],
 ), CONTENT_TYPE_COLUMNS)
 baskets = np.array([[(i + j) % 3 == 0 for j in range(6)] for i in range(300)])
-call("POST", "/ingest", encode_baskets(baskets), CONTENT_TYPE_BASKETS)
+call("/ingest", encode_baskets(baskets), CONTENT_TYPE_BASKETS)
 for name in ("age", "salary"):
-    call("GET", "/estimate?attribute=" + name, None)
+    call("/estimate?attribute=" + name)
 for strategy in ("global", "byclass", "local"):
-    call("POST", "/train", json.dumps({"strategy": strategy}).encode())
-call("POST", "/mine", json.dumps(
+    call("/train", json.dumps({"strategy": strategy}).encode())
+call("/mine", json.dumps(
     {"min_support": 0.2, "min_confidence": 0.4}
 ).encode())
 server.shutdown()
@@ -156,7 +153,6 @@ masked()
 #: scipy.special's extension
 CLUSTER_PATH = """
 import os
-import urllib.request
 
 from repro.service.cluster import start_cluster
 from repro.service.wire import CONTENT_TYPE_COLUMNS, encode_columns
@@ -171,18 +167,16 @@ supervisor = start_cluster({
 try:
     supervisor.wait_ready(timeout=60.0)
     for worker, url in enumerate(supervisor.worker_urls()):
-        request = urllib.request.Request(
+        status, _ = http_request(
             url + "/ingest",
-            data=encode_columns(
+            encode_columns(
                 {"age": [20.0 + (7 * i + worker) % 60 for i in range(200)]}
             ),
-            headers={"Content-Type": CONTENT_TYPE_COLUMNS},
+            content_type=CONTENT_TYPE_COLUMNS,
         )
-        with urllib.request.urlopen(request) as reply:
-            assert reply.status == 200
+        assert status == 200
     estimate = supervisor.url + "/estimate?attribute=age"
-    with urllib.request.urlopen(estimate) as reply:
-        assert reply.status == 200
+    assert http_request(estimate)[0] == 200
     pids = [os.getpid()] + [process.pid for process in supervisor.processes]
     print("MAPPED " + json.dumps([
         "scipy/special" in open(f"/proc/{pid}/maps").read() for pid in pids
@@ -220,7 +214,11 @@ checkpoint()
 def fresh_run(body: str, tags=("CHECKPOINT", "MAPPED", "MASKED")) -> dict:
     """Run ``body`` in a fresh interpreter; per tag, the JSON after it."""
     result = subprocess.run(
-        [sys.executable, "-c", PRELUDE.format(src=str(SRC)) + body],
+        [
+            sys.executable, "-c",
+            PRELUDE.format(src=str(SRC)) + inspect.getsource(http_request)
+            + body,
+        ],
         capture_output=True,
         text=True,
         timeout=120,

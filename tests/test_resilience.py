@@ -24,12 +24,11 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import http_request
 
 from repro.core import Partition, UniformRandomizer
 from repro.exceptions import SerializationError, SnapshotError, ValidationError
@@ -639,8 +638,8 @@ class TestAdmissionHTTP:
         service, server, thread = make_server(tmp_path)
         try:
             server.drain()
-            with urllib.request.urlopen(server.url + "/healthz") as response:
-                assert json.loads(response.read())["status"] == "draining"
+            status, health = http_request(server.url + "/healthz")
+            assert status == 200 and health["status"] == "draining"
             host, port = server.address
             conn = http.client.HTTPConnection(host, port, timeout=10)
             conn.request(
@@ -665,8 +664,8 @@ class TestAdmissionHTTP:
             faults={"seed": 1, "points": {"demo": {"drop": 1.0}}},
         )
         try:
-            with urllib.request.urlopen(server.url + "/stats") as response:
-                payload = json.loads(response.read())
+            status, payload = http_request(server.url + "/stats")
+            assert status == 200
             assert payload["admission"]["max_inflight"] == 4
             assert payload["faults"] == {"demo": {"attempts": 0, "fired": 0}}
         finally:
@@ -783,7 +782,7 @@ class TestServerSnapshots:
         try:
             for stop in ("drain", "shutdown"):
                 # answered, so serve_forever has started its loop
-                assert http_get(servers[stop].url + "/healthz")[0] == 200
+                assert http_request(servers[stop].url + "/healthz")[0] == 200
             assert len(snapshot_threads() - before) == 2
             servers["drain"].drain()
             assert len(writes["drain"]) == 1
@@ -816,8 +815,8 @@ class TestDrain:
         service.ingest_prepared = held
         replies = []
         client = threading.Thread(target=lambda: replies.append(
-            http_post_json(server.url + "/ingest",
-                           {"batch": {"x": [0.4, 0.5, 0.6]}})
+            http_request(server.url + "/ingest",
+                         b'{"batch": {"x": [0.4, 0.5, 0.6]}}')
         ))
         drainer = threading.Thread(target=server.drain)
         try:
@@ -912,24 +911,9 @@ def age_batch(seed, n=300):
     return {"age": cluster_noise().randomize(rng.uniform(30, 70, n), seed=seed)}
 
 
-def http_get(url):
-    with urllib.request.urlopen(url) as response:
-        return response.status, json.loads(response.read())
-
-
-def http_post_json(url, payload):
-    request = urllib.request.Request(
-        url, data=json.dumps(payload).encode(), method="POST",
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request) as response:
-        return response.status, json.loads(response.read())
-
-
 def ingest_age(url, batch):
-    return http_post_json(
-        url + "/ingest", {"batch": {"age": batch["age"].tolist()}}
-    )
+    body = {"batch": {"age": batch["age"].tolist()}}
+    return http_request(url + "/ingest", json.dumps(body).encode())
 
 
 def poll_until(predicate, timeout=60.0, message="condition never held"):
@@ -961,11 +945,11 @@ def coordinator_records(url):
     pulls), then run exactly one /estimate against exactly one reference
     estimate.
     """
-    return http_get(url + "/healthz")[1]["records"]
+    return http_request(url + "/healthz")[1]["records"]
 
 
 def assert_age_estimate_matches(coordinator_url, reference, n_seen):
-    status, estimate = http_get(coordinator_url + "/estimate?attribute=age")
+    status, estimate = http_request(coordinator_url + "/estimate?attribute=age")
     expected = reference.estimate("age", warn=False)
     assert status == 200
     assert estimate["n_seen"] == n_seen
@@ -1026,7 +1010,7 @@ class TestSupervision:
                 entry = supervisor.coordinator.health()["workers"][0]
                 try:
                     return ingest_age(entry["url"], batch)[0] == 200
-                except (urllib.error.URLError, ConnectionError, OSError):
+                except OSError:
                     return False
 
             poll_until(resend, message="restarted worker never ingested")
@@ -1073,8 +1057,8 @@ class TestSupervision:
             def reregistered():
                 entry = supervisor.coordinator.health()["workers"][0]
                 try:
-                    return http_get(entry["url"] + "/healthz")[0] == 200
-                except (urllib.error.URLError, ConnectionError, OSError):
+                    return http_request(entry["url"] + "/healthz")[0] == 200
+                except OSError:
                     return False
 
             poll_until(
@@ -1109,7 +1093,7 @@ class TestSupervision:
                 lambda: supervisor.supervision()["exhausted"] == [0],
                 message="budget exhaustion was never recorded",
             )
-            status, health = http_get(supervisor.url + "/healthz")
+            status, health = http_request(supervisor.url + "/healthz")
             assert health["status"] == "degraded"
             assert health["cluster"]["supervision"]["exhausted"] == [0]
         finally:

@@ -5,12 +5,10 @@ from __future__ import annotations
 import http.client
 import json
 import threading
-import urllib.error
-import urllib.parse
-import urllib.request
 
 import numpy as np
 import pytest
+from conftest import http_request
 
 from repro.core import Partition, StreamingReconstructor, UniformRandomizer
 from repro.service import AggregationService, AttributeSpec, ServiceHTTPServer
@@ -50,22 +48,11 @@ def server(service, tmp_path):
 
 
 def _get(server, path):
-    with urllib.request.urlopen(server.url + path) as response:
-        return response.status, json.loads(response.read())
+    return http_request(server.url + path)
 
 
 def _post(server, path, payload):
-    request = urllib.request.Request(
-        server.url + path, data=json.dumps(payload).encode(), method="POST"
-    )
-    with urllib.request.urlopen(request) as response:
-        return response.status, json.loads(response.read())
-
-
-def _error_of(callable_):
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        callable_()
-    return excinfo.value.code, json.loads(excinfo.value.read())
+    return http_request(server.url + path, json.dumps(payload).encode())
 
 
 class TestRoutes:
@@ -98,13 +85,16 @@ class TestRoutes:
         assert stats["kernel_cache"]["misses"] == 1
 
     def test_ingest_with_shard_pin(self, server, service):
-        _post(server, "/ingest", {"batch": {"opinion": [0.5]}, "shard": 1})
+        status, _ = _post(
+            server, "/ingest", {"batch": {"opinion": [0.5]}, "shard": 1}
+        )
+        assert status == 200
         assert service.shards.read_shard(1)[1].sum() == 1
 
     def test_estimate_matches_single_stream(self, server, noise):
         rng = np.random.default_rng(0)
         w = noise.randomize(rng.uniform(0.3, 0.7, 2_000), seed=1)
-        _post(server, "/ingest", {"batch": {"opinion": w.tolist()}})
+        assert _post(server, "/ingest", {"batch": {"opinion": w.tolist()}})[0] == 200
         _, estimate = _get(server, "/estimate?attribute=opinion")
 
         stream = StreamingReconstructor(
@@ -118,7 +108,7 @@ class TestRoutes:
         )
 
     def test_snapshot_persists(self, server, service, tmp_path):
-        _post(server, "/ingest", {"batch": {"opinion": [0.4, 0.5]}})
+        assert _post(server, "/ingest", {"batch": {"opinion": [0.4, 0.5]}})[0] == 200
         status, payload = _post(server, "/snapshot", None)
         assert status == 200
         restored = AggregationService.load(payload["saved"])
@@ -126,12 +116,7 @@ class TestRoutes:
 
 
 def _post_raw(server, path, body, content_type):
-    request = urllib.request.Request(
-        server.url + path, data=body, method="POST",
-        headers={"Content-Type": content_type},
-    )
-    with urllib.request.urlopen(request) as response:
-        return response.status, json.loads(response.read())
+    return http_request(server.url + path, body, content_type=content_type)
 
 
 class TestColumnarIngest:
@@ -167,11 +152,14 @@ class TestColumnarIngest:
         rng = np.random.default_rng(3)
         w = noise.randomize(rng.uniform(0.3, 0.7, 2_000), seed=4)
         half = w.size // 2
-        _post(server, "/ingest", {"batch": {"opinion": w[:half].tolist()}})
-        _post_raw(
+        status, _ = _post(
+            server, "/ingest", {"batch": {"opinion": w[:half].tolist()}}
+        )
+        assert status == 200
+        assert _post_raw(
             server, "/ingest", encode_columns({"opinion": w[half:]}),
             CONTENT_TYPE_COLUMNS,
-        )
+        )[0] == 200
         _, estimate = _get(server, "/estimate?attribute=opinion")
         stream = StreamingReconstructor(Partition.uniform(0, 1, 10), noise)
         stream.update(np.asarray(w[:half].tolist()))
@@ -183,27 +171,21 @@ class TestColumnarIngest:
         assert estimate["n_iterations"] == expected.n_iterations
 
     def test_bad_magic_is_400(self, server):
-        code, payload = _error_of(
-            lambda: _post_raw(
-                server, "/ingest", b"JUNKJUNKJUNKJUNK", CONTENT_TYPE_COLUMNS
-            )
+        code, payload = _post_raw(
+            server, "/ingest", b"JUNKJUNKJUNKJUNK", CONTENT_TYPE_COLUMNS
         )
         assert code == 400
         assert "magic" in payload["error"]
 
     def test_truncated_frame_is_400(self, server):
         body = encode_columns({"opinion": [0.5, 0.6]})[:-4]
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
         assert code == 400
         assert "truncated" in payload["error"]
 
     def test_unknown_attribute_is_400(self, server):
         body = encode_columns({"nope": [0.5]})
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
         assert code == 400
         assert "unknown attribute" in payload["error"]
 
@@ -213,9 +195,7 @@ class TestColumnarIngest:
         body = encode_columns({"opinion": [0.4, 0.5]}) + encode_columns(
             {"opinion": [0.6, 0.7]}
         )[:-4]
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
         assert code == 400
         assert "truncated" in payload["error"]
         assert service.n_seen("opinion") == 0
@@ -224,19 +204,15 @@ class TestColumnarIngest:
         body = encode_columns({"opinion": [0.4]}) + encode_columns(
             {"opinion": [0.5]}, shard=7
         )
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
         assert code == 400
         assert "shard index" in payload["error"]
         assert service.n_seen("opinion") == 0
 
     def test_columnar_only_negotiated_on_ingest(self, server):
         """Other routes ignore the columnar content type (body is JSON)."""
-        code, _ = _error_of(
-            lambda: _post_raw(
-                server, "/nope", encode_columns({}), CONTENT_TYPE_COLUMNS
-            )
+        code, _ = _post_raw(
+            server, "/nope", encode_columns({}), CONTENT_TYPE_COLUMNS
         )
         assert code == 400  # body is not valid JSON -> 400, not a crash
 
@@ -253,17 +229,13 @@ class TestNDJSONIngest:
 
     def test_bad_line_is_400(self, server):
         body = b'{"batch": {"opinion": [0.5]}}\nnot json\n'
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_NDJSON)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_NDJSON)
         assert code == 400
         assert "line 2" in payload["error"]
 
     def test_non_integer_shard_is_400(self, server, service):
         body = b'{"batch": {"opinion": [0.5]}, "shard": []}\n'
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_NDJSON)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_NDJSON)
         assert code == 400
         assert "shard" in payload["error"]
         assert service.n_seen("opinion") == 0
@@ -276,25 +248,19 @@ class TestShardPinRule:
     def test_columns_pin_below_minus_one_is_400(self, server, service):
         frame = bytearray(encode_columns({"opinion": [0.5]}))
         frame[8:12] = (-2).to_bytes(4, "little", signed=True)
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", bytes(frame), CONTENT_TYPE_COLUMNS)
-        )
+        code, payload = _post_raw(server, "/ingest", bytes(frame), CONTENT_TYPE_COLUMNS)
         assert code == 400
         assert "shard pin -2" in payload["error"]
         assert service.n_seen("opinion") == 0
 
     def test_boolean_shard_is_400_in_json_and_ndjson(self, server, service):
-        code, payload = _error_of(
-            lambda: _post(
-                server, "/ingest", {"batch": {"opinion": [0.5]}, "shard": True}
-            )
+        code, payload = _post(
+            server, "/ingest", {"batch": {"opinion": [0.5]}, "shard": True}
         )
         assert code == 400
         assert "'shard' must be an integer" in payload["error"]
         body = b'{"batch": {"opinion": [0.5]}, "shard": true}\n'
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_NDJSON)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_NDJSON)
         assert code == 400
         assert "'shard' must be an integer" in payload["error"]
         assert service.n_seen("opinion") == 0
@@ -401,9 +367,12 @@ class TestLabeledIngest:
 
     def test_stats_reports_by_class(self, class_server):
         server, service = class_server
-        _post(server, "/ingest",
-              {"batch": {"opinion": [0.4, 0.6]}, "classes": [0, 1]})
-        _post(server, "/ingest", {"batch": {"opinion": [0.5]}})
+        status, _ = _post(
+            server, "/ingest",
+            {"batch": {"opinion": [0.4, 0.6]}, "classes": [0, 1]},
+        )
+        assert status == 200
+        assert _post(server, "/ingest", {"batch": {"opinion": [0.5]}})[0] == 200
         _, stats = _get(server, "/stats")
         assert stats["classes"] == 2
         assert stats["records_by_class"]["opinion"] == {
@@ -415,18 +384,14 @@ class TestLabeledIngest:
         body = encode_columns({"opinion": [0.4]}, classes=[0]) + encode_columns(
             {"opinion": [0.5]}, classes=[9]
         )
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
         assert code == 400
         assert "class" in payload["error"]
         assert service.n_seen("opinion") == 0
 
     def test_class_column_on_class_unaware_service_is_400(self, server, service):
         body = encode_columns({"opinion": [0.4]}, classes=[0])
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
         assert code == 400
         assert "class" in payload["error"]
         assert service.n_seen("opinion") == 0
@@ -438,14 +403,17 @@ class TestLabeledIngest:
         w = noise.randomize(rng.uniform(0.3, 0.7, 1_500), seed=6)
         labels = (rng.random(1_500) < 0.4).astype(int)
         half = w.size // 2
-        _post(server, "/ingest",
-              {"batch": {"opinion": w[:half].tolist()},
-               "classes": labels[:half].tolist()})
-        _post_raw(
+        status, _ = _post(
+            server, "/ingest",
+            {"batch": {"opinion": w[:half].tolist()},
+             "classes": labels[:half].tolist()},
+        )
+        assert status == 200
+        assert _post_raw(
             server, "/ingest",
             encode_columns({"opinion": w[half:]}, classes=labels[half:]),
             CONTENT_TYPE_COLUMNS,
-        )
+        )[0] == 200
         _, estimate = _get(server, "/estimate?attribute=opinion")
         stream = StreamingReconstructor(Partition.uniform(0, 1, 10), noise)
         stream.update(np.asarray(w[:half].tolist()))
@@ -482,7 +450,7 @@ class TestTrainEndpoints:
         body = encode_columns(
             {"opinion": noise.randomize(x, seed=8)}, classes=labels
         )
-        _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)
+        assert _post_raw(server, "/ingest", body, CONTENT_TYPE_COLUMNS)[0] == 200
 
     def test_train_then_model_roundtrip(self, train_server, noise):
         from repro import serialize
@@ -509,33 +477,27 @@ class TestTrainEndpoints:
 
     def test_model_before_training_is_404(self, train_server):
         server, _, _ = train_server
-        code, payload = _error_of(lambda: _get(server, "/model"))
+        code, payload = _get(server, "/model")
         assert code == 404
         assert "train" in payload["error"]
 
     def test_model_unknown_strategy_is_400(self, train_server):
         server, _, _ = train_server
-        code, payload = _error_of(
-            lambda: _get(server, "/model?strategy=byclas")
-        )
+        code, payload = _get(server, "/model?strategy=byclas")
         assert code == 400
         assert "byclas" in payload["error"]
         assert "byclass" in payload["error"]
 
     def test_train_without_data_is_400(self, train_server):
         server, _, _ = train_server
-        code, payload = _error_of(
-            lambda: _post(server, "/train", {"strategy": "byclass"})
-        )
+        code, payload = _post(server, "/train", {"strategy": "byclass"})
         assert code == 400
         assert "labeled" in payload["error"]
 
     def test_bad_strategy_is_400(self, train_server, noise):
         server, _, _ = train_server
         self._feed(server, noise)
-        code, payload = _error_of(
-            lambda: _post(server, "/train", {"strategy": "original"})
-        )
+        code, payload = _post(server, "/train", {"strategy": "original"})
         assert code == 400
 
     def test_training_ingest_is_all_or_nothing(self, train_server, noise):
@@ -544,20 +506,16 @@ class TestTrainEndpoints:
         server, service, training = train_server
         good = encode_columns({"opinion": [0.4]}, classes=[0])
         bad = encode_columns({"opinion": [0.5]}, classes=[5])
-        code, _ = _error_of(
-            lambda: _post_raw(server, "/ingest", good + bad, CONTENT_TYPE_COLUMNS)
-        )
+        code, _ = _post_raw(server, "/ingest", good + bad, CONTENT_TYPE_COLUMNS)
         assert code == 400
         assert service.n_seen("opinion") == 0
         assert training.n_buffered == 0
 
     def test_train_endpoints_disabled_without_training(self, server):
-        code, payload = _error_of(
-            lambda: _post(server, "/train", {"strategy": "byclass"})
-        )
+        code, payload = _post(server, "/train", {"strategy": "byclass"})
         assert code == 400
         assert "training" in payload["error"]
-        code, payload = _error_of(lambda: _get(server, "/model"))
+        code, payload = _get(server, "/model")
         assert code == 400
 
 
@@ -619,9 +577,9 @@ class TestMiningEndpoints:
 
         server, mining = mining_server
         disclosed = self._disclosed()
-        _post_raw(
+        assert _post_raw(
             server, "/ingest", encode_baskets(disclosed), CONTENT_TYPE_BASKETS
-        )
+        )[0] == 200
         status, summary = _post(
             server, "/mine", {"min_support": 0.15, "min_confidence": 0.4}
         )
@@ -644,14 +602,14 @@ class TestMiningEndpoints:
 
     def test_rules_before_mine_is_404(self, mining_server):
         server, _ = mining_server
-        code, payload = _error_of(lambda: _get(server, "/rules"))
+        code, payload = _get(server, "/rules")
         assert code == 404
         assert "mine" in payload["error"]
 
     def test_mine_before_ingest_is_400(self, mining_server):
         server, _ = mining_server
-        code, payload = _error_of(
-            lambda: _post(server, "/mine", {"min_support": 0.2, "min_confidence": 0.5})
+        code, payload = _post(
+            server, "/mine", {"min_support": 0.2, "min_confidence": 0.5}
         )
         assert code == 400
         assert "no baskets" in payload["error"]
@@ -665,39 +623,35 @@ class TestMiningEndpoints:
             {"min_support": True, "min_confidence": 0.5},
             None,
         ):
-            code, payload = _error_of(lambda: _post(server, "/mine", body))
+            code, payload = _post(server, "/mine", body)
             assert code == 400
             assert "min_" in payload["error"]
 
     def test_out_of_range_thresholds_are_400(self, mining_server):
         server, mining = mining_server
-        _post_raw(
+        assert _post_raw(
             server, "/ingest", encode_baskets(self._disclosed(50)),
             CONTENT_TYPE_BASKETS,
-        )
+        )[0] == 200
         for support, confidence in ((0.0, 0.5), (1.5, 0.5), (0.2, -1.0)):
-            code, _ = _error_of(
-                lambda: _post(
-                    server, "/mine",
-                    {"min_support": support, "min_confidence": confidence},
-                )
+            code, _ = _post(
+                server, "/mine",
+                {"min_support": support, "min_confidence": confidence},
             )
             assert code == 400
 
     def test_mining_endpoints_disabled_without_mining(self, server):
-        code, payload = _error_of(
-            lambda: _post(server, "/mine", {"min_support": 0.2, "min_confidence": 0.5})
+        code, payload = _post(
+            server, "/mine", {"min_support": 0.2, "min_confidence": 0.5}
         )
         assert code == 400
         assert "mining" in payload["error"]
-        code, payload = _error_of(lambda: _get(server, "/rules"))
+        code, payload = _get(server, "/rules")
         assert code == 400
         assert "mining" in payload["error"]
-        code, payload = _error_of(
-            lambda: _post_raw(
-                server, "/ingest",
-                encode_baskets(np.eye(3, dtype=bool)), CONTENT_TYPE_BASKETS,
-            )
+        code, payload = _post_raw(
+            server, "/ingest",
+            encode_baskets(np.eye(3, dtype=bool)), CONTENT_TYPE_BASKETS,
         )
         assert code == 400
         assert "mining" in payload["error"]
@@ -708,9 +662,7 @@ class TestMiningEndpoints:
         server, mining = mining_server
         disclosed = self._disclosed(100)
         body = encode_baskets(disclosed) + encode_baskets(disclosed)[:-3]
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_BASKETS)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_BASKETS)
         assert code == 400
         assert "truncated" in payload["error"]
         assert mining.n_seen == 0
@@ -719,9 +671,7 @@ class TestMiningEndpoints:
         server, mining = mining_server
         disclosed = self._disclosed(40)
         body = encode_baskets(disclosed) + encode_baskets(disclosed, shard=7)
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_BASKETS)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_BASKETS)
         assert code == 400
         assert "shard index" in payload["error"]
         assert mining.n_seen == 0
@@ -729,9 +679,7 @@ class TestMiningEndpoints:
     def test_wrong_item_universe_is_400(self, mining_server):
         server, mining = mining_server
         body = encode_baskets(np.eye(4, dtype=bool))  # server mines 6 items
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", body, CONTENT_TYPE_BASKETS)
-        )
+        code, payload = _post_raw(server, "/ingest", body, CONTENT_TYPE_BASKETS)
         assert code == 400
         assert "universe" in payload["error"]
         assert mining.n_seen == 0
@@ -743,18 +691,14 @@ class TestMiningEndpoints:
         mixed = encode_baskets(self._disclosed(20)) + encode_columns(
             {"opinion": [0.5]}
         )
-        code, payload = _error_of(
-            lambda: _post_raw(server, "/ingest", mixed, CONTENT_TYPE_BASKETS)
-        )
+        code, payload = _post_raw(server, "/ingest", mixed, CONTENT_TYPE_BASKETS)
         assert code == 400
         assert "version" in payload["error"]
         assert mining.n_seen == 0
         # the symmetric half: a v4 frame under the columnar content type
-        code, payload = _error_of(
-            lambda: _post_raw(
-                server, "/ingest",
-                encode_baskets(self._disclosed(5)), CONTENT_TYPE_COLUMNS,
-            )
+        code, payload = _post_raw(
+            server, "/ingest",
+            encode_baskets(self._disclosed(5)), CONTENT_TYPE_COLUMNS,
         )
         assert code == 400
         assert "version" in payload["error"]
@@ -1005,8 +949,8 @@ class TestTransferEncoding:
 class TestThreadReaping:
     def test_finished_handler_threads_are_reaped(self, server):
         for _ in range(5):
-            _get(server, "/healthz")
-        # every urllib request closed its connection, so the handler
+            assert _get(server, "/healthz")[0] == 200
+        # every request closed its connection, so the handler
         # threads are finished; the reaper must drop them from the
         # join-on-close list (only the in-flight ones may remain)
         server.reap_handler_threads()
@@ -1021,55 +965,42 @@ class TestThreadReaping:
 
 class TestErrors:
     def test_unknown_route_404(self, server):
-        code, payload = _error_of(lambda: _get(server, "/nope"))
+        code, payload = _get(server, "/nope")
         assert code == 404
         assert "unknown route" in payload["error"]
 
     def test_estimate_needs_attribute(self, server):
-        code, payload = _error_of(lambda: _get(server, "/estimate"))
+        code, payload = _get(server, "/estimate")
         assert code == 400
         assert "attribute" in payload["error"]
 
     def test_estimate_unknown_attribute(self, server):
-        code, payload = _error_of(
-            lambda: _get(server, "/estimate?attribute=nope")
-        )
+        code, payload = _get(server, "/estimate?attribute=nope")
         assert code == 400
 
     def test_estimate_before_data(self, server):
-        code, payload = _error_of(
-            lambda: _get(server, "/estimate?attribute=opinion")
-        )
+        code, payload = _get(server, "/estimate?attribute=opinion")
         assert code == 400
         assert "ingest" in payload["error"]
 
     def test_ingest_requires_batch_key(self, server):
-        code, payload = _error_of(
-            lambda: _post(server, "/ingest", {"opinion": [0.5]})
-        )
+        code, payload = _post(server, "/ingest", {"opinion": [0.5]})
         assert code == 400
 
     def test_ingest_rejects_non_json(self, server):
-        request = urllib.request.Request(
-            server.url + "/ingest", data=b"not json{", method="POST"
-        )
-        code, payload = _error_of(lambda: urllib.request.urlopen(request))
+        code, payload = http_request(server.url + "/ingest", b"not json{")
         assert code == 400
         assert "JSON" in payload["error"]
 
     def test_ingest_unknown_attribute(self, server):
-        code, payload = _error_of(
-            lambda: _post(server, "/ingest", {"batch": {"nope": [0.5]}})
-        )
+        code, payload = _post(server, "/ingest", {"batch": {"nope": [0.5]}})
         assert code == 400
         assert "unknown attribute" in payload["error"]
 
     def test_ingest_non_integer_shard(self, server):
-        code, payload = _error_of(
-            lambda: _post(
-                server, "/ingest",
-                {"batch": {"opinion": [0.5]}, "shard": {"i": 0}},
-            )
+        code, payload = _post(
+            server, "/ingest",
+            {"batch": {"opinion": [0.5]}, "shard": {"i": 0}},
         )
         assert code == 400
         assert "shard" in payload["error"]
@@ -1079,7 +1010,7 @@ class TestErrors:
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:
-            code, payload = _error_of(lambda: _post(srv, "/snapshot", None))
+            code, payload = _post(srv, "/snapshot", None)
             assert code == 400
         finally:
             srv.shutdown()

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.exceptions import DecodedSizeError, ValidationError, WireFormatError
+from repro.mining import RandomizedResponse, generate_baskets
+from repro.service import wire
 from repro.service.wire import (
     MAGIC,
     WIRE_VERSION,
@@ -519,6 +523,458 @@ class TestBasketDecodeFuzz:
                 assert matrix.ndim == 2
                 assert matrix.dtype == np.bool_
                 assert shard is None or isinstance(shard, int)
+
+
+# ----------------------------------------------------------------------
+# The v4 codec against its loop oracle
+# ----------------------------------------------------------------------
+# The byte-by-byte codec the array codec replaced, kept as its oracle:
+# one Python varint call per index entry and per item id.
+def _loop_encode_varint(value: int) -> bytes:
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def _loop_decode_varint(view, offset, end, what):
+    value = 0
+    shift = 0
+    for _ in range(10):
+        chunk = view[offset : offset + 1] if offset < end else b""
+        if not len(chunk):
+            raise ValidationError(f"truncated basket frame: {what} varint")
+        byte = chunk[0]
+        offset += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            if value >= 1 << 64:
+                raise ValidationError(
+                    f"basket frame: {what} varint exceeds 64 bits"
+                )
+            return value, offset
+        shift += 7
+    raise ValidationError(f"basket frame: {what} varint runs past 10 bytes")
+
+
+def loop_encode_baskets(matrix, shard=None) -> bytes:
+    pin = -1 if shard is None else shard
+    n_transactions, n_items = matrix.shape
+    index = []
+    payload = []
+    for row in matrix:
+        encoded = b"".join(
+            _loop_encode_varint(int(item)) for item in np.nonzero(row)[0]
+        )
+        index.append(_loop_encode_varint(len(encoded)))
+        payload.append(encoded)
+    header = struct.pack("<4sHHi", MAGIC, WIRE_VERSION_BASKETS, n_items, pin)
+    return (
+        header
+        + _loop_encode_varint(n_transactions)
+        + b"".join(index)
+        + b"".join(payload)
+    )
+
+
+def loop_decode_basket_frame(view, offset):
+    end = len(view)
+    _, n_items, slot = wire._read_header(
+        view, offset, wire.CONTENT_TYPE_BASKETS
+    )
+    if n_items < 1:
+        raise ValidationError("basket frame declares an empty item universe")
+    offset += 12
+    n_transactions, offset = _loop_decode_varint(
+        view, offset, end, "transaction count"
+    )
+    if n_transactions < 1:
+        raise ValidationError("basket frame declares no transactions")
+    if n_transactions > end - offset:
+        raise ValidationError(
+            f"truncated basket frame: {n_transactions} transaction(s) "
+            f"declared but only {end - offset} byte(s) remain"
+        )
+    if n_transactions * n_items > 1 << 28:
+        raise WireFormatError(
+            f"basket frame expands to {n_transactions} x {n_items} cells; "
+            f"the decoder caps frames at {1 << 28}"
+        )
+    lengths = []
+    for i in range(n_transactions):
+        length, offset = _loop_decode_varint(view, offset, end, f"index[{i}]")
+        lengths.append(length)
+    matrix = np.zeros((n_transactions, n_items), dtype=bool)
+    for i, length in enumerate(lengths):
+        if end - offset < length:
+            raise ValidationError(
+                f"truncated basket frame: transaction {i} declares "
+                f"{length} byte(s) but only {end - offset} remain"
+            )
+        stop = offset + length
+        previous = -1
+        while offset < stop:
+            item, offset = _loop_decode_varint(
+                view, offset, stop, f"transaction {i}"
+            )
+            if item >= n_items:
+                raise ValidationError(
+                    f"basket frame: transaction {i} holds item {item}, "
+                    f"outside the declared universe of {n_items}"
+                )
+            if item <= previous:
+                raise ValidationError(
+                    f"basket frame: transaction {i} item ids must be "
+                    f"strictly increasing ({item} after {previous})"
+                )
+            matrix[i, item] = True
+            previous = item
+    return matrix, wire._decoded_pin(slot), offset
+
+
+def _walk(decode_frame, body):
+    """Every ``(matrix, shard, offset)`` read from ``body``, then the
+    ``(type, message)`` of the error that stopped the walk, if any."""
+    view = memoryview(body)
+    offset = 0
+    frames = []
+    try:
+        while offset < len(view):
+            matrix, shard, offset = decode_frame(view, offset)
+            frames.append((matrix, shard, offset))
+    except ValidationError as exc:
+        return frames, (type(exc), str(exc))
+    return frames, None
+
+
+def _assert_walks_agree(body, label):
+    expected_frames, expected_error = _walk(loop_decode_basket_frame, body)
+    frames, error = _walk(wire._decode_basket_frame, body)
+    assert error == expected_error, f"{label}: {error} != {expected_error}"
+    assert len(frames) == len(expected_frames), label
+    for (matrix, shard, offset), (want, want_shard, want_offset) in zip(
+        frames, expected_frames
+    ):
+        assert matrix.dtype == np.bool_ and matrix.shape == want.shape, label
+        assert np.array_equal(matrix, want), label
+        assert (shard, offset) == (want_shard, want_offset), label
+    return error
+
+
+def _varint(value: int, size: int = 0) -> bytes:
+    """``value`` as a LEB128 varint, padded with zero groups to ``size``
+    bytes (a non-canonical encoding the decoders accept)."""
+    groups = [(value >> (7 * k)) & 0x7F for k in range(max(size, 1))]
+    while value >> (7 * len(groups)):
+        groups.append((value >> (7 * len(groups))) & 0x7F)
+    return bytes(g | 0x80 for g in groups[:-1]) + bytes(groups[-1:])
+
+
+def _handmade_frame(n_items, transactions, *, pad=0, shard=-1):
+    """A v4 frame from item-id lists, each id padded to ``pad`` bytes."""
+    payloads = [b"".join(_varint(item, pad) for item in tx) for tx in transactions]
+    return (
+        struct.pack("<4sHHi", MAGIC, WIRE_VERSION_BASKETS, n_items, shard)
+        + _varint(len(transactions))
+        + b"".join(_varint(len(p)) for p in payloads)
+        + b"".join(payloads)
+    )
+
+
+#: item universes the oracle checks cover: one-byte, two-byte and
+#: three-byte ids, and both ends of the u16 range
+UNIVERSES = (1, 2, 12, 127, 128, 129, 300, 16_383, 16_384, 16_385, 65_535)
+
+
+def _random_matrix(rng):
+    n_items = int(rng.choice(UNIVERSES))
+    rows = int(rng.integers(1, 25))
+    if n_items > 400:
+        # a sparse matrix whose ids reach the top of the universe
+        matrix = np.zeros((rows, n_items), dtype=bool)
+        picks = rng.integers(0, n_items, size=(rows, int(rng.integers(0, 6))))
+        for row, ids in enumerate(picks):
+            matrix[row, ids] = True
+        matrix[rng.random(rows) < 0.2] = False
+        matrix[0, n_items - 1] = rng.random() < 0.5
+        return matrix
+    matrix = rng.random((rows, n_items)) < rng.choice([0.0, 0.05, 0.3, 0.9])
+    matrix[rng.random(rows) < 0.2] = False  # empty transactions
+    return matrix
+
+
+def _v4(n_items, rest: bytes) -> bytes:
+    """An unpinned v4 header for ``n_items`` items, then ``rest``."""
+    return struct.pack("<4sHHi", MAGIC, WIRE_VERSION_BASKETS, n_items, -1) + rest
+
+
+#: hand-made frames: (body, None when it decodes, else part of the error)
+HANDMADE = {
+    # padded varints are non-canonical but valid, up to 10 bytes
+    "padded-ids": (_handmade_frame(300, [[1, 5, 299], [], [0]], pad=10), None),
+    "padded-two-frames": (
+        _handmade_frame(12, [[3, 4]], pad=2)
+        + _handmade_frame(12, [[11]], pad=3, shard=1),
+        None,
+    ),
+    "padded-count": (_v4(12, _varint(4_096, 10) + b"\x00" * 4_096), None),
+    # ten bytes past 64 bits, as an item and as an index entry
+    "item-over-64-bits": (
+        _v4(4, b"\x01\x0a" + b"\x80" * 9 + b"\x02"),
+        "transaction 0 varint exceeds 64 bits",
+    ),
+    "index-over-64-bits": (
+        _v4(4, b"\x01" + b"\xff" * 9 + b"\x7f"), "index[0] varint exceeds"
+    ),
+    "index-of-exactly-65-bits": (
+        _v4(4, b"\x01" + b"\x80" * 9 + b"\x02"), "index[0] varint exceeds"
+    ),
+    "index-runs-past": (_v4(4, b"\x02\x00" + b"\x80" * 12), "index[1] varint runs"),
+    "index-of-eleven-bytes": (
+        _v4(4, b"\x01\x81" + b"\x80" * 9 + b"\x00"), "index[0] varint runs past"
+    ),
+    "first-bad-index-entry-wins": (
+        _v4(4, b"\x02" + b"\x80" * 9 + b"\x02" + b"\x80" * 9 + b"\x03"),
+        "index[0] varint exceeds",
+    ),
+    "index-truncated": (
+        _v4(4, b"\x02\x00" + b"\x80" * 5), "truncated basket frame: index[1]"
+    ),
+    # an item cut by its transaction's end, and one running long
+    "item-cut-by-its-transaction": (
+        _v4(400, b"\x02\x01\x01\x81\x05"),
+        "truncated basket frame: transaction 0 varint",
+    ),
+    "item-runs-past": (
+        _v4(400, b"\x01\x0c" + b"\x80" * 11 + b"\x00"),
+        "transaction 0 varint runs past",
+    ),
+    "item-of-eleven-bytes": (
+        _v4(400, b"\x01\x0b\x81" + b"\x80" * 9 + b"\x00"),
+        "transaction 0 varint runs past",
+    ),
+    # the first offender wins, in the order a byte walk meets them
+    "out-of-range-before-repeat": (
+        _handmade_frame(5, [[1, 9], [3, 3]]), "holds item 9"
+    ),
+    "repeat-before-truncation": (
+        _handmade_frame(5, [[1, 2], [3, 3], [4]])[:-1], "(3 after 3)"
+    ),
+    "truncated-transaction": (
+        _handmade_frame(5, [[1, 2], [3, 4, 4]])[:-1],
+        "transaction 1 declares 3 byte(s) but only 2 remain",
+    ),
+    # a transaction past (n_items + 1) x 10 bytes is read only that far,
+    # which still holds its first offender: here the third padded id
+    "longest-prefix-read": (
+        _handmade_frame(2, [[0, 1, 1, 1]], pad=10), "(1 after 1)"
+    ),
+    "id-past-two-bytes": (
+        _handmade_frame(65_535, [[2**30]]), "holds item 1073741824"
+    ),
+    # a fourth group whose place a narrower read would undercount
+    "id-of-four-groups": (
+        _handmade_frame(65_535, [[2**21 + 5]]), "holds item 2097157"
+    ),
+    "id-of-64-bits": (
+        _handmade_frame(65_535, [[2**64 - 1]]), f"holds item {2**64 - 1}"
+    ),
+    # transaction counts past the 2^28-cell cap
+    "count-past-the-cap": (
+        _v4(65_535, _varint(4_097) + b"\x00" * 4_097), "caps frames"
+    ),
+}
+
+
+class TestBasketOracle:
+    """The array codec is the loop codec, byte for byte and error for
+    error, on seeded random, hand-made, truncated and corrupted bodies.
+
+    Every decoding check runs twice: with the library's block sizes,
+    where each frame here fits one block, and with blocks of 64 bytes and
+    three transactions, so frames cross many block boundaries and long
+    transactions are read only to their first ``(n_items + 1) * 10``
+    bytes.
+    """
+
+    SEED = 31_004
+
+    @pytest.fixture(params=["one-block", "small-blocks"])
+    def blocks(self, request, monkeypatch):
+        if request.param == "small-blocks":
+            monkeypatch.setattr(wire, "_BLOCK_BYTES", 64)
+            monkeypatch.setattr(wire, "_BLOCK_TRANSACTIONS", 3)
+
+    def test_encoder_is_byte_identical(self):
+        rng = np.random.default_rng(self.SEED)
+        matrices = [_random_matrix(rng) for _ in range(500)]
+        matrices += [
+            np.zeros((3, 1), dtype=bool),
+            np.ones((3, 1), dtype=bool),
+            np.ones((2, 65_535), dtype=bool),
+            np.eye(300, dtype=bool),
+        ]
+        for k, matrix in enumerate(matrices):
+            shard = None if k % 3 else k
+            assert encode_baskets(matrix, shard=shard) == loop_encode_baskets(
+                matrix, shard
+            ), f"matrix {k} of shape {matrix.shape} (seed {self.SEED})"
+
+    def test_encoder_covers_every_id_width(self):
+        matrix = np.zeros((4, 65_535), dtype=bool)
+        matrix[0, [0, 127, 128, 16_383, 16_384, 65_534]] = True
+        matrix[2, 200] = True  # rows 1 and 3 stay empty
+        frame = encode_baskets(matrix)
+        assert frame == loop_encode_baskets(matrix)
+        # ids of one, two and three bytes: 1 + 1 + 2 + 2 + 3 + 3 bytes
+        assert frame[12:17] == b"\x04\x0c\x00\x02\x00"
+
+    def _bodies(self):
+        rng = np.random.default_rng(self.SEED + 1)
+        for _ in range(300):
+            frames = [
+                loop_encode_baskets(_random_matrix(rng), int(rng.integers(-1, 4)))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            yield b"".join(frames)
+
+    def test_random_bodies_decode_alike(self, blocks):
+        for k, body in enumerate(self._bodies()):
+            assert _assert_walks_agree(body, f"body {k}") is None
+
+    def test_truncated_bodies_fail_alike(self, blocks):
+        rng = np.random.default_rng(self.SEED + 2)
+        errors = 0
+        for k, body in enumerate(self._bodies()):
+            for cut in rng.integers(0, len(body), size=4):
+                outcome = _assert_walks_agree(body[:cut], f"body {k}[:{cut}]")
+                errors += outcome is not None
+        assert errors > 1_000
+
+    def test_corrupted_bodies_fail_alike(self, blocks):
+        rng = np.random.default_rng(self.SEED + 3)
+        for k, body in enumerate(self._bodies()):
+            for case in range(4):
+                corrupt = bytearray(body)
+                for _ in range(int(rng.integers(1, 5))):
+                    at = int(rng.integers(12, len(corrupt)))
+                    corrupt[at] = int(
+                        rng.choice([0x00, 0x01, 0x7F, 0x80, 0xFF, corrupt[at] ^ 0x80])
+                    )
+                _assert_walks_agree(bytes(corrupt), f"body {k} case {case}")
+
+    @pytest.mark.parametrize(
+        "frame, error",
+        list(HANDMADE.values()),
+        ids=list(HANDMADE),
+    )
+    def test_handmade_frames(self, frame, error, blocks):
+        outcome = _assert_walks_agree(frame, "handmade frame")
+        if error is None:
+            assert outcome is None
+        else:
+            assert outcome is not None and error in outcome[1], outcome
+
+
+class TestBasketDecodeMemory:
+    """A decode holds its matrix, its index and the short-lived arrays of
+    one block of at most 1 MiB of the frame, however many bytes the body
+    carries."""
+
+    def test_a_frame_at_the_cell_cap_decodes(self):
+        # 4,096 x 65,535 cells: just under the 2^28 cap
+        frame = _v4(65_535, _varint(4_096) + b"\x00" * 4_096)
+        ((matrix, shard),) = iter_basket_frames(frame)
+        assert matrix.shape == (4_096, 65_535) and shard is None
+        assert not matrix.any()
+
+    @pytest.mark.parametrize(
+        "n_items, n_transactions",
+        [(12, 1), (65_535, 1), (12, (64 << 20) // 100)],
+        ids=["one-transaction", "one-transaction-wide", "100-byte-transactions"],
+    )
+    def test_peak_does_not_grow_with_the_payload(self, n_items, n_transactions):
+        # 64 MiB of zero ids: each transaction repeats id 0 at its second id
+        length = (64 << 20) // n_transactions
+        body = _v4(
+            n_items,
+            _varint(n_transactions)
+            + _varint(length) * n_transactions
+            + bytes(length * n_transactions),
+        )
+        # what a valid frame of this shape needs: its matrix and its index
+        kept = n_transactions * (n_items + 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as refused:
+                list(iter_basket_frames(body))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (
+            "basket frame: transaction 0 item ids must be strictly "
+            "increasing (0 after 0)"
+        )
+        # decoding the whole payload at once would take ~1.6 GB here;
+        # one block of at most 1 MiB takes ~25 MiB
+        assert peak < kept + (32 << 20), peak
+
+
+class TestBasketWorkCounts:
+    """The array codec's work does not grow with the items it carries:
+    one scalar varint decode per valid frame, for its transaction count,
+    and a fixed number of Python calls per encode."""
+
+    @staticmethod
+    def _servebench_body(rows=4_096, seed=1):
+        """A servebench ``ingest`` basket body: 4,096 MASK-randomized
+        baskets of 12 items at keep probability 0.9."""
+        rng = np.random.default_rng(seed)
+        baskets = generate_baskets(rows, 12, seed=rng)
+        return RandomizedResponse(0.9).randomize(baskets, seed=rng)
+
+    def test_one_scalar_varint_per_valid_frame(self, monkeypatch):
+        disclosed = self._servebench_body()
+        body = encode_baskets(disclosed)
+        assert (int(disclosed.sum()), len(body)) == (12_478, 16_588)
+        calls = []
+        scalar = wire._decode_varint
+
+        def counting(view, offset, end, what):
+            calls.append(what)
+            return scalar(view, offset, end, what)
+
+        monkeypatch.setattr(wire, "_decode_varint", counting)
+        frames = list(iter_basket_frames(body + encode_baskets(disclosed[:9])))
+        assert np.array_equal(frames[0][0], disclosed)
+        assert np.array_equal(frames[1][0], disclosed[:9])
+        # the loop decoder made 1 + 4,096 + 12,478 = 16,575 such calls
+        assert calls == ["transaction count", "transaction count"]
+
+    def test_encode_calls_do_not_grow_with_the_items(self):
+        def python_calls(matrix):
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += event in ("call", "c_call")
+
+            sys.setprofile(profile)
+            try:
+                encode_baskets(matrix)
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        small = python_calls(self._servebench_body(rows=4_096))
+        # twice the transactions and twice the items: the same calls
+        assert python_calls(self._servebench_body(rows=8_192, seed=2)) == small
+        assert small < 200
 
 
 class TestNDJSON:
