@@ -211,7 +211,9 @@ class _WorkerLink:
         self.records = 0
         self.last_sync: float | None = None
         self.reachable = True
-        self.rows: list = []
+        # the worker's labeled rows as of the last pull that asked for
+        # them; None until one has
+        self.rows: list | None = None
 
 
 class ClusterCoordinator:
@@ -249,7 +251,7 @@ class ClusterCoordinator:
     >>> coordinator = ClusterCoordinator(build())
     >>> coordinator.register(0, "http://127.0.0.1:0")["worker"]
     0
-    >>> coordinator.apply_push(0, export_sync_body(worker))
+    >>> coordinator.apply_push(0, export_sync_body(worker), rows=False)
     3
     >>> coordinator.service.n_seen("x")
     3
@@ -334,14 +336,19 @@ class ClusterCoordinator:
                 lambda: len(self._links) >= self.n_workers, timeout
             )
 
-    def apply_push(self, worker: int, payload) -> int:
+    def apply_push(self, worker: int, payload, *, rows: bool) -> int:
         """Absorb one sync body from worker ``worker``; return its records.
 
         :meth:`sync` applies every pulled body here.  Decodes and
         validates everything — the partial frame and any trailing
         labeled row frames — *before* touching state, so a malformed
         body changes nothing.  A valid body replaces the worker's shard
-        slot and its buffered row segment, and counts as a heartbeat.
+        slot and counts as a heartbeat.  ``rows`` says whether the body
+        was asked for with the worker's labeled rows (``?rows=1``): then
+        its row frames, none included, replace the worker's buffered
+        segment.  Otherwise the body may carry no row frames, and the
+        segment keeps the rows of the last pull that asked for them; an
+        empty tail could not tell "not asked" from "no rows".
         """
         partials, rest = split_partial(payload)
         blocks = []
@@ -350,6 +357,10 @@ class ClusterCoordinator:
                 raise ValidationError(
                     "sync body carries row frames but the coordinator has "
                     "no training service"
+                )
+            if not rows:
+                raise ValidationError(
+                    "sync body carries row frames that were not asked for"
                 )
             # rows are checked, never located: the partial frame already
             # carries their counts
@@ -371,33 +382,41 @@ class ClusterCoordinator:
             link.records = int(records)
             link.last_sync = time.monotonic()
             link.reachable = True
-            link.rows = blocks
+            if rows:
+                link.rows = blocks
         return records
 
     # ------------------------------------------------------------------
     # Pull (coordinator-initiated)
     # ------------------------------------------------------------------
-    def sync(self, *, require_all: bool = False) -> dict:
+    def sync(self, *, require_all: bool = False, rows: bool = False) -> dict:
         """Pull fresh partials from every registered worker.
 
         The cluster's only transfer path: the supervisor's timer,
-        ``/estimate`` and ``/train`` all come through here.
+        ``/estimate`` and ``/train`` all come through here.  Only
+        ``rows=True`` (``/train``) also pulls each worker's labeled row
+        buffer; the timer and ``/estimate`` move the partial frame
+        alone, whatever the workers buffer.
         Best-effort by default (``/estimate``): a failed pull — the
         worker is unreachable, or :meth:`apply_push` rejects the body it
         sent — marks the worker unreachable, its shard slot keeps
         serving the last-known state, and the pull moves on.  With
-        ``require_all`` (``/train``) a failed pull from a worker that
-        has *never* synced raises
-        :class:`~repro.exceptions.ClusterError` — there is no last-known
-        state to degrade to.  Returns ``{"synced": [...], "failed":
-        [...]}`` worker id lists.
+        ``require_all`` (``/train``) a failed pull from a worker with no
+        last-known state to degrade to — it never synced, or with
+        ``rows`` its rows were never pulled — raises
+        :class:`~repro.exceptions.ClusterError`.  Returns ``{"synced":
+        [...], "failed": [...]}`` worker id lists.
         """
+        if rows and self.training is None:
+            raise ValidationError(
+                "pulling rows needs a coordinator with a training service"
+            )
         with self._lock:
             targets = [
                 (link.worker, link.url)
                 for link in sorted(self._links.values(), key=lambda s: s.worker)
             ]
-        path = "/partial?rows=1" if self.training is not None else "/partial"
+        path = "/partial?rows=1" if rows else "/partial"
         synced = []
         failed = []
         for worker, url in targets:
@@ -405,16 +424,19 @@ class ClusterCoordinator:
                 payload = self._fetch(url + path, timeout=self.timeout)
                 # a body the worker garbled is the worker's fault, not
                 # the analyst's: it fails this pull, it is no 400
-                self.apply_push(worker, payload)
+                self.apply_push(worker, payload, rows=rows)
             except (ClusterError, ValidationError) as exc:
                 with self._lock:
                     link = self._links[worker]
                     link.reachable = False
-                    never_synced = link.last_sync is None
+                    never_synced = link.last_sync is None or (
+                        rows and link.rows is None
+                    )
                 if require_all and never_synced:
+                    what = "its rows" if rows else "a partial"
                     raise ClusterError(
                         f"worker {worker} at {url} failed its pull and has "
-                        f"never synced a partial: {exc}"
+                        f"never synced {what}: {exc}"
                     ) from exc
                 failed.append(worker)
                 continue
@@ -424,8 +446,9 @@ class ClusterCoordinator:
     def train(self, strategy: str = "byclass") -> TrainedModel:
         """Sync strictly, install the union row buffer, and grow a tree.
 
-        Workers are pulled first (HTTP strictly outside any lock); their
-        row segments, in worker order, then replace the training buffer,
+        Workers are pulled first, each with its labeled rows (HTTP
+        strictly outside any lock); their row segments, in worker
+        order, then replace the training buffer,
         and the tree grows from that buffer alone.  The grown tree is
         bit-identical to a single-process training service fed the same
         labeled rows in worker order.
@@ -434,12 +457,12 @@ class ClusterCoordinator:
             raise ValidationError(
                 "the coordinator was built without a training service"
             )
-        self.sync(require_all=True)
+        self.sync(require_all=True, rows=True)
         with self._lock:
             segments = [
                 block
                 for link in sorted(self._links.values(), key=lambda s: s.worker)
-                for block in link.rows
+                for block in link.rows or ()
             ]
         self.training.replace_rows(segments)
         return self.training.train(strategy)

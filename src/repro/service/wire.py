@@ -267,6 +267,10 @@ _CODE_BY_DTYPE = {_F8: 0, _I1: 1, _I2: 2}
 #: decode-bomb guard shared by every frame decoder: a single frame may not
 #: expand past this many cells, however plausible its byte length looks
 _MAX_FRAME_CELLS = 1 << 28
+#: a basket frame's index holds 8 bytes per transaction beside its
+#: matrix's byte per item, so the cap counts a transaction as at least
+#: this many cells and bounds the index with the matrix
+_MIN_TRANSACTION_CELLS = 9
 #: per frame content type: its name in error messages, the versions it carries
 _FRAME_KINDS = {
     CONTENT_TYPE_COLUMNS: (
@@ -1061,9 +1065,10 @@ def _decode_basket_frame(view: memoryview, offset: int) -> tuple:
             f"truncated basket frame: {n_transactions} transaction(s) "
             f"declared but only {end - offset} byte(s) remain"
         )
-    if n_transactions * n_items > _MAX_FRAME_CELLS:
+    width = max(n_items, _MIN_TRANSACTION_CELLS)
+    if n_transactions * width > _MAX_FRAME_CELLS:
         raise WireFormatError(
-            f"basket frame expands to {n_transactions} x {n_items} cells; "
+            f"basket frame expands to {n_transactions} x {width} cells; "
             f"the decoder caps frames at {_MAX_FRAME_CELLS}"
         )
     lengths, offset = _read_index(view, offset, n_transactions)

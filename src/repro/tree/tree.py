@@ -8,6 +8,16 @@ values, raw randomized values, and reconstruction-corrected values — the
 three take different routes to an interval index per record, then share
 the split search.
 
+The builder grows a tree one level at a time.  Each record carries the
+index of the open node it has reached, so one ``np.bincount`` over
+(node, interval, class) per attribute gives every open node's
+contingency table, and :func:`~repro.tree.criteria.split_impurities`
+scores the whole ``(nodes, m, C)`` stack in one pass.  A wide level is
+searched a chunk of nodes at a time (:data:`_CHUNK_CELLS`).  Each node
+still gets exactly the float operations, first-minimum tie-breaks and
+stop rules of a node-by-node search, so the trees are the ones a
+depth-first recursion grows.
+
 ``Local`` training (re-reconstructing distributions at every tree node) is
 supported through the builder's ``node_transformer`` hook, which may remap
 a node's records to new intervals before its split is chosen.
@@ -28,6 +38,14 @@ from repro.tree.criteria import CRITERIA, _ROW_IMPURITY, split_impurities
 
 #: minimum impurity improvement treated as a real gain (guards float noise)
 _GAIN_ATOL = 1e-12
+
+#: table cells (nodes x intervals x classes, at the widest attribute) one
+#: batched split search covers; a wider level is searched a chunk of nodes
+#: at a time, so its short-lived tables stay a few MiB however wide it is
+_CHUNK_CELLS = 1 << 16
+
+#: records per block when the builder lays each attribute out contiguously
+_TRANSPOSE_ROWS = 4096
 
 
 @dataclass
@@ -167,7 +185,10 @@ class DecisionTreeClassifier:
         Parameters
         ----------
         interval_matrix:
-            ``(n, d)`` integer matrix of per-attribute interval indices.
+            ``(n, d)`` integer matrix of per-attribute interval indices,
+            each in ``[0, n_intervals)`` of its attribute's partition; an
+            index outside is a :class:`~repro.exceptions.ValidationError`
+            naming the column.
         labels:
             Integer class labels, ``0 .. C-1``.
         raw_values:
@@ -182,6 +203,8 @@ class DecisionTreeClassifier:
             already split on along the path; re-reconstructing those is
             statistically invalid (their randomized values were truncated
             by the routing itself), so transformers should skip them.
+            Each node's records arrive in their original order, and the
+            result must keep the node's shape and interval ranges.
         """
         intervals = np.asarray(interval_matrix, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
@@ -203,77 +226,200 @@ class DecisionTreeClassifier:
             raw = np.asarray(raw_values, dtype=float)
             if raw.shape != intervals.shape:
                 raise ValidationError("raw_values must match interval_matrix shape")
+        self._check_intervals(intervals, "interval_matrix")
 
         self.n_classes_ = int(labels.max()) + 1
-        self._transformer = node_transformer
-        self.root_ = self._build(intervals, labels, raw, depth=0, used=frozenset())
-        del self._transformer
+        self.root_ = self._grow(intervals, labels, raw, node_transformer)
         return self
 
-    def _class_counts(self, labels: np.ndarray) -> np.ndarray:
-        return np.bincount(labels, minlength=self.n_classes_).astype(float)
+    def _check_intervals(self, intervals: np.ndarray, source: str) -> None:
+        """Refuse an interval index outside its attribute's ``[0, m)``.
 
-    def _best_split(self, intervals: np.ndarray, labels: np.ndarray):
-        """Return ``(weighted_impurity, attribute, boundary)`` of the best split."""
+        The builder counts each record at the flat table position of its
+        (node, interval, class), so an index out of range would land in
+        a neighbouring node's counts.
+        """
+        sizes = np.array([p.n_intervals for p in self.partitions])
+        low, high = intervals.min(axis=0), intervals.max(axis=0)
+        wrong = np.flatnonzero((low < 0) | (high >= sizes))
+        if wrong.size:
+            j = int(wrong[0])
+            bad = int(low[j]) if low[j] < 0 else int(high[j])
+            raise ValidationError(
+                f"{source} column {j} ({self.attribute_names[j]!r}) holds "
+                f"interval {bad}, outside [0, {sizes[j]})"
+            )
+
+    def _transform(self, transformer, raw, labels, intervals, used) -> np.ndarray:
+        """One node's ``node_transformer`` call, its result checked."""
+        out = np.asarray(transformer(raw, labels, intervals, used), dtype=np.int64)
+        if out.shape != intervals.shape:
+            raise ValidationError(
+                f"node_transformer must return shape {intervals.shape}, "
+                f"got {out.shape}"
+            )
+        self._check_intervals(out, "node_transformer result")
+        return out
+
+    def _grow(self, intervals, labels, raw, transformer) -> TreeNode:
+        """Grow the tree level by level; return its root.
+
+        ``level[s]`` is a level's open node ``s`` and the attributes split
+        on along its path, and ``counts[s]`` its class counts.  ``rows``
+        holds the records that reached the level's nodes, in ascending
+        order, and ``owner[i]`` is the node of ``rows[i]``.
+        """
         n_classes = self.n_classes_
-        best = (np.inf, -1, -1)
-        for j, partition in enumerate(self.partitions):
-            m = partition.n_intervals
-            if m < 2:
-                continue
-            flat = intervals[:, j] * n_classes + labels
-            counts = np.bincount(flat, minlength=m * n_classes).reshape(m, n_classes)
-            impurities = split_impurities(counts, self.criterion)
-            k = int(np.argmin(impurities))
-            if impurities[k] < best[0]:
-                best = (float(impurities[k]), j, k)
-        return best
+        threshold = max(self.min_gain, _GAIN_ATOL)
+        impurity = _ROW_IMPURITY[self.criterion]
+        # each record's (interval, class) pair as one key, one contiguous
+        # row per attribute (transposed a block of records at a time,
+        # which keeps both sides of the copy in cache)
+        keys = np.empty(intervals.shape[::-1], dtype=np.int64)
+        for start in range(0, labels.size, _TRANSPOSE_ROWS):
+            block = slice(start, start + _TRANSPOSE_ROWS)
+            np.multiply(intervals[block].T, n_classes, out=keys[:, block])
+        keys += labels
+        if transformer is not None:
+            intervals = intervals.copy()  # rewritten node by node
+        rows = np.arange(labels.size)
+        owner = np.zeros(labels.size, dtype=np.intp)
+        counts = np.bincount(labels, minlength=n_classes).astype(float)[None, :]
+        root = TreeNode(class_counts=counts[0], depth=0)
+        level = [(root, frozenset())]
+        depth = 0
+        while True:
+            sizes = counts.sum(axis=1)
+            if transformer is not None and depth > 0:
+                # each node's records in ascending order, as a depth-first
+                # build hands them down
+                by_node = rows[np.argsort(owner, kind="stable")]
+                bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+                for s, (_, used) in enumerate(level):
+                    own = by_node[bounds[s] : bounds[s + 1]]
+                    out = self._transform(
+                        transformer, raw[own], labels[own], intervals[own], used
+                    )
+                    intervals[own] = out
+                    keys[:, own] = (out * n_classes + labels[own, None]).T
+            if self.max_depth is not None and depth >= self.max_depth:
+                break
+            grow = (sizes >= self.min_records_split) & (
+                np.count_nonzero(counts, axis=1) > 1
+            )
+            candidates = np.flatnonzero(grow)
+            if not candidates.size:
+                break
+            if candidates.size < len(level):
+                keep = grow[owner]
+                rows, owner = rows[keep], (np.cumsum(grow) - 1)[owner[keep]]
+                sizes, counts = sizes[candidates], counts[candidates]
+            best, attribute, boundary, left = self._best_splits(
+                keys, rows, owner, candidates.size
+            )
+            n_left = left.sum(axis=1)
+            split = (
+                (attribute >= 0)
+                & (impurity(counts, sizes) - best > threshold)
+                & (n_left > 0)
+                & (n_left < sizes)
+            )
+            if not split.any():
+                break
+            if not split.all():
+                keep = split[owner]
+                rows, owner = rows[keep], owner[keep]
+            # each record moves to its node's left (2r) or right (2r + 1)
+            # child, r counting the split nodes in order
+            limit = (boundary + 1) * n_classes
+            # flat positions in `keys` of each record's split attribute
+            position = (attribute * labels.size)[owner] + rows
+            owner = 2 * (np.cumsum(split) - 1)[owner] + (
+                keys.take(position) >= limit[owner]
+            )
+            left = left[split]
+            counts = np.stack((left, counts[split] - left), axis=1).reshape(
+                -1, n_classes
+            )
+            depth += 1
+            parents, level = level, []
+            for i, c in enumerate(np.flatnonzero(split)):
+                node, used = parents[candidates[c]]
+                j, k = int(attribute[c]), int(boundary[c])
+                node.attribute_index = j
+                node.threshold = float(self.partitions[j].edges[k + 1])
+                node.left = TreeNode(class_counts=counts[2 * i], depth=depth)
+                node.right = TreeNode(class_counts=counts[2 * i + 1], depth=depth)
+                level += [(node.left, used | {j}), (node.right, used | {j})]
+        return root
 
-    def _build(
-        self,
-        intervals: np.ndarray,
-        labels: np.ndarray,
-        raw,
-        depth: int,
-        used: frozenset,
-    ) -> TreeNode:
-        if self._transformer is not None and depth > 0:
-            intervals = self._transformer(raw, labels, intervals, used)
+    def _best_splits(self, keys, rows, owner, n_nodes: int) -> tuple:
+        """Each node's best split: ``(impurity, attribute, boundary, left)``.
 
-        counts = self._class_counts(labels)
-        node = TreeNode(class_counts=counts, depth=depth)
-        if (
-            labels.size < self.min_records_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or np.count_nonzero(counts) <= 1
-        ):
-            return node
-
-        impurity_fn = _ROW_IMPURITY[self.criterion]
-        parent_impurity = float(
-            impurity_fn(counts[None, :], np.array([counts.sum()]))[0]
+        Record ``rows[i]`` sits at node ``owner[i]``, and ``keys[j, r]``
+        is record ``r``'s interval on attribute ``j`` times the class
+        count, plus its class.  Per chunk of nodes and attribute, one
+        ``np.bincount`` builds every node's ``(m, C)`` table and one
+        :func:`split_impurities` call scores them.  ``argmin`` takes each
+        node's first minimum, and a later attribute wins only when
+        strictly lower, so ties break as a node-by-node search breaks
+        them.  ``left`` holds the class counts left of each node's best
+        boundary.  A node with no attribute of two or more intervals
+        keeps attribute ``-1``.
+        """
+        n_classes = self.n_classes_
+        best = np.full(n_nodes, np.inf)
+        attribute = np.full(n_nodes, -1)
+        boundary = np.full(n_nodes, -1)
+        left = np.zeros((n_nodes, n_classes))
+        searched = [
+            (j, partition.n_intervals)
+            for j, partition in enumerate(self.partitions)
+            if partition.n_intervals >= 2
+        ]
+        if not searched:
+            return best, attribute, boundary, left
+        per_chunk = max(
+            1, _CHUNK_CELLS // (max(m for _, m in searched) * n_classes)
         )
-        best_impurity, j, k = self._best_split(intervals, labels)
-        gain = parent_impurity - best_impurity
-        if j < 0 or gain <= max(self.min_gain, _GAIN_ATOL):
-            return node
-
-        go_left = intervals[:, j] <= k
-        if not go_left.any() or go_left.all():
-            return node
-
-        node.attribute_index = j
-        node.threshold = float(self.partitions[j].edges[k + 1])
-        child_used = used | {j}
-        node.left = self._build(
-            intervals[go_left], labels[go_left],
-            raw[go_left] if raw is not None else None, depth + 1, child_used,
-        )
-        node.right = self._build(
-            intervals[~go_left], labels[~go_left],
-            raw[~go_left] if raw is not None else None, depth + 1, child_used,
-        )
-        return node
+        starts = [0, owner.size]
+        if per_chunk < n_nodes:
+            # a chunk's records must be one slice: order them by node
+            order = np.argsort(owner, kind="stable")
+            rows, owner = rows[order], owner[order]
+            starts = np.searchsorted(owner, np.arange(0, n_nodes, per_chunk))
+            starts = np.append(starts, owner.size)
+        for chunk, a in enumerate(range(0, n_nodes, per_chunk)):
+            b = min(a + per_chunk, n_nodes)
+            part = slice(starts[chunk], starts[chunk + 1])
+            chunk_rows = rows[part]
+            local = owner[part] - a
+            offsets: dict = {}  # intervals -> each record's node offset
+            tables = []
+            for j, m in searched:
+                if b - a == 1 and chunk_rows.size == keys.shape[1]:
+                    flat = keys[j]  # the root holds every record, in order
+                else:
+                    flat = keys[j, chunk_rows]
+                if b - a > 1:
+                    if m not in offsets:
+                        offsets[m] = local * (m * n_classes)
+                    flat += offsets[m]
+                table = np.bincount(flat, minlength=(b - a) * m * n_classes)
+                table = table.reshape(b - a, m, n_classes)
+                tables.append(table)
+                scores = split_impurities(table, self.criterion)
+                k = scores.argmin(axis=1)
+                score = scores[np.arange(b - a), k]
+                better = score < best[a:b]
+                best[a:b][better] = score[better]
+                attribute[a:b][better] = j
+                boundary[a:b][better] = k[better]
+            for (j, _), table in zip(searched, tables):
+                won = np.flatnonzero(attribute[a:b] == j)
+                cumulative = np.cumsum(table[won], axis=1)
+                left[a + won] = cumulative[np.arange(won.size), boundary[a + won]]
+        return best, attribute, boundary, left
 
     # ------------------------------------------------------------------
     # Pruning

@@ -37,7 +37,11 @@ from repro.service import (
     split_partial,
 )
 from repro.service.cluster import _default_fetch, register_worker, start_cluster
-from repro.service.wire import CONTENT_TYPE_PARTIAL
+from repro.service.wire import (
+    CONTENT_TYPE_COLUMNS,
+    CONTENT_TYPE_PARTIAL,
+    encode_columns,
+)
 
 
 def make_noise():
@@ -275,7 +279,7 @@ class TestCoordinator:
         worker = make_service()
         worker.ingest(make_batch(4)[0])
         with pytest.raises(ValidationError, match="not registered"):
-            coordinator.apply_push(0, export_sync_body(worker))
+            coordinator.apply_push(0, export_sync_body(worker), rows=False)
         assert coordinator.service.n_seen("x") == 0
 
     def test_n_workers_bounded_by_shards(self):
@@ -291,7 +295,7 @@ class TestCoordinator:
         coordinator.register(0, "http://h:1")
         worker = make_service()
         worker.ingest(make_batch(5)[0])
-        coordinator.apply_push(0, export_sync_body(worker))
+        coordinator.apply_push(0, export_sync_body(worker), rows=False)
         entry = coordinator.health()["workers"][0]
         # stale_after is tiny, so even a just-synced worker reads stale;
         # the sync itself still landed and is reported
@@ -306,7 +310,7 @@ class TestCoordinator:
         coordinator.register(0, "http://h:1")
         worker = make_service()
         worker.ingest(make_batch(6)[0])
-        coordinator.apply_push(0, export_sync_body(worker))
+        coordinator.apply_push(0, export_sync_body(worker), rows=False)
         health = coordinator.health()
         assert health["degraded"] is False
         assert health["workers"][0]["age_seconds"] >= 0.0
@@ -335,9 +339,9 @@ class FakeWorkers:
             return b"garbage"
         if worker in self.bodies:
             return self.bodies[worker]
-        return export_sync_body(
-            self.services[worker], self.trainings.get(worker)
-        )
+        # like a real worker, the rows go out only when asked for
+        training = self.trainings.get(worker) if url.endswith("?rows=1") else None
+        return export_sync_body(self.services[worker], training)
 
 
 class TestPullSync:
@@ -458,8 +462,55 @@ class TestPullSync:
         model = coordinator.train("byclass")
         expected = reference_training.train("byclass")
         assert model.n_train == expected.n_train == 400
-        assert model.tree.n_nodes == expected.tree.n_nodes
-        assert model.tree.depth == expected.tree.depth
+        assert model.tree.identical_to(expected.tree)
+
+    def test_only_train_pulls_rows(self):
+        coordinator, fleet = self.make_cluster(classes=2, train=True)
+        for worker, seed in enumerate((35, 36)):
+            fleet.trainings[worker].ingest(*make_batch(seed, classes=2))
+        coordinator.sync()
+        assert fleet.calls == ["http://w0/partial", "http://w1/partial"]
+        assert coordinator.train("byclass").n_train == 400
+        assert fleet.calls[2:] == [
+            "http://w0/partial?rows=1", "http://w1/partial?rows=1"
+        ]
+
+    def test_a_pull_without_rows_keeps_the_last_pulled_rows(self):
+        coordinator, fleet = self.make_cluster(classes=2, train=True)
+        for worker, seed in enumerate((37, 38)):
+            fleet.trainings[worker].ingest(*make_batch(seed, classes=2))
+        assert coordinator.train("byclass").n_train == 400
+        fleet.trainings[0].ingest(*make_batch(39, classes=2))
+        assert coordinator.sync() == {"synced": [0, 1], "failed": []}
+        assert coordinator.service.n_seen("x") == 600
+        # worker 0 fails its /train pull: it degrades to the rows its
+        # last /train pulled, which the plain sync between kept
+        fleet.dead.add(0)
+        assert coordinator.train("byclass").n_train == 400
+
+    def test_train_needs_rows_pulled_once(self):
+        coordinator, fleet = self.make_cluster(classes=2, train=True)
+        for worker, seed in enumerate((40, 41)):
+            fleet.trainings[worker].ingest(*make_batch(seed, classes=2))
+        coordinator.sync()
+        fleet.dead.add(0)
+        with pytest.raises(ClusterError, match="never synced its rows"):
+            coordinator.train("byclass")
+
+    def test_rows_nobody_asked_for_fail_the_pull(self):
+        coordinator, fleet = self.make_cluster(classes=2, train=True)
+        fleet.trainings[0].ingest(*make_batch(42, classes=2))
+        body = export_sync_body(fleet.services[0], fleet.trainings[0])
+        with pytest.raises(ValidationError, match="not asked for"):
+            coordinator.apply_push(0, body, rows=False)
+        assert coordinator.service.n_seen("x") == 0
+        fleet.bodies[0] = body
+        assert coordinator.sync() == {"synced": [1], "failed": [0]}
+
+    def test_sync_of_rows_needs_training(self):
+        coordinator, _ = self.make_cluster()
+        with pytest.raises(ValidationError, match="training service"):
+            coordinator.sync(rows=True)
 
     def test_train_without_training_service_rejected(self):
         coordinator, _ = self.make_cluster()
@@ -473,7 +524,9 @@ class TestPullSync:
         batch, labels = make_batch(17, classes=2)
         training.ingest(batch, labels)
         with pytest.raises(ValidationError, match="no training service"):
-            coordinator.apply_push(0, export_sync_body(worker, training))
+            coordinator.apply_push(
+                0, export_sync_body(worker, training), rows=True
+            )
         assert coordinator.service.n_seen("x") == 0
 
 
@@ -776,7 +829,8 @@ class TestClusterHTTPTraining:
         assert status == 200
         assert reply["n_train"] == 400
         assert reply["n_nodes"] == expected.tree.n_nodes
-        assert reply["depth"] == expected.tree.depth
+        model = live.coordinator.training.model("byclass")
+        assert model.tree.identical_to(expected.tree)
 
     def test_train_with_never_synced_dead_worker_is_503(self, live):
         live.workers[1][1].ingest(*make_batch(31, classes=2))
@@ -1063,6 +1117,74 @@ class TestSyncWork:
         assert all(
             entry["age_seconds"] is not None for entry in health["workers"]
         )
+
+    def test_timer_and_estimate_pull_no_rows(self, monkeypatch):
+        """On a training cluster of servebench's spec, each timer tick and
+        each /estimate pulls 1,671 bytes per worker, whatever the workers
+        buffer; only /train pulls the labeled rows (296,741 bytes per
+        worker at 8,192 rows, when every pull moved them)."""
+        import repro.service.cluster as cluster_module
+        from repro.service import service_from_spec
+
+        attributes = [
+            {"name": "salary", "low": 20_000, "high": 150_000},
+            {"name": "age", "low": 20, "high": 80},
+            {"name": "hvalue", "low": 50_000, "high": 1_350_000},
+            {"name": "loan", "low": 0, "high": 500_000},
+        ]
+        for attribute in attributes:
+            attribute.update(noise="uniform", privacy=1.0)
+        spec = {"shards": 2, "classes": 2, "intervals": 24,
+                "attributes": attributes}
+        names = [attribute["name"] for attribute in attributes]
+        sizes = []  # (path, bytes) of every pull after the ingest
+        ingested, ticked = threading.Event(), threading.Event()
+        fetch = cluster_module._default_fetch
+
+        def measured_fetch(url, *args, **kwargs):
+            body = fetch(url, *args, **kwargs)
+            if ingested.is_set():
+                sizes.append((url.rsplit("/", 1)[1], len(body)))
+                if len(sizes) >= 2 * self.TICKS:
+                    ticked.set()
+            return body
+
+        monkeypatch.setattr(cluster_module, "_default_fetch", measured_fetch)
+        supervisor = start_cluster(
+            spec, n_workers=2, train=True, sync_interval=0.05
+        )
+        try:
+            supervisor.wait_ready(timeout=60.0)
+            rng = np.random.default_rng(43)
+            for url in supervisor.worker_urls():
+                service = service_from_spec(spec)
+                batch = {
+                    name: service.spec(name).randomizer.randomize(
+                        rng.uniform(a["low"], a["high"], 1_024), seed=rng
+                    )
+                    for name, a in zip(names, attributes)
+                }
+                body = encode_columns(batch, classes=rng.integers(0, 2, 1_024))
+                status, _ = http_request(
+                    url + "/ingest", body, content_type=CONTENT_TYPE_COLUMNS
+                )
+                assert status == 200
+            ingested.set()
+            assert ticked.wait(timeout=60.0), "the sync loop stopped"
+            coordinator = supervisor.url
+            assert http_request(coordinator + "/estimate?attribute=age")[0] == 200
+            status, reply = http_request(
+                coordinator + "/train", json.dumps({"strategy": "byclass"}).encode()
+            )
+        finally:
+            result = supervisor.shutdown()
+        assert result["ok"], result["failures"]
+        assert status == 200 and reply["n_train"] == 2_048
+        plain = [size for path, size in sizes if path == "partial"]
+        with_rows = [size for path, size in sizes if path == "partial?rows=1"]
+        assert len(plain) >= 2 * self.TICKS + 2
+        assert set(plain) == {1_671}
+        assert len(with_rows) == 2 and min(with_rows) > 1_671
 
     def test_failed_tick_is_logged_and_the_loop_keeps_ticking(
         self, monkeypatch, caplog

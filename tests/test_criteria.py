@@ -78,6 +78,20 @@ class TestSplitImpurities:
         with pytest.raises(ValidationError):
             split_impurities(np.array([1, 2, 3]))
 
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("n_classes", [2, 3, 10])
+    def test_a_stack_scores_each_node_as_alone(self, criterion, n_classes):
+        """Bitwise: the level-wise tree builder relies on it."""
+        rng = np.random.default_rng(n_classes)
+        stack = rng.integers(0, 30, size=(7, 9, n_classes))
+        stack[2] = 0  # a node with no records
+        stack[4, :, 1:] = 0  # a pure node
+        scores = split_impurities(stack, criterion)
+        assert scores.shape == (7, 8)
+        for node, counts in zip(scores, stack):
+            assert np.array_equal(node, split_impurities(counts, criterion))
+        assert split_impurities(stack[:, :1], criterion).shape == (7, 0)
+
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(0)
         counts = rng.integers(0, 20, size=(6, 3))

@@ -28,7 +28,10 @@ Properties pinned here:
   commutative / identity merge algebra, bitwise at any shard count,
 * service-side Apriori — bit-identical itemsets and rules vs the
   offline ``repro.mining`` pipeline across random basket, shard, and
-  threshold configurations.
+  threshold configurations,
+* level-wise tree growth — trees identical to the depth-first oracle
+  (``tests/tree_oracle.py``) across criteria, stop rules, class counts,
+  single-interval attributes, chunk budgets and Local's per-node refits.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ import random
 
 import numpy as np
 import pytest
+from tree_oracle import recursive_fit
 
 from repro.core import (
+    BayesReconstructor,
     GaussianRandomizer,
     Partition,
     StreamingReconstructor,
@@ -810,6 +815,108 @@ def test_differential_mining_parity_fuzz():
         "mining-differential-parity",
         _gen_mining_parity_case,
         _check_mining_parity,
+    )
+
+
+# ----------------------------------------------------------------------
+# Level-wise tree growth vs the depth-first oracle
+# ----------------------------------------------------------------------
+def _gen_tree_case(rng: random.Random) -> dict:
+    n_attributes = rng.randint(1, 4)
+    n_classes = rng.randint(1, 4)
+    return {
+        "n": rng.randint(1, 300),
+        "intervals": [rng.choice((1, 2, 3, 5, 9, 16)) for _ in range(n_attributes)],
+        # a random subset of the labels 0 .. C-1, the top one always
+        "labels": sorted(
+            {n_classes - 1}
+            | {c for c in range(n_classes - 1) if rng.random() < 0.7}
+        ),
+        "signal": rng.random(),
+        "criterion": rng.choice(("gini", "entropy")),
+        "max_depth": rng.choice((None, None, 0, 1, 2, 4)),
+        "min_records_split": rng.choice((2, 2, 3, 8, 25)),
+        "min_gain": rng.choice((0.0, 0.0, 1e-3, 0.03)),
+        # None keeps the library's budget; the others split wide levels
+        "chunk_cells": rng.choice((None, 1, 10, 100)),
+        "local": rng.random() < 0.2,
+        "seed": rng.randint(0, 2**31),
+    }
+
+
+def _check_tree_matches_oracle(case) -> None:
+    from repro.tree import tree as tree_module
+    from repro.tree.pipeline import local_refit
+    from repro.tree.tree import DecisionTreeClassifier
+
+    rng = np.random.default_rng(case["seed"])
+    n = case["n"]
+    partitions = [Partition.uniform(0.0, 1.0, m) for m in case["intervals"]]
+    x = rng.random((n, len(partitions)))
+    intervals = np.column_stack([p.locate(x[:, j]) for j, p in enumerate(partitions)])
+    label_set = np.asarray(case["labels"])
+    # labels follow the first attribute with probability `signal`
+    follows = rng.random(n) < case["signal"]
+    labels = np.where(
+        follows,
+        label_set[intervals[:, 0] % label_set.size],
+        rng.choice(label_set, n),
+    )
+
+    def make():
+        return DecisionTreeClassifier(
+            partitions,
+            criterion=case["criterion"],
+            max_depth=case["max_depth"],
+            min_records_split=case["min_records_split"],
+            min_gain=case["min_gain"],
+        )
+
+    fits = []  # (tree, node_transformer calls) per builder
+    for builder in ("level-wise", "oracle"):
+        kwargs, calls = {}, []
+        if case["local"]:
+            noise = UniformRandomizer(half_width=0.2)
+            raw = np.column_stack(
+                [noise.randomize(x[:, j], seed=case["seed"] + j) for j in range(x.shape[1])]
+            )
+            randomizers = [noise if p.n_intervals > 1 else None for p in partitions]
+            refit = local_refit(partitions, randomizers, BayesReconstructor(), 5)
+
+            def transform(raw, labels, intervals, used, refit=refit, calls=calls):
+                out = refit(raw, labels, intervals, used)
+                calls.append((
+                    tuple(sorted(used)), raw.tobytes(), labels.tobytes(),
+                    intervals.tobytes(), intervals.dtype.str,
+                    intervals.flags.c_contiguous, out.tobytes(),
+                ))
+                return out
+
+            kwargs = {"raw_values": raw, "node_transformer": transform}
+        if builder == "oracle":
+            tree = recursive_fit(make(), intervals, labels, **kwargs)
+        else:
+            budget = tree_module._CHUNK_CELLS
+            if case["chunk_cells"] is not None:
+                tree_module._CHUNK_CELLS = case["chunk_cells"]
+            try:
+                tree = make().fit_intervals(intervals, labels, **kwargs)
+            finally:
+                tree_module._CHUNK_CELLS = budget
+        fits.append((tree, sorted(calls)))
+    (grown, calls), (expected, oracle_calls) = fits
+    assert grown.identical_to(expected), "trees differ"
+    assert calls == oracle_calls, "node_transformer calls differ"
+
+
+def test_level_wise_trees_match_the_recursive_oracle():
+    """Random tree problems grow the same tree level by level as depth
+    first, and Local's per-node hook sees the oracle's exact calls."""
+    run_property(
+        "level-wise-tree-oracle",
+        _gen_tree_case,
+        _check_tree_matches_oracle,
+        shrinkers=_shrink_values,
     )
 
 

@@ -407,7 +407,7 @@ class TestOneCheckPerLabeledBatch:
             return real(self, values)
 
         monkeypatch.setattr(PartitionClass, "locate", counting)
-        assert coordinator.apply_push(0, body) == 64 * len(self.NAMES)
+        assert coordinator.apply_push(0, body, rows=True) == 64 * len(self.NAMES)
         assert located == []
         monkeypatch.undo()
         assert coordinator.train("byclass").n_train == 64

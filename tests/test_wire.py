@@ -600,9 +600,10 @@ def loop_decode_basket_frame(view, offset):
             f"truncated basket frame: {n_transactions} transaction(s) "
             f"declared but only {end - offset} byte(s) remain"
         )
-    if n_transactions * n_items > 1 << 28:
+    width = max(n_items, 9)  # an index entry takes 8 bytes
+    if n_transactions * width > 1 << 28:
         raise WireFormatError(
-            f"basket frame expands to {n_transactions} x {n_items} cells; "
+            f"basket frame expands to {n_transactions} x {width} cells; "
             f"the decoder caps frames at {1 << 28}"
         )
     lengths = []
@@ -892,6 +893,24 @@ class TestBasketDecodeMemory:
         ((matrix, shard),) = iter_basket_frames(frame)
         assert matrix.shape == (4_096, 65_535) and shard is None
         assert not matrix.any()
+
+    def test_the_cap_counts_each_transaction_as_nine_cells(self):
+        """A narrow frame's 8-byte index entries count against the cap.
+        A 1-item frame of 2^28 // 9 transactions passes it; one more is
+        refused before its index is read, where it would hold ~227 MiB
+        of lengths beside its 28 MiB matrix.  Every index entry here is
+        malformed, so the admitted frame fails cheaply on its first."""
+        most = (1 << 28) // 9
+        index = b"\x80" * (most + 1)
+        admitted = _v4(1, _varint(most) + index)
+        with pytest.raises(ValidationError, match=r"index\[0\] varint runs"):
+            list(iter_basket_frames(admitted))
+        with pytest.raises(WireFormatError) as refused:
+            list(iter_basket_frames(_v4(1, _varint(most + 1) + index)))
+        assert str(refused.value) == (
+            f"basket frame expands to {most + 1} x 9 cells; the decoder "
+            f"caps frames at {1 << 28}"
+        )
 
     @pytest.mark.parametrize(
         "n_items, n_transactions",
