@@ -1065,11 +1065,13 @@ def _decode_basket_frame(view: memoryview, offset: int) -> tuple:
             f"truncated basket frame: {n_transactions} transaction(s) "
             f"declared but only {end - offset} byte(s) remain"
         )
-    width = max(n_items, _MIN_TRANSACTION_CELLS)
-    if n_transactions * width > _MAX_FRAME_CELLS:
+    cells = n_transactions * max(n_items, _MIN_TRANSACTION_CELLS)
+    if cells > _MAX_FRAME_CELLS:
         raise WireFormatError(
-            f"basket frame expands to {n_transactions} x {width} cells; "
-            f"the decoder caps frames at {_MAX_FRAME_CELLS}"
+            f"basket frame of {n_transactions} transaction(s) x {n_items} "
+            f"item(s) counts as {cells} cells (at least "
+            f"{_MIN_TRANSACTION_CELLS} per transaction); the decoder caps "
+            f"frames at {_MAX_FRAME_CELLS}"
         )
     lengths, offset = _read_index(view, offset, n_transactions)
     matrix, offset = _read_transactions(view, offset, lengths, n_items)

@@ -829,6 +829,7 @@ class TestClusterHTTPTraining:
         assert status == 200
         assert reply["n_train"] == 400
         assert reply["n_nodes"] == expected.tree.n_nodes
+        assert reply["depth"] == expected.tree.depth
         model = live.coordinator.training.model("byclass")
         assert model.tree.identical_to(expected.tree)
 

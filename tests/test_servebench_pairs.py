@@ -110,8 +110,7 @@ def test_summarise_mode_reads_saved_records(tmp_path):
         "".join(json.dumps(r) + "\n" for r in records(PARENT, change))
     )
     done = subprocess.run(
-        [sys.executable, str(TOOL), "--summarise", str(saved),
-         "--benchmark", str(REPO_ROOT / "BENCHMARK.json")],
+        [sys.executable, str(TOOL), "--summarise", str(saved)],
         capture_output=True, text=True, timeout=60, check=False,
     )
     assert done.returncode == 0, done.stderr

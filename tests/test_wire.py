@@ -600,10 +600,11 @@ def loop_decode_basket_frame(view, offset):
             f"truncated basket frame: {n_transactions} transaction(s) "
             f"declared but only {end - offset} byte(s) remain"
         )
-    width = max(n_items, 9)  # an index entry takes 8 bytes
-    if n_transactions * width > 1 << 28:
+    cells = n_transactions * max(n_items, 9)  # an index entry takes 8 bytes
+    if cells > 1 << 28:
         raise WireFormatError(
-            f"basket frame expands to {n_transactions} x {width} cells; "
+            f"basket frame of {n_transactions} transaction(s) x {n_items} "
+            f"item(s) counts as {cells} cells (at least 9 per transaction); "
             f"the decoder caps frames at {1 << 28}"
         )
     lengths = []
@@ -908,8 +909,9 @@ class TestBasketDecodeMemory:
         with pytest.raises(WireFormatError) as refused:
             list(iter_basket_frames(_v4(1, _varint(most + 1) + index)))
         assert str(refused.value) == (
-            f"basket frame expands to {most + 1} x 9 cells; the decoder "
-            f"caps frames at {1 << 28}"
+            f"basket frame of {most + 1} transaction(s) x 1 item(s) counts "
+            f"as {(most + 1) * 9} cells (at least 9 per transaction); the "
+            f"decoder caps frames at {1 << 28}"
         )
 
     @pytest.mark.parametrize(

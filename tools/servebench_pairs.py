@@ -10,8 +10,11 @@ quartiles, how many pairs the change won, the change of the medians
 against the metric's bound, and whether a claimed gain holds: the change
 wins at least 9 of every 10 pairs, and its median beats the parent's by
 more than the parent's interquartile range.  A run that reads
-``correct: false`` or ``failed > 0`` is flagged.  The tool only runs the
-benchmark; it never edits it.
+``correct: false`` or ``failed > 0`` is flagged.  Every run lasts the
+``run_seconds`` of the change checkout's ``BENCHMARK.json``, whose
+metrics it judges (this repository's when no ``--change`` is given, as
+with ``--summarise``).  The tool only runs the benchmark; it never edits
+it.
 
 Usage::
 
@@ -157,15 +160,14 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, help="the change checkout")
     parser.add_argument("--workload", choices=("ingest", "analyst", "cluster"))
     parser.add_argument("--seeds", type=parse_seeds, help="e.g. 11-20")
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--benchmark", type=Path,
-                        help="BENCHMARK.json (default: the change's)")
     parser.add_argument("--out", type=Path,
                         help="append every run's record here as JSON lines")
     parser.add_argument("--summarise", type=Path, metavar="JSONL",
                         help="summarise saved records instead of running")
     args = parser.parse_args(argv)
 
+    root = args.change or Path(__file__).resolve().parents[1]
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
     if args.summarise is not None:
         records = [
             json.loads(line)
@@ -183,7 +185,8 @@ def main(argv=None) -> int:
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
                 result = run_once(
-                    checkouts[side], args.workload, seed, args.seconds
+                    checkouts[side], args.workload, seed,
+                    benchmark["run_seconds"],
                 )
                 record = {"pair": pair, "side": side, "seed": seed,
                           "workload": args.workload, "result": result}
@@ -194,11 +197,7 @@ def main(argv=None) -> int:
                 print(f"pair {pair} seed {seed} {side}: "
                       f"correct={result.get('correct')} "
                       f"failed={result.get('failed')}", file=sys.stderr)
-    benchmark = args.benchmark or (
-        (args.change or Path(__file__).resolve().parents[1]) / "BENCHMARK.json"
-    )
-    metrics = json.loads(benchmark.read_text())["end_to_end"]
-    summary = summarise(records, metrics)
+    summary = summarise(records, benchmark["end_to_end"])
     print(format_summary(summary))
     return 1 if summary["flagged"] else 0
 
